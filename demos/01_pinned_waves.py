@@ -15,7 +15,6 @@ from kgdelta import (
     PowerLaw,
     SolitaryWave,
     charge_and_slope,
-    derived_params,
     effective_kappa,
     solve_amplitude,
 )
@@ -26,12 +25,11 @@ print("coupling: a(tau) = tau^0.25\n")
 print(f"{'omega':>8} {'decay':>8} {'C':>10} {'charge':>10} {'dQ/domega':>11} {'energy':>10}")
 for omega in np.linspace(0.0, 0.9, 10):
     p = ModelParams(m=1.0, omega=float(omega), kappa=0.25)
-    kap, alpha = derived_params(p)
     c = solve_amplitude(nl, p)
     q, slope = charge_and_slope(nl, p)
     wave = SolitaryWave(params=p, C=c)
     print(
-        f"{omega:8.2f} {kap:8.4f} {c:10.5f} {q:10.5f} {slope:11.5f} "
+        f"{omega:8.2f} {p.decay_rate:8.4f} {c:10.5f} {q:10.5f} {slope:11.5f} "
         f"{wave.energy(nl):10.5f}"
     )
 

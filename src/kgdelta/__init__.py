@@ -19,11 +19,9 @@ from .model import (
     Tabulated,
     UnrepresentableAmplitude,
     charge_and_slope,
-    derived_params,
     effective_kappa,
     find_amplitudes,
     nonlinearity_from_config,
-    profile_samples,
     solve_amplitude,
 )
 from .spectra import (

@@ -22,8 +22,7 @@ Squaring away both radicals turns ``D = 0`` into a real cubic in
 ``x = lambda^2`` (after cancelling the ever-present root at ``x = 0``).  The
 squaring steps inject spurious roots, so every cubic root is re-tested
 against ``D`` itself on all four sheets: the pre-squaring radical identity
-picks the branch, a short Newton polish removes the O(eps) debris of the
-cubic arithmetic, and a scale-aware residual decides acceptance.  The
+picks the branch and a scale-aware residual decides acceptance.  The
 classifier then assembles the point spectrum, embedded eigenvalues, virtual
 levels at the gap thresholds, and the stability verdict into a
 :class:`SpectrumReport`.
@@ -78,7 +77,7 @@ __all__ = [
     "oracle_mismatches",
 ]
 
-#: Relative residual below which a polished candidate counts as a root of D.
+#: Relative residual below which a candidate counts as a root of D.
 ACCEPT_TOL = 1e-9
 
 #: Half-band (in classification defect) around the critical curves inside
@@ -305,58 +304,6 @@ class RootCandidate:
         }
 
 
-def _polish(p: ModelParams, lam: complex) -> complex:
-    """Up to five Newton steps on the physical-sheet determinant.
-
-    The derivative is a centered difference taken *along the candidate's own
-    axis* (real candidates step in R, imaginary candidates step in iR): the
-    determinant is analytic along those lines under the cut-limit convention,
-    whereas stepping across the imaginary axis would straddle a branch cut.
-    Steps are confined to a tight trust region around the seed: cubic seeds
-    of genuine roots are already accurate to ~1e-12 relative and only need
-    their last digits knocked off, whereas an unconstrained Newton run from a
-    *spurious* seed chases the nearest zero of the restriction, which is the
-    ever-present double root at the origin, where small residuals would fake
-    acceptance.  A spurious candidate must be reported where the cubic put
-    it, not dragged onto some other root of the determinant.
-    """
-    if lam == 0:
-        return lam
-    if abs(lam.imag) <= 1e-12 * abs(lam):
-        direction = 1.0 + 0j
-        lam = complex(lam.real, 0.0)
-        project = lambda z: complex(z.real, 0.0)
-    elif abs(lam.real) <= 1e-12 * abs(lam):
-        direction = 1j
-        lam = complex(0.0, lam.imag)
-        project = lambda z: complex(0.0, z.imag)
-    else:
-        direction = lam / abs(lam)
-        project = lambda z: z
-
-    seed = lam
-    trust = 1e-2 * abs(seed) + 1e-9
-    best = lam
-    best_res = abs(D_eval(p, lam)) / residual_scale(p, lam)
-    cur = lam
-    for _ in range(5):
-        h = 1e-7 * (1.0 + abs(cur))
-        f = D_eval(p, cur)
-        fp = (D_eval(p, cur + h * direction) - D_eval(p, cur - h * direction)) / (2.0 * h * direction)
-        if fp == 0:
-            break
-        step = -f / fp
-        if abs(cur + step - seed) > trust:
-            break
-        cur = project(cur + step)
-        res = abs(D_eval(p, cur)) / residual_scale(p, cur)
-        if res < best_res:
-            best, best_res = cur, res
-        if res <= 1e-16:
-            break
-    return best
-
-
 def _presquare_sign_ok(
     p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex, tol: float
 ) -> bool:
@@ -379,18 +326,68 @@ def _presquare_sign_ok(
     return abs(lhs - rhs) <= math.sqrt(tol) * scale
 
 
+def _physical_fit(
+    p: ModelParams, cd: CubicData, lam: complex, tol: float
+) -> tuple[complex, complex, float, float, bool]:
+    """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``."""
+    nup, num = nu_pm(p, lam, PHYSICAL)
+    scale = residual_scale(p, lam, PHYSICAL)
+    res = abs(_D_from_nus(p, nup, num))
+    ok = res <= tol * scale and _presquare_sign_ok(p, cd, lam, nup, num, tol)
+    return nup, num, scale, res, ok
+
+
+def _refine_near_miss(
+    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex, tol: float
+) -> complex | None:
+    """Up to two analytic Newton steps on the physical-sheet ``D`` from ``lam``.
+
+    Real candidates step in R and imaginary ones in iR, where ``D`` is analytic
+    under the cut-limit convention.  Returns the first iterate that passes the
+    acceptance test, or ``None``.  No iterate may leave ``1e-7 |lam|`` of the
+    cubic's root, which a double root of the cubic only has to about
+    ``sqrt(eps)``: a spurious candidate must not be dragged onto some other
+    root of ``D``.  A root next to a threshold, where ``dD/dlambda`` blows up,
+    needs the second step.
+    """
+    cur = lam
+    for _ in range(2):
+        try:
+            dnup = -1j * (p.omega + 1j * cur) / nup
+            dnum = 1j * (p.omega - 1j * cur) / num
+            slope = -2.0 * p.alpha * (1.0 + p.kappa) * (dnup + dnum) + 4.0 * (dnup * num + nup * dnum)
+            step = -_D_from_nus(p, nup, num) / slope
+        except ZeroDivisionError:  # a threshold (nu = 0) or a flat determinant
+            return None
+        if lam.imag == 0.0:
+            step = complex(step.real, 0.0)
+        elif lam.real == 0.0:
+            step = complex(0.0, step.imag)
+        cur = cur + step
+        if not abs(cur - lam) < 1e-7 * abs(lam):
+            return None
+        nup, num, _, _, ok = _physical_fit(p, cd, cur, tol)
+        if ok:
+            return cur
+    return None
+
+
 def candidate_roots(
     params: ModelParams, data: CubicData | None = None, tol: float = ACCEPT_TOL
 ) -> list[RootCandidate]:
     """All ``lambda`` candidates from the cubic reduction, assessed sheet by sheet.
 
     Every cubic root ``y`` gives ``x = y - 2c/3`` and, for ``x != 0``, the two
-    candidates ``+-sqrt(x)``.  Each candidate is Newton-polished on the
-    physical sheet and accepted there iff the pre-squaring identity holds and
-    the relative residual is below ``tol``; rejected candidates carry the
-    label of whichever sheet fits them best (resonances), or ``None``.  The
-    root at ``lambda = 0`` is never emitted: the cubic was derived after
-    cancelling it, and its multiplicity is the Jordan data's job.
+    candidates ``+-sqrt(x)``, each accepted on the physical sheet iff the
+    pre-squaring identity holds and the relative residual is below ``tol``.
+    Near its double and triple roots (the latter at ``omega = 0, kappa =
+    -1/2``) the cubic loses digits that only ``D`` recovers, so a near miss
+    (relative residual in ``(tol, sqrt(tol)]``) is refined on ``D`` and
+    accepted if the refined point passes the same test.  Rejected candidates
+    stay where the cubic put them and carry the label of whichever sheet fits
+    them best (resonances), or ``None``.  The root at ``lambda = 0`` is never
+    emitted: the cubic was derived after cancelling it, and its multiplicity
+    is the Jordan data's job.
     """
     cd = cubic_data(params) if data is None else data
     x_floor = 1e-13 * max(1.0, abs(cd.c))
@@ -400,12 +397,13 @@ def candidate_roots(
         if abs(x) <= x_floor:
             continue
         principal = cmath.sqrt(x)
-        for lam0 in (principal, -principal):
-            lam = _polish(params, lam0)
-            nup, num = nu_pm(params, lam, PHYSICAL)
-            scale = residual_scale(params, lam, PHYSICAL)
-            res_phys = abs(_D_from_nus(params, nup, num))
-            ok = res_phys <= tol * scale and _presquare_sign_ok(params, cd, lam, nup, num, tol)
+        for lam in (principal, -principal):
+            nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam, tol)
+            if not ok and tol * scale < res_phys <= math.sqrt(tol) * scale:
+                refined = _refine_near_miss(params, cd, lam, nup, num, tol)
+                if refined is not None:
+                    lam = refined
+                    nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam, tol)
             if ok:
                 out.append(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
@@ -429,18 +427,21 @@ def candidate_roots(
     return out
 
 
+def _distinct_accepted(cands: list[RootCandidate]) -> list[complex]:
+    roots: list[complex] = []
+    for cand in cands:
+        if cand.accepted and not any(
+            abs(cand.lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots
+        ):
+            roots.append(cand.lam)
+    return roots
+
+
 def accepted_roots(
     params: ModelParams, data: CubicData | None = None, tol: float = ACCEPT_TOL
 ) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline."""
-    roots: list[complex] = []
-    for cand in candidate_roots(params, data=data, tol=tol):
-        if not cand.accepted:
-            continue
-        if any(abs(cand.lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
-            continue
-        roots.append(cand.lam)
-    return roots
+    return _distinct_accepted(candidate_roots(params, data=data, tol=tol))
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +582,7 @@ def classify_point_spectrum(
     jordan = zero_jordan_structure(p, tol=equality_tol)
     verdict = stability_verdict(p, tol=equality_tol)
     cands = candidate_roots(p, tol=tol)
-    accepted: list[complex] = []
-    for cand in cands:
-        if cand.accepted and not any(
-            abs(cand.lam - r) <= 1e-8 * (1.0 + abs(r)) for r in accepted
-        ):
-            accepted.append(cand.lam)
+    accepted = _distinct_accepted(cands)
 
     kol_defect = k - (w / m) ** 2
     K = virtual_level_exponent(m, w)

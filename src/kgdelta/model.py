@@ -57,12 +57,10 @@ __all__ = [
     "NoSolitaryWave",
     "UnrepresentableAmplitude",
     "DegenerateAmplitudeWarning",
-    "derived_params",
     "solve_amplitude",
     "find_amplitudes",
     "effective_kappa",
     "charge_and_slope",
-    "profile_samples",
     "nonlinearity_from_config",
 ]
 
@@ -128,15 +126,6 @@ class ModelParams:
     def alpha(self) -> float:
         """Defect coupling at the wave amplitude, ``a(C^2) = 2*decay_rate``."""
         return 2.0 * self.decay_rate
-
-
-def derived_params(p: ModelParams) -> tuple[float, float]:
-    """Return ``(decay_rate, alpha)`` for the parameter triple.
-
-    Raises the same domain error as ``ModelParams`` itself when called with an
-    out-of-range frequency (constructing ``p`` already enforces it).
-    """
-    return p.decay_rate, p.alpha
 
 
 class Nonlinearity:
@@ -433,8 +422,3 @@ class SolitaryWave:
         mag = self.C * np.exp(-self.params.decay_rate * np.abs(xs))
         phase = complex(math.cos(self.theta), math.sin(self.theta))
         return mag * phase
-
-
-def profile_samples(wave: SolitaryWave, xs: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Sample the wave profile at the given abscissae."""
-    return wave.profile(xs)

@@ -206,7 +206,9 @@ def lambda_pm(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[float,
         return None
     b = s + p.omega * p.omega + 1.0
     disc = math.sqrt(max(b * b - 4.0 * s, 0.0))
-    lo, hi = 0.5 * (b - disc), 0.5 * (b + disc)
+    # take the root without cancellation first, the other from the product s
+    big = 0.5 * (b + math.copysign(disc, b))
+    lo, hi = s / big, big
     return (lo, hi) if lo <= hi else (hi, lo)
 
 

@@ -231,6 +231,34 @@ class TestCandidates:
                 on_axis = abs(z.real) <= 1e-8 * abs(z) or abs(z.imag) <= 1e-8 * abs(z)
                 assert on_axis
 
+    @pytest.mark.parametrize(
+        "omega, kappa, want",
+        # roots of D computed with mpmath at 50 digits
+        [(0.6, 0.36000001, 1.933190727277507e-4), (0.5, 0.25000001, 2.121320353607959e-4)],
+    )
+    def test_small_real_pair_next_to_collision_curve(self, omega, kappa, want):
+        got = [z for z in accepted_roots(ModelParams(1.0, omega, kappa)) if z.real > 0]
+        assert len(got) == 1
+        assert got[0].imag == 0.0
+        assert got[0].real == pytest.approx(want, rel=1e-7)
+
+    @pytest.mark.parametrize("omega", [0.02, -0.02, 0.04, -0.04])
+    def test_decoupled_pair_written_exactly_in_scan_cell(self, omega):
+        from kgdelta.cli import _fmt, _scan_cell
+
+        assert _scan_cell(1.0, omega, 0.0, 1e-6).split(",")[4] == _fmt(2.0 * abs(omega))
+
+    @pytest.mark.parametrize("kappa", [-0.4998, -0.4995, -0.499, -0.4988, -0.498])
+    def test_pair_recovered_at_triple_root_of_cubic(self, kappa):
+        # near (omega, kappa) = (0, -1/2) the cubic's coefficients lose digits
+        # to cancellation and only a step on D itself brings the pair back
+        want = 2j * math.sqrt(-kappa * (1.0 + kappa))
+        got = classify_point_spectrum(ModelParams(1.0, 0.0, kappa)).nonzero_values()
+        assert sorted(got, key=lambda z: z.imag) == [
+            pytest.approx(-want, abs=1e-11),
+            pytest.approx(want, abs=1e-11),
+        ]
+
 
 class TestCriticalCurves:
     def test_special_values(self):

@@ -16,24 +16,23 @@ from kgdelta import (
     Tabulated,
     UnrepresentableAmplitude,
     charge_and_slope,
-    derived_params,
     effective_kappa,
     find_amplitudes,
     nonlinearity_from_config,
-    profile_samples,
     solve_amplitude,
 )
 
 
 def test_derived_params_values():
-    assert derived_params(ModelParams(1.0, 0.0, 0.0)) == (1.0, 2.0)
-    kap, alpha = derived_params(ModelParams(1.0, 0.8, 0.0))
-    assert kap == pytest.approx(0.6, abs=1e-15)
-    assert alpha == pytest.approx(1.2, abs=1e-15)
+    p = ModelParams(1.0, 0.0, 0.0)
+    assert (p.decay_rate, p.alpha) == (1.0, 2.0)
+    p = ModelParams(1.0, 0.8, 0.0)
+    assert p.decay_rate == pytest.approx(0.6, abs=1e-15)
+    assert p.alpha == pytest.approx(1.2, abs=1e-15)
 
 
 def test_decay_rate_vanishes_at_band_edge():
-    kap, _ = derived_params(ModelParams(1.0, 1.0 - 1e-12, 0.0))
+    kap = ModelParams(1.0, 1.0 - 1e-12, 0.0).decay_rate
     assert 0.0 < kap < 2e-6
 
 
@@ -187,14 +186,14 @@ class TestChargeAndSlope:
 class TestProfile:
     def test_point_values(self):
         w = SolitaryWave(ModelParams(1.0, 0.0), C=1.0)
-        assert profile_samples(w, [0.0])[0] == 1.0
-        vals = profile_samples(w, [-math.log(2.0), math.log(2.0)])
+        assert w.profile([0.0])[0] == 1.0
+        vals = w.profile([-math.log(2.0), math.log(2.0)])
         assert vals[0] == pytest.approx(0.5, abs=1e-15)
         assert vals[0] == vals[1]
 
     def test_phase_and_amplitude(self):
         w = SolitaryWave(ModelParams(1.0, 0.8), C=2.0, theta=math.pi)
-        val = profile_samples(w, [0.0])[0]
+        val = w.profile([0.0])[0]
         assert val.real == pytest.approx(-2.0, abs=1e-14)
         assert abs(val.imag) < 1e-14
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdelta import (
@@ -150,18 +150,23 @@ def test_pair_satisfies_vieta(m, wfrac, kappa):
 
 @settings(max_examples=200, deadline=None)
 @given(wfrac=st.floats(-0.95, 0.95), kappa=st.floats(-0.45, 2.5))
+@example(wfrac=0.015625, kappa=2.5)
 def test_pair_satisfies_level_relation(wfrac, kappa):
-    # each block level z maps back to the scalar level via z + z w^2/(1-z)
+    # each block level z maps back to the scalar level via z + z w^2/(1-z);
+    # near z = 1 the map amplifies the few ulps of rounding in z by its
+    # slope w^2/(1-z)^2, so that propagated error joins the tolerance
     p = ModelParams(1.0, wfrac, kappa)
     pair = lambda_pm(p)
     s = scalar_eigenvalue(p)
     if pair is None:
         return
+    eps = np.finfo(float).eps
     for z in pair:
         if abs(z - 1.0) < 1e-6:
             continue
         back = z + z * p.omega**2 / (1.0 - z)
-        assert back == pytest.approx(s, abs=1e-10 * (1.0 + abs(s)))
+        propagated = 4.0 * eps * abs(z) * p.omega**2 / (1.0 - z) ** 2
+        assert back == pytest.approx(s, abs=1e-10 * (1.0 + abs(s)) + propagated)
 
 
 class TestFullGeneratorEssential:

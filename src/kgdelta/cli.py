@@ -17,7 +17,6 @@ parallelism degree (``KGDELTA_THREADS`` caps the worker count).
 from __future__ import annotations
 
 import argparse
-import enum
 import json
 import math
 import os
@@ -32,17 +31,19 @@ from .dispersion import (
     CubicData,
     D_eval,
     PHYSICAL,
+    RegionCode,
     SpectrumReport,
     classify_point_spectrum,
     collision_exponent_frequency,
     cubic_data,
     oracle_mismatches,
+    region_code,
     residual_scale,
     virtual_level_exponent,
     virtual_level_frequency,
 )
 from .lattice import DefectLattice, Grid
-from .model import ModelParams, PowerLaw, nonlinearity_from_config
+from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
 from .spectra import Verdict, stability_verdict
 
 __all__ = [
@@ -57,61 +58,9 @@ __all__ = [
 ]
 
 
-class RegionCode(enum.Enum):
-    """Qualitative content of the point spectrum at one parameter cell."""
-
-    ZERO_ONLY = "ZeroOnly"
-    REAL_PAIR = "RealPair"
-    IMAGINARY_PAIR = "ImaginaryPair"
-    EMBEDDED_PAIR = "EmbeddedPair"
-    KOLOKOLOV_CRITICAL = "KolokolovCritical"
-    VIRTUAL_LEVEL_BOUNDARY = "VirtualLevelBoundary"
-
-
-def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> RegionCode:
-    """Analytic region predicate, straight from the curve inequalities.
-
-    Independent of the cubic pipeline: only ``kappa`` against ``omega^2/m^2``,
-    against the virtual-level exponent, and the special line ``kappa = 0``
-    enter.  ``band`` is the half-width of the boundary tolerance bands, which
-    are reported as explicit boundary codes rather than folded into a
-    neighboring region.
-    """
-    if abs(kappa) <= band:
-        if abs(omega) <= band:
-            return RegionCode.KOLOKOLOV_CRITICAL
-        return (
-            RegionCode.EMBEDDED_PAIR
-            if abs(omega) >= m / 3.0
-            else RegionCode.IMAGINARY_PAIR
-        )
-    kol_defect = kappa - (omega / m) ** 2
-    if abs(kol_defect) <= band:
-        return RegionCode.KOLOKOLOV_CRITICAL
-    kv = virtual_level_exponent(m, omega)
-    if -0.5 - band <= kappa < 1.0 / math.sqrt(2.0) and abs(kappa - kv) <= band:
-        return RegionCode.VIRTUAL_LEVEL_BOUNDARY
-    if kol_defect > 0.0:
-        return RegionCode.REAL_PAIR
-    if kappa > kv:
-        return RegionCode.IMAGINARY_PAIR
-    return RegionCode.ZERO_ONLY
-
-
 def region_code_from_report(report: SpectrumReport) -> RegionCode:
-    """Map a full spectral report onto its region code."""
-    if "kolokolov-critical" in report.flags:
-        return RegionCode.KOLOKOLOV_CRITICAL
-    if any(e.embedded for e in report.points.entries):
-        return RegionCode.EMBEDDED_PAIR
-    if "virtual-level" in report.flags:
-        return RegionCode.VIRTUAL_LEVEL_BOUNDARY
-    nonzero = report.nonzero_values()
-    if any(abs(z.imag) <= 1e-8 * abs(z) for z in nonzero):
-        return RegionCode.REAL_PAIR
-    if nonzero:
-        return RegionCode.IMAGINARY_PAIR
-    return RegionCode.ZERO_ONLY
+    """The region code a spectral report was assembled for."""
+    return report.region
 
 
 @dataclass(frozen=True)
@@ -451,6 +400,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = ModelParams(m=args.mass, omega=args.omega, kappa=args.kappa)
     if args.nonlinearity:
         nl = nonlinearity_from_config(json.loads(args.nonlinearity))
+        # the spectral prediction uses -k, the lattice the coupling itself
+        k_eff = effective_kappa(nl, solve_amplitude(nl, p))
+        if not math.isclose(k_eff, p.kappa, rel_tol=1e-9, abs_tol=1e-12):
+            raise ValueError(
+                f"-k {p.kappa:g} disagrees with the coupling's effective exponent "
+                f"{k_eff:.12g} at its amplitude"
+            )
     else:
         nl = PowerLaw(g=args.coupling, kappa=args.kappa)
     grid = Grid.for_run(p, horizon=args.horizon, target_h=args.grid_h, half_length=args.half_length)
@@ -549,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help='coupling config overriding -g, e.g. \'{"type": "power", "g": 2.0, "kappa": 1.0}\''
-        " (for a table coupling, -k must still state the effective exponent)",
+        " (-k must state its effective exponent at the wave amplitude)",
     )
     sm.add_argument("--eps", type=float, default=1e-6, help="perturbation energy norm")
     sm.add_argument("-T", "--horizon", type=float, required=True)

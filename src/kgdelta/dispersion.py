@@ -31,6 +31,7 @@ levels at the gap thresholds, and the stability verdict into a
 from __future__ import annotations
 
 import cmath
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ __all__ = [
     "RootCandidate",
     "CubicData",
     "CriticalCurves",
+    "RegionCode",
     "SpectrumReport",
     "ClassificationError",
     "nu_pm",
@@ -72,6 +74,7 @@ __all__ = [
     "collision_exponent_frequency",
     "virtual_level_frequency",
     "virtual_level_exponent",
+    "region_code",
     "classify_point_spectrum",
     "axis_scan_roots",
     "oracle_mismatches",
@@ -409,20 +412,20 @@ def candidate_roots(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
                 )
                 continue
+            # the residual scale sees only |nu+-|, which no sheet flip changes
             best_sheet: SheetSelector | None = None
             best_res = math.inf
-            best_scale = scale
             for sheet in ALL_SHEETS:
-                r = abs(_D_from_nus(params, sheet.s_plus * nup, sheet.s_minus * num))
-                sc = residual_scale(params, lam, sheet)
-                if r / sc < best_res:
-                    best_res, best_sheet, best_scale = r / sc, sheet, sc
+                if sheet is PHYSICAL:
+                    r = res_phys
+                else:
+                    r = abs(_D_from_nus(params, sheet.s_plus * nup, sheet.s_minus * num))
+                if r / scale < best_res:
+                    best_res, best_sheet = r / scale, sheet
             if best_res > math.sqrt(tol):
                 best_sheet = None
             out.append(
-                RootCandidate(
-                    lam, best_sheet, best_res * best_scale, best_scale, False, idx, x, y
-                )
+                RootCandidate(lam, best_sheet, best_res * scale, scale, False, idx, x, y)
             )
     return out
 
@@ -484,6 +487,51 @@ def virtual_level_exponent(m: float, omega: float) -> float:
     return (2.0 * s - 1.0) / (2.0 - 2.0 * s)
 
 
+class RegionCode(enum.Enum):
+    """Qualitative content of the point spectrum at one parameter cell."""
+
+    ZERO_ONLY = "ZeroOnly"
+    REAL_PAIR = "RealPair"
+    IMAGINARY_PAIR = "ImaginaryPair"
+    EMBEDDED_PAIR = "EmbeddedPair"
+    KOLOKOLOV_CRITICAL = "KolokolovCritical"
+    VIRTUAL_LEVEL_BOUNDARY = "VirtualLevelBoundary"
+
+
+def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> RegionCode:
+    """Analytic region predicate, straight from the curve inequalities.
+
+    Independent of the cubic pipeline: only ``kappa`` against ``omega^2/m^2``,
+    against the virtual-level curve, and the special line ``kappa = 0``
+    enter.  ``band`` is the half-width of the boundary tolerance bands, which
+    are reported as explicit boundary codes rather than folded into a
+    neighboring region.  ``|kappa| <= band`` is the line ``kappa = 0``; the
+    virtual-level band is measured in both ``kappa`` and ``|omega|``.
+    """
+    aw = abs(omega)
+    if abs(kappa) <= band:
+        # below the cubic pipeline's x resolution the decoupled pair
+        # +-2i*omega is indistinguishable from the fourfold zero at the
+        # curve origin
+        if aw <= band or 4.0 * omega * omega <= 1e-13 * max(1.0, 4.0 * omega * omega):
+            return RegionCode.KOLOKOLOV_CRITICAL
+        # the pair is embedded once it reaches the gap threshold m - |omega|
+        return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= m - aw else RegionCode.IMAGINARY_PAIR
+    kol_defect = kappa - (omega / m) ** 2
+    if abs(kol_defect) <= band:
+        return RegionCode.KOLOKOLOV_CRITICAL
+    kv = virtual_level_exponent(m, omega)
+    if -0.5 - band <= kappa < _INV_SQRT2 and (
+        abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band
+    ):
+        return RegionCode.VIRTUAL_LEVEL_BOUNDARY
+    if kol_defect > 0.0:
+        return RegionCode.REAL_PAIR
+    if kappa > kv:
+        return RegionCode.IMAGINARY_PAIR
+    return RegionCode.ZERO_ONLY
+
+
 @dataclass(frozen=True)
 class CriticalCurves:
     """The three curve values through one parameter point.
@@ -524,6 +572,7 @@ class SpectrumReport:
     virtual_levels: tuple[complex, ...]
     flags: tuple[str, ...]
     candidates: tuple[RootCandidate, ...]
+    region: RegionCode  # the region_code it was built for; not in the JSON
 
     def nonzero_values(self) -> tuple[complex, ...]:
         return tuple(e.value for e in self.points.entries if e.value != 0)
@@ -566,30 +615,22 @@ def classify_point_spectrum(
 ) -> SpectrumReport:
     """Point spectrum, embedded eigenvalues and virtual levels at ``p``.
 
-    The regions of the ``(omega, kappa)`` plane are decided by the analytic
-    predicates (sign of ``kappa - omega^2/m^2``, of ``kappa - K(omega)``, and
-    the special line ``kappa = 0``), while the nonzero eigenvalue *values*
-    come from the cubic pipeline; a disagreement between the two raises
-    :class:`ClassificationError`.  Within ``boundary_tol`` of the critical
-    curves the discontinuous classification is replaced by an explicit
-    boundary report (flags ``"kolokolov-critical"`` / ``"virtual-level"``),
-    because silent tie-breaking would make parameter scans irreproducible.
+    The region of the ``(omega, kappa)`` plane is decided by
+    :func:`region_code` with band ``boundary_tol``, while the nonzero
+    eigenvalue *values* come from the cubic pipeline; a disagreement between
+    the two raises :class:`ClassificationError`.  Inside the boundary bands
+    the discontinuous classification is replaced by an explicit boundary
+    report (flags ``"kolokolov-critical"`` / ``"virtual-level"``), because
+    silent tie-breaking would make parameter scans irreproducible.
     """
     m, w, k = p.m, p.omega, p.kappa
-    aw = abs(w)
-    gap = m - aw
+    gap = m - abs(w)
     ess = sigma_ess_A(p)
     jordan = zero_jordan_structure(p, tol=equality_tol)
     verdict = stability_verdict(p, tol=equality_tol)
     cands = candidate_roots(p, tol=tol)
     accepted = _distinct_accepted(cands)
-
-    kol_defect = k - (w / m) ** 2
-    K = virtual_level_exponent(m, w)
-    vl_defect = k - K
-    t_kappa = virtual_level_frequency(m, k)
-    in_vl_range = (-0.5 - boundary_tol <= k < _INV_SQRT2) and not math.isnan(t_kappa)
-    on_vl = in_vl_range and (abs(vl_defect) <= boundary_tol or abs(aw - t_kappa) <= boundary_tol)
+    region = region_code(m, w, k, boundary_tol)
 
     entries: list[SpectralPoint] = [
         SpectralPoint(0j, geometric_mult=jordan.geometric, algebraic_mult=jordan.algebraic)
@@ -606,67 +647,64 @@ def classify_point_spectrum(
             )
         return max(sel, key=abs)
 
-    if k == 0.0:
-        # exactly decoupled defect: the pair +-2i*omega always exists for
-        # omega != 0 and is embedded beyond |omega| = m/3.  Below the cubic
-        # pipeline's x resolution the pair is indistinguishable from the
-        # fourfold zero at the curve origin, so report that instead.
-        pair_resolvable = 4.0 * w * w > 1e-13 * max(1.0, 4.0 * w * w)
-        if aw <= boundary_tol or not pair_resolvable:
-            flags.append("kolokolov-critical")
-        else:
-            embedded = 2.0 * aw >= gap
-            lam = _pick(lambda z: abs(z.real) <= 1e-8 * abs(z) and z.imag > 0, "imaginary")
-            entries.append(SpectralPoint(lam, embedded=embedded))
-            entries.append(SpectralPoint(-lam, embedded=embedded))
-            if embedded:
-                flags.append("embedded")
-        if abs(aw - m / 3.0) <= boundary_tol:
-            # threshold onset: the embedded pair sits exactly at +-i*gap but
-            # keeps a square-integrable eigenfunction, so it is not a virtual
-            # level; flag the coincidence instead
-            flags.append("virtual-level-curve-at-kappa-zero")
-    elif abs(kol_defect) <= boundary_tol:
+    if region is RegionCode.KOLOKOLOV_CRITICAL:
         flags.append("kolokolov-critical")
-    elif on_vl:
+    elif region is RegionCode.VIRTUAL_LEVEL_BOUNDARY:
         virtual = (complex(0.0, gap), complex(0.0, -gap))
         flags.append("virtual-level")
         if abs(w) <= boundary_tol and abs(k + 0.5) <= boundary_tol:
             # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
             flags.append("threshold-overlap")
-    elif kol_defect > 0.0:
+    elif region is RegionCode.REAL_PAIR:
         lam = _pick(lambda z: abs(z.imag) <= 1e-8 * abs(z) and z.real > 0, "real")
         entries.append(SpectralPoint(lam))
         entries.append(SpectralPoint(-lam))
-    elif vl_defect > 0.0:
-        lam = _pick(
-            lambda z: abs(z.real) <= 1e-8 * abs(z) and 0.0 < z.imag, "in-gap imaginary"
-        )
-        entries.append(SpectralPoint(lam))
-        entries.append(SpectralPoint(-lam))
-    else:
-        # kappa <= K(omega), kappa != 0: the nonzero pair has crossed onto an
-        # unphysical sheet.  Two kinds of grazing acceptance are tolerated
+    elif region is RegionCode.ZERO_ONLY:
+        # kappa <= K(omega) off the line kappa = 0: the nonzero pair has
+        # crossed onto an unphysical sheet.  Grazing acceptance is tolerated
         # and flagged: roots within float resolution of the gap threshold
-        # (virtual-level remnants) and roots within the resolution of the
-        # ever-present double root at zero (residuals cannot certify roots
-        # that close to the origin; happens only in a ~1e-7 shell around
-        # kappa = -1, where a resonance crosses zero).
+        # (virtual-level remnants), roots within the resolution of the
+        # ever-present double root at zero (only in a ~1e-7 shell around
+        # kappa = -1, where a resonance crosses zero), and roots on the cut
+        # beyond the threshold (for small |kappa| the resonance left by the
+        # embedded pair +-2i*omega of kappa = 0 is closer to it than the
+        # residual resolves).
         near_threshold = [
             z for z in accepted if abs(abs(z.imag) - gap) <= 1e-6 * (1.0 + gap)
         ]
         zero_cluster = [
             z for z in accepted if abs(z) <= 1e-4 * m and z not in near_threshold
         ]
+        others = [z for z in accepted if z not in near_threshold and z not in zero_cluster]
+        on_cut = [z for z in others if abs(z.real) <= 1e-8 * abs(z) and abs(z.imag) > gap]
         if near_threshold:
             flags.append("near-threshold")
         if zero_cluster:
             flags.append("zero-cluster")
-        stray = [z for z in accepted if z not in near_threshold and z not in zero_cluster]
+        if on_cut:
+            flags.append("on-cut-resonance")
+        stray = [z for z in others if z not in on_cut]
         if stray:
             raise ClassificationError(
                 f"unexpected accepted roots {stray} at (m={m}, omega={w}, kappa={k})"
             )
+    else:
+        # an imaginary pair: inside the gap, or on the line kappa = 0 the
+        # decoupled pair +-2i*omega, embedded once it reaches the threshold
+        embedded = region is RegionCode.EMBEDDED_PAIR
+        lam = _pick(
+            lambda z: abs(z.real) <= 1e-8 * abs(z) and 0.0 < z.imag,
+            "embedded imaginary" if embedded else "in-gap imaginary",
+        )
+        entries.append(SpectralPoint(lam, embedded=embedded))
+        entries.append(SpectralPoint(-lam, embedded=embedded))
+        if embedded:
+            flags.append("embedded")
+        if abs(k) <= boundary_tol and abs(abs(w) - m / 3.0) <= boundary_tol:
+            # threshold onset: the embedded pair sits exactly at +-i*gap but
+            # keeps a square-integrable eigenfunction, so it is not a virtual
+            # level; flag the coincidence instead
+            flags.append("virtual-level-curve-at-kappa-zero")
 
     _check_symmetry([e.value for e in entries])
     return SpectrumReport(
@@ -678,6 +716,7 @@ def classify_point_spectrum(
         virtual_levels=virtual,
         flags=tuple(flags),
         candidates=tuple(cands),
+        region=region,
     )
 
 

@@ -35,6 +35,20 @@ class TestSpectrumCommand:
         assert "embedded" in out
         assert "stable" in out
 
+    def test_kappa_line_band_gives_embedded_pair(self, capsys):
+        # |kappa| below the 1e-10 band is the decoupled line kappa = 0
+        assert main(["spectrum", "-m", "1", "-w", "0.95", "-k=-1e-12", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        embedded = [e["value"] for e in data["point_spectrum"] if e["embedded"]]
+        assert sorted(v[1] for v in embedded) == pytest.approx([-1.9, 1.9], abs=1e-9)
+        assert data["flags"] == ["embedded"]
+
+    def test_small_kappa_on_cut_root_is_flagged(self, capsys):
+        assert main(["spectrum", "-m", "1", "-w", "0.95", "-k=-1e-6"]) == 0
+        out = capsys.readouterr().out
+        assert "flags: on-cut-resonance" in out
+        assert not any(line.startswith("eigenvalue ") for line in out.splitlines())
+
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -173,6 +187,23 @@ class TestScan:
         assert path.exists()
         assert "wrote 25 cells" in capsys.readouterr().out
 
+    def test_small_kappa_window(self, tmp_path, capsys):
+        # off kappa = 0 the embedded pair is a resonance grazing the cut
+        path = tmp_path / "z.csv"
+        rc = main(
+            [
+                "scan",
+                "--omega-min", "0.5", "--omega-max", "0.6", "--omega-step", "0.05",
+                "--kappa-min=-1e-4", "--kappa-max", "1e-4", "--kappa-step", "2e-5",
+                "-o", str(path), "--threads", "1",
+            ]
+        )
+        assert rc == 0
+        assert "wrote 33 cells" in capsys.readouterr().out
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert {r[2] for r in rows if float(r[1]) == 0.0} == {"EmbeddedPair"}
+        assert {r[2] for r in rows if float(r[1]) != 0.0} == {"ZeroOnly"}
+
 
 class TestSimulateCommand:
     def test_stationary_run(self, tmp_path, capsys):
@@ -209,6 +240,19 @@ class TestSimulateCommand:
 
     def test_invalid_params_exit_2(self):
         assert main(["simulate", "-m", "1", "-w", "2", "-k", "1", "-T", "1"]) == 2
+
+    def test_kappa_disagreeing_with_nonlinearity_exit_2(self, tmp_path, capsys):
+        # the coupling g*tau has effective exponent 1, not the stated 0
+        rc = main(
+            [
+                "simulate", "-m", "1", "-w", "0.3", "-k", "0", "-T", "20",
+                "--nonlinearity", '{"type":"power","g":2,"kappa":1}',
+                "-o", str(tmp_path / "bad"),
+            ]
+        )
+        assert rc == 2
+        assert "error: -k 0 disagrees" in capsys.readouterr().err
+        assert not (tmp_path / "bad.json").exists()
 
     def test_nonlinearity_config_flag(self, tmp_path):
         prefix = str(tmp_path / "cfg")

@@ -24,7 +24,7 @@ from kgdelta import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from kgdelta.dispersion import ACCEPT_TOL
+from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, RegionCode
 
 
 class TestExponents:
@@ -344,6 +344,106 @@ class TestClassification:
         assert data["jordan_at_zero"] == {"geometric": 2, "algebraic": 2}
         assert len(data["candidates"]) >= 2
 
+
+    def test_frequency_direction_virtual_level_band(self):
+        # kappa - K(omega) = 1.2e-10 lies outside the band, |omega| - T(kappa)
+        # = -8.3e-11 inside it: the point is on the virtual-level curve
+        w, k = 0.1, -0.2841687603650198
+        assert k - virtual_level_exponent(1.0, w) > BOUNDARY_TOL
+        assert abs(w - virtual_level_frequency(1.0, k)) <= BOUNDARY_TOL
+        rep = classify_point_spectrum(ModelParams(1.0, w, k))
+        assert "virtual-level" in rep.flags
+        assert rep.region is RegionCode.VIRTUAL_LEVEL_BOUNDARY
+
+    @pytest.mark.parametrize("k", [-1e-12, 1e-12, -BOUNDARY_TOL])
+    def test_kappa_line_is_a_band(self, k):
+        rep = classify_point_spectrum(ModelParams(1.0, 0.95, k))
+        assert rep.region is RegionCode.EMBEDDED_PAIR
+        vals = sorted(rep.nonzero_values(), key=lambda z: z.imag)
+        assert vals == pytest.approx([-1.9j, 1.9j], abs=1e-9)
+        assert "embedded" in rep.flags
+
+    @pytest.mark.parametrize("w,k", [(0.95, -1e-6), (0.95, 1e-6), (0.5, -8e-5)])
+    def test_on_cut_root_off_the_kappa_line_is_a_resonance(self, w, k):
+        # the embedded pair of kappa = 0 leaves the physical sheet, but for
+        # small |kappa| its residual cannot tell it from a root on the cut
+        rep = classify_point_spectrum(ModelParams(1.0, w, k))
+        assert rep.region is RegionCode.ZERO_ONLY
+        assert rep.nonzero_values() == ()
+        assert "on-cut-resonance" in rep.flags
+
+
+class TestRegionsAgainstThePaper:
+    """Report contents against the paper's region inequalities, restated here.
+
+    The classifier builds each report for the region :func:`region_code`
+    decides, so comparing the two would check nothing.  This test writes the
+    inequalities out again: ``kappa`` against ``omega^2/m^2``, ``|omega|``
+    against the virtual-level curve ``T(kappa) = m (1+2 kappa)^2 / (3+4 kappa)``
+    (increasing for ``kappa >= -1/2``), and the line ``kappa = 0``.  Cells
+    within ``CLEAR`` of a curve, in either coordinate, are skipped.
+    """
+
+    CLEAR = 2e-6
+
+    @staticmethod
+    def _below_virtual_curve(m, w, k):
+        return k >= -0.5 and abs(w) < m * (1.0 + 2.0 * k) ** 2 / (3.0 + 4.0 * k)
+
+    def _expected(self, m, w, k):
+        aw, clear = abs(w), self.CLEAR
+        if k == 0.0:
+            if aw <= clear or abs(aw - m / 3.0) <= clear:
+                return None
+            return "EmbeddedPair" if aw > m / 3.0 else "ImaginaryPair"
+        if abs(k) <= clear or abs(k - (w / m) ** 2) <= clear:
+            return None
+        if k > 0.0 and abs(aw - m * math.sqrt(k)) <= clear:
+            return None
+        if k > (w / m) ** 2:
+            return "RealPair"
+        sides = {self._below_virtual_curve(m, w, k + d) for d in (-clear, 0.0, clear)}
+        sides |= {self._below_virtual_curve(m, w + d, k) for d in (-clear, clear)}
+        if len(sides) > 1:
+            return None
+        return "ImaginaryPair" if sides.pop() else "ZeroOnly"
+
+    def test_seeded_cells(self):
+        rng = np.random.default_rng(20261018)
+        cells = []
+        for _ in range(300):
+            m = rng.uniform(0.5, 2.0)
+            cells.append((m, m * rng.uniform(-0.98, 0.98), rng.uniform(-2.5, 3.0)))
+        for _ in range(40):
+            m = rng.uniform(0.5, 2.0)
+            cells.append((m, m * rng.uniform(-0.98, 0.98), 0.0))
+        # either side of the embedding onset |omega| = m/3 on the line
+        cells += [(1.0, s * (1.0 / 3.0 + d), 0.0) for s in (-1, 1) for d in (-1e-5, 1e-5, -1e-3, 1e-3)]
+        seen = set()
+        for m, w, k in cells:
+            want = self._expected(m, w, k)
+            if want is None:
+                continue
+            seen.add(want)
+            p = ModelParams(m, w, k)
+            rep = classify_point_spectrum(p)
+            assert rep.region.value == want, (m, w, k)
+            vals = rep.nonzero_values()
+            if want == "ZeroOnly":
+                assert vals == (), (m, w, k)
+                continue
+            assert len(vals) == 2 and vals[1] == -vals[0], (m, w, k)
+            lam = max(vals, key=lambda z: (z.real, z.imag))
+            assert abs(D_eval(p, lam)) <= 1e-9 * residual_scale(p, lam), (m, w, k)
+            embedded = [e.embedded for e in rep.points.entries if e.value != 0]
+            gap = m - abs(w)
+            if want == "RealPair":
+                assert lam.imag == 0.0 and lam.real > 0.0, (m, w, k)
+            else:
+                assert lam.real == 0.0 and lam.imag > 0.0, (m, w, k)
+                assert (lam.imag >= gap) == (want == "EmbeddedPair"), (m, w, k)
+                assert embedded == [want == "EmbeddedPair"] * 2, (m, w, k)
+        assert seen == {"RealPair", "ImaginaryPair", "EmbeddedPair", "ZeroOnly"}
 
 class TestRegions:
     def test_real_iff_beyond_collision_curve(self):

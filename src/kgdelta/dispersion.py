@@ -513,7 +513,7 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
         # below the cubic pipeline's x resolution the decoupled pair
         # +-2i*omega is indistinguishable from the fourfold zero at the
         # curve origin
-        if aw <= band or 4.0 * omega * omega <= 1e-13 * max(1.0, 4.0 * omega * omega):
+        if aw <= band or 4.0 * omega * omega <= 1e-13:
             return RegionCode.KOLOKOLOV_CRITICAL
         # the pair is embedded once it reaches the gap threshold m - |omega|
         return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= m - aw else RegionCode.IMAGINARY_PAIR

@@ -87,6 +87,10 @@ ACCEPT_TOL = 1e-9
 #: which the discontinuous classification is reported as a boundary case.
 BOUNDARY_TOL = 1e-10
 
+#: Resolution of the cubic pipeline in ``x = lambda^2``, relative to
+#: ``max(1, |c|)``: a root closer to ``x = 0`` is not told from the one there.
+_X_FLOOR = 1e-13
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -393,7 +397,7 @@ def candidate_roots(
     is the Jordan data's job.
     """
     cd = cubic_data(params) if data is None else data
-    x_floor = 1e-13 * max(1.0, abs(cd.c))
+    x_floor = _X_FLOOR * max(1.0, abs(cd.c))
     out: list[RootCandidate] = []
     for idx, y in enumerate(cubic_roots(cd)):
         x = y - 2.0 * cd.c / 3.0
@@ -501,35 +505,35 @@ class RegionCode(enum.Enum):
 def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> RegionCode:
     """Analytic region predicate, straight from the curve inequalities.
 
-    Independent of the cubic pipeline: only ``kappa`` against ``omega^2/m^2``,
-    against the virtual-level curve, and the special line ``kappa = 0``
-    enter.  ``band`` is the half-width of the boundary tolerance bands, which
-    are reported as explicit boundary codes rather than folded into a
-    neighboring region.  ``|kappa| <= band`` is the line ``kappa = 0``; the
-    virtual-level band is measured in both ``kappa`` and ``|omega|``.
+    Only ``kappa`` against ``omega^2/m^2`` and the virtual-level curve, and
+    the line ``kappa = 0`` enter, with one limit of the cubic pipeline: on the
+    line a pair with ``x = 4 omega^2 <= _X_FLOOR`` is the curve origin.
+    ``band`` is the half-width of the boundary bands (the virtual-level one
+    measured in ``kappa`` and ``|omega|``), reported as explicit boundary
+    codes.  ``|kappa| <= band`` is the line ``kappa = 0``, except where a
+    point off the exact line also lies in another band.
     """
     aw = abs(omega)
-    if abs(kappa) <= band:
-        # below the cubic pipeline's x resolution the decoupled pair
-        # +-2i*omega is indistinguishable from the fourfold zero at the
-        # curve origin
-        if aw <= band or 4.0 * omega * omega <= 1e-13:
+    if kappa == 0.0:
+        # the line meets the Kolokolov curve at the origin, where the band is
+        # measured in omega (off the line the Kolokolov band covers it)
+        if aw <= band or 4.0 * omega * omega <= _X_FLOOR:
             return RegionCode.KOLOKOLOV_CRITICAL
-        # the pair is embedded once it reaches the gap threshold m - |omega|
-        return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= m - aw else RegionCode.IMAGINARY_PAIR
-    kol_defect = kappa - (omega / m) ** 2
-    if abs(kol_defect) <= band:
-        return RegionCode.KOLOKOLOV_CRITICAL
-    kv = virtual_level_exponent(m, omega)
-    if -0.5 - band <= kappa < _INV_SQRT2 and (
-        abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band
-    ):
-        return RegionCode.VIRTUAL_LEVEL_BOUNDARY
-    if kol_defect > 0.0:
-        return RegionCode.REAL_PAIR
-    if kappa > kv:
-        return RegionCode.IMAGINARY_PAIR
-    return RegionCode.ZERO_ONLY
+    else:
+        kol_defect = kappa - (omega / m) ** 2
+        if abs(kol_defect) <= band:
+            return RegionCode.KOLOKOLOV_CRITICAL
+        kv = virtual_level_exponent(m, omega)
+        if -0.5 - band <= kappa < _INV_SQRT2 and (
+            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band
+        ):
+            return RegionCode.VIRTUAL_LEVEL_BOUNDARY
+        if abs(kappa) > band:
+            if kol_defect > 0.0:
+                return RegionCode.REAL_PAIR
+            return RegionCode.IMAGINARY_PAIR if kappa > kv else RegionCode.ZERO_ONLY
+    # on the line the decoupled pair +-2i*omega is embedded from m - |omega| on
+    return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= m - aw else RegionCode.IMAGINARY_PAIR
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,11 @@ class TestSpectrumCommand:
         assert "flags: on-cut-resonance" in out
         assert not any(line.startswith("eigenvalue ") for line in out.splitlines())
 
+    def test_kolokolov_band_inside_kappa_line_band(self, capsys):
+        # both bands hold; kappa > omega^2 leaves no imaginary pair to report
+        assert main(["spectrum", "-m", "1", "-w", "5e-6", "-k", "8e-11"]) == 0
+        assert "flags: kolokolov-critical" in capsys.readouterr().out
+
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -187,6 +192,11 @@ class TestScan:
         assert path.exists()
         assert "wrote 25 cells" in capsys.readouterr().out
 
+    def test_kolokolov_cell_inside_kappa_line_band(self):
+        from kgdelta.cli import _scan_cell
+
+        assert _scan_cell(1.0, 5e-4, 8e-7, 1e-6).split(",")[2] == "KolokolovCritical"
+
     def test_small_kappa_window(self, tmp_path, capsys):
         # off kappa = 0 the embedded pair is a resonance grazing the cut
         path = tmp_path / "z.csv"
@@ -253,6 +263,19 @@ class TestSimulateCommand:
         assert rc == 2
         assert "error: -k 0 disagrees" in capsys.readouterr().err
         assert not (tmp_path / "bad.json").exists()
+
+    def test_table_coupling_takes_the_printed_exponent(self, tmp_path, capsys):
+        # a table's exponent comes from the interpolant's slope at the solved
+        # amplitude; the 12 digits the error prints must pass the check
+        table = '{"type":"table","tau":[0.5,1,1.5,2],"a":[1.6,1.72,1.8,1.85]}'
+        argv = ["simulate", "-m", "1", "-w", "0.5", "-T", "2", "--eps", "0",
+                "--nonlinearity", table, "-o", str(tmp_path / "tab"), "--record-every", "10"]
+        assert main(argv + ["-k", "0.1"]) == 2
+        err = capsys.readouterr().err
+        k_eff = err.split("effective exponent ")[1].split()[0]
+        assert main(argv + ["-k", k_eff]) == 0
+        summary = json.loads((tmp_path / "tab.json").read_text())
+        assert summary["verdict_predicted"] == "stable"
 
     def test_nonlinearity_config_flag(self, tmp_path):
         prefix = str(tmp_path / "cfg")

@@ -363,6 +363,26 @@ class TestClassification:
         assert vals == pytest.approx([-1.9j, 1.9j], abs=1e-9)
         assert "embedded" in rep.flags
 
+    @pytest.mark.parametrize("w,k,band", [(5e-6, 8e-11, BOUNDARY_TOL), (5e-4, 8e-7, 1e-6)])
+    def test_kolokolov_band_wins_over_kappa_line_band(self, w, k, band):
+        # 0 < kappa <= band and |kappa - omega^2| <= band: kappa > omega^2,
+        # so the point has a real pair, not the line's imaginary one
+        rep = classify_point_spectrum(ModelParams(1.0, w, k), boundary_tol=band)
+        assert rep.region is RegionCode.KOLOKOLOV_CRITICAL
+        assert rep.flags == ("kolokolov-critical",)
+
+    def test_origin_band_only_on_the_exact_line(self):
+        # |kappa|, |omega| <= band, just outside the Kolokolov band: the
+        # in-gap pair of size sqrt(|kappa|) is resolved, unlike the pair
+        # +-2i*omega of the exact line
+        rep = classify_point_spectrum(ModelParams(1.0, 1e-9, -BOUNDARY_TOL))
+        assert rep.region is RegionCode.IMAGINARY_PAIR
+        vals = sorted(rep.nonzero_values(), key=lambda z: z.imag)
+        assert vals == pytest.approx([-2e-5j, 2e-5j], rel=1e-6)
+        assert classify_point_spectrum(ModelParams(1.0, 1e-9, 0.0)).region is (
+            RegionCode.KOLOKOLOV_CRITICAL
+        )
+
     @pytest.mark.parametrize("w,k", [(0.95, -1e-6), (0.95, 1e-6), (0.5, -8e-5)])
     def test_on_cut_root_off_the_kappa_line_is_a_resonance(self, w, k):
         # the embedded pair of kappa = 0 leaves the physical sheet, but for

@@ -277,13 +277,10 @@ def run_validation(
     sweep: int = 50,
     perturb_q: float = 0.0,
     at: tuple[float, float, float] | None = None,
-    out=None,
 ) -> int:
     """Run the cross-validation suites; returns the process exit code."""
-    if out is None:
-        out = sys.stdout
     if at is not None:
-        return _validate_at(at, out)
+        return _validate_at(at)
     suites = [
         ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
         ("closed-form-special-cases", lambda: _suite_closed_forms(m, sweep, perturb_q)),
@@ -295,36 +292,32 @@ def run_validation(
         checks, fails = fn()
         total_fail += len(fails)
         status = "PASS" if not fails else "FAIL"
-        print(f"{name}: {status} ({checks} checks, {len(fails)} failed)", file=out)
+        print(f"{name}: {status} ({checks} checks, {len(fails)} failed)")
         for msg in fails[:10]:
-            print(f"  {msg}", file=out)
+            print(f"  {msg}")
         if len(fails) > 10:
-            print(f"  ... and {len(fails) - 10} more", file=out)
-    print(f"validation {'passed' if total_fail == 0 else 'FAILED'}", file=out)
+            print(f"  ... and {len(fails) - 10} more")
+    print(f"validation {'passed' if total_fail == 0 else 'FAILED'}")
     return 0 if total_fail == 0 else 1
 
 
-def _validate_at(at: tuple[float, float, float], out) -> int:
+def _validate_at(at: tuple[float, float, float]) -> int:
     m, w, k = at
     p = ModelParams(m=m, omega=w, kappa=k)
     failures = oracle_mismatches(p)
     for msg in failures:
-        print(f"  {msg}", file=out)
+        print(f"  {msg}")
     t = virtual_level_frequency(m, k)
     if not math.isnan(t) and abs(abs(w) - t) <= 1e-6:
         lam = 1j * (m - abs(w))
         resid = abs(D_eval(p, lam, PHYSICAL))
         scale = residual_scale(p, lam, PHYSICAL)
-        print(
-            f"virtual-level residual |D({lam.imag:g}i)| = {resid:.3e} "
-            f"(scale {scale:.3e})",
-            file=out,
-        )
+        print(f"virtual-level residual |D({lam.imag:g}i)| = {resid:.3e} (scale {scale:.3e})")
         if resid > 1e-10 * scale:
             failures.append("virtual-level residual out of tolerance")
     report = classify_point_spectrum(p)
-    print(f"point spectrum: {[e.to_jsonable() for e in report.points.entries]}", file=out)
-    print("PASS" if not failures else "FAIL", file=out)
+    print(f"point spectrum: {[e.to_jsonable() for e in report.points.entries]}")
+    print("PASS" if not failures else "FAIL")
     return 0 if not failures else 1
 
 

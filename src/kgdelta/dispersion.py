@@ -41,7 +41,6 @@ from scipy.optimize import brentq
 
 from .model import ModelParams
 from .spectra import (
-    DEFAULT_EQUALITY_TOL,
     JordanBlock,
     PointSpectrum,
     RealIntervalSet,
@@ -82,14 +81,20 @@ __all__ = [
 
 #: Relative residual below which a candidate counts as a root of D.
 ACCEPT_TOL = 1e-9
+#: Looser bound for the pre-squaring identity, a near miss and a sheet label.
+_NEAR_TOL = math.sqrt(ACCEPT_TOL)
 
 #: Half-band (in classification defect) around the critical curves inside
 #: which the discontinuous classification is reported as a boundary case.
 BOUNDARY_TOL = 1e-10
 
 #: Resolution of the cubic pipeline in ``x = lambda^2``, relative to
-#: ``max(1, |c|)``: a root closer to ``x = 0`` is not told from the one there.
+#: ``max(m^2, |c|)``: a root closer to ``x = 0`` is not told from the one there.
 _X_FLOOR = 1e-13
+
+#: Mesh step of the axis-scan oracle, and the end of its real axis over ``m``.
+_ORACLE_STEP = 1e-3
+_ORACLE_REAL_END = 3.0
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -312,7 +317,7 @@ class RootCandidate:
 
 
 def _presquare_sign_ok(
-    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex, tol: float
+    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex
 ) -> bool:
     """Check the radical identity that was squared away, with its sign.
 
@@ -330,22 +335,22 @@ def _presquare_sign_ok(
     lhs = x * x + cd.c * x + a**4 * k * k * (1.0 - k * k) / 8.0
     rhs = s * a**3 * (1.0 + k) * k * k / 8.0 * disc
     scale = abs(x * x) + abs(cd.c * x) + a**4 * k * k * (1.0 + k * k) / 8.0 + abs(rhs) + 1e-300
-    return abs(lhs - rhs) <= math.sqrt(tol) * scale
+    return abs(lhs - rhs) <= _NEAR_TOL * scale
 
 
 def _physical_fit(
-    p: ModelParams, cd: CubicData, lam: complex, tol: float
+    p: ModelParams, cd: CubicData, lam: complex
 ) -> tuple[complex, complex, float, float, bool]:
     """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``."""
     nup, num = nu_pm(p, lam, PHYSICAL)
     scale = residual_scale(p, lam, PHYSICAL)
     res = abs(_D_from_nus(p, nup, num))
-    ok = res <= tol * scale and _presquare_sign_ok(p, cd, lam, nup, num, tol)
+    ok = res <= ACCEPT_TOL * scale and _presquare_sign_ok(p, cd, lam, nup, num)
     return nup, num, scale, res, ok
 
 
 def _refine_near_miss(
-    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex, tol: float
+    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex
 ) -> complex | None:
     """Up to two analytic Newton steps on the physical-sheet ``D`` from ``lam``.
 
@@ -373,23 +378,21 @@ def _refine_near_miss(
         cur = cur + step
         if not abs(cur - lam) < 1e-7 * abs(lam):
             return None
-        nup, num, _, _, ok = _physical_fit(p, cd, cur, tol)
+        nup, num, _, _, ok = _physical_fit(p, cd, cur)
         if ok:
             return cur
     return None
 
 
-def candidate_roots(
-    params: ModelParams, data: CubicData | None = None, tol: float = ACCEPT_TOL
-) -> list[RootCandidate]:
+def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[RootCandidate]:
     """All ``lambda`` candidates from the cubic reduction, assessed sheet by sheet.
 
     Every cubic root ``y`` gives ``x = y - 2c/3`` and, for ``x != 0``, the two
     candidates ``+-sqrt(x)``, each accepted on the physical sheet iff the
-    pre-squaring identity holds and the relative residual is below ``tol``.
+    pre-squaring identity holds and the relative residual is below ``ACCEPT_TOL``.
     Near its double and triple roots (the latter at ``omega = 0, kappa =
     -1/2``) the cubic loses digits that only ``D`` recovers, so a near miss
-    (relative residual in ``(tol, sqrt(tol)]``) is refined on ``D`` and
+    (relative residual up to ``sqrt(ACCEPT_TOL)``) is refined on ``D`` and
     accepted if the refined point passes the same test.  Rejected candidates
     stay where the cubic put them and carry the label of whichever sheet fits
     them best (resonances), or ``None``.  The root at ``lambda = 0`` is never
@@ -397,7 +400,7 @@ def candidate_roots(
     is the Jordan data's job.
     """
     cd = cubic_data(params) if data is None else data
-    x_floor = _X_FLOOR * max(1.0, abs(cd.c))
+    x_floor = _X_FLOOR * max(params.m * params.m, abs(cd.c))
     out: list[RootCandidate] = []
     for idx, y in enumerate(cubic_roots(cd)):
         x = y - 2.0 * cd.c / 3.0
@@ -405,12 +408,12 @@ def candidate_roots(
             continue
         principal = cmath.sqrt(x)
         for lam in (principal, -principal):
-            nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam, tol)
-            if not ok and tol * scale < res_phys <= math.sqrt(tol) * scale:
-                refined = _refine_near_miss(params, cd, lam, nup, num, tol)
+            nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam)
+            if not ok and ACCEPT_TOL * scale < res_phys <= _NEAR_TOL * scale:
+                refined = _refine_near_miss(params, cd, lam, nup, num)
                 if refined is not None:
                     lam = refined
-                    nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam, tol)
+                    nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam)
             if ok:
                 out.append(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
@@ -426,7 +429,7 @@ def candidate_roots(
                     r = abs(_D_from_nus(params, sheet.s_plus * nup, sheet.s_minus * num))
                 if r / scale < best_res:
                     best_res, best_sheet = r / scale, sheet
-            if best_res > math.sqrt(tol):
+            if best_res > _NEAR_TOL:
                 best_sheet = None
             out.append(
                 RootCandidate(lam, best_sheet, best_res * scale, scale, False, idx, x, y)
@@ -444,11 +447,9 @@ def _distinct_accepted(cands: list[RootCandidate]) -> list[complex]:
     return roots
 
 
-def accepted_roots(
-    params: ModelParams, data: CubicData | None = None, tol: float = ACCEPT_TOL
-) -> list[complex]:
+def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline."""
-    return _distinct_accepted(candidate_roots(params, data=data, tol=tol))
+    return _distinct_accepted(candidate_roots(params, data=data))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +508,7 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
 
     Only ``kappa`` against ``omega^2/m^2`` and the virtual-level curve, and
     the line ``kappa = 0`` enter, with one limit of the cubic pipeline: on the
-    line a pair with ``x = 4 omega^2 <= _X_FLOOR`` is the curve origin.
+    line a pair with ``x = 4 omega^2 <= _X_FLOOR m^2`` is the curve origin.
     ``band`` is the half-width of the boundary bands (the virtual-level one
     measured in ``kappa`` and ``|omega|``), reported as explicit boundary
     codes.  ``|kappa| <= band`` is the line ``kappa = 0``, except where a
@@ -517,7 +518,7 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
     if kappa == 0.0:
         # the line meets the Kolokolov curve at the origin, where the band is
         # measured in omega (off the line the Kolokolov band covers it)
-        if aw <= band or 4.0 * omega * omega <= _X_FLOOR:
+        if aw <= band or 4.0 * omega * omega <= _X_FLOOR * m * m:
             return RegionCode.KOLOKOLOV_CRITICAL
     else:
         kol_defect = kappa - (omega / m) ** 2
@@ -597,8 +598,8 @@ class SpectrumReport:
             out["candidates"] = [c.to_jsonable() for c in self.candidates]
         return out
 
-    def to_json(self, verbose: bool = False, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(verbose=verbose), indent=indent)
+    def to_json(self, verbose: bool = False) -> str:
+        return json.dumps(self.to_dict(verbose=verbose), indent=2)
 
 
 def _check_symmetry(values: list[complex]) -> None:
@@ -611,12 +612,7 @@ def _check_symmetry(values: list[complex]) -> None:
                 )
 
 
-def classify_point_spectrum(
-    p: ModelParams,
-    tol: float = ACCEPT_TOL,
-    boundary_tol: float = BOUNDARY_TOL,
-    equality_tol: float = DEFAULT_EQUALITY_TOL,
-) -> SpectrumReport:
+def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectrumReport:
     """Point spectrum, embedded eigenvalues and virtual levels at ``p``.
 
     The region of the ``(omega, kappa)`` plane is decided by
@@ -630,9 +626,9 @@ def classify_point_spectrum(
     m, w, k = p.m, p.omega, p.kappa
     gap = m - abs(w)
     ess = sigma_ess_A(p)
-    jordan = zero_jordan_structure(p, tol=equality_tol)
-    verdict = stability_verdict(p, tol=equality_tol)
-    cands = candidate_roots(p, tol=tol)
+    jordan = zero_jordan_structure(p)
+    verdict = stability_verdict(p)
+    cands = candidate_roots(p)
     accepted = _distinct_accepted(cands)
     region = region_code(m, w, k, boundary_tol)
 
@@ -754,38 +750,34 @@ def _gap_axis_values(p: ModelParams, ts: np.ndarray) -> np.ndarray:
 
 
 def _scan_segment(fn, mesh: np.ndarray) -> list[float]:
-    vals = fn(mesh)
+    sgn = np.sign(fn(mesh))
     roots: list[float] = []
-    sgn = np.sign(vals)
-    for i in range(len(mesh) - 1):
+    for i in np.flatnonzero((sgn[:-1] == 0.0) | (sgn[:-1] * sgn[1:] < 0.0)):
         if sgn[i] == 0.0:
             roots.append(float(mesh[i]))
-        elif sgn[i] * sgn[i + 1] < 0.0:
+        else:
             roots.append(float(brentq(lambda t: float(fn(np.array([t]))[0]), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)))
     if len(mesh) and sgn[-1] == 0.0:
         roots.append(float(mesh[-1]))
     return roots
 
 
-def axis_scan_roots(
-    p: ModelParams, step: float = 1e-3, t_max: float | None = None
-) -> tuple[list[float], list[float]]:
+def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     """Roots of the determinant restrictions to the two spectral axes.
 
-    Scans ``D(t)`` for ``t in [step, t_max]`` (real axis) and ``D(i t)`` for
-    ``t in [step, m - |omega|)`` (inside the gap) for sign changes on a dense
-    mesh and refines each bracket by bisection.  Both restrictions are real
-    valued on the physical sheet, which is what makes this an oracle fully
-    independent of the cubic reduction.  The mesh starts at ``step`` rather
-    than at zero: the determinant always has a double root at the origin, so
-    below ``t ~ 1e-8`` its values drown in evaluation roundoff and sign
-    scanning is meaningless there.  Log-spaced fringe points are appended
+    Scans ``D(t)`` for ``t in [1e-3, 3m]`` (real axis) and ``D(i t)`` for
+    ``t in [1e-3, m - |omega|)`` (inside the gap) for sign changes on a mesh
+    of step ``1e-3`` and refines each bracket by bisection.  Both restrictions
+    are real valued on the physical sheet, which is what makes this an oracle
+    fully independent of the cubic reduction.  The mesh starts at one step
+    rather than at zero: the determinant always has a double root at the
+    origin, so below ``t ~ 1e-8`` its values drown in evaluation roundoff and
+    sign scanning is meaningless there.  Log-spaced fringe points are appended
     just below the gap threshold, where the square-root singularity keeps
     values well resolved and a virtual-level collision can push a root
     arbitrarily close to the edge.
     """
-    if t_max is None:
-        t_max = 3.0 * p.m
+    step, t_max = _ORACLE_STEP, _ORACLE_REAL_END * p.m
     real_mesh = np.unique(np.concatenate([np.arange(step, t_max, step), [t_max]]))
     real_roots = _scan_segment(lambda ts: _real_axis_values(p, ts), real_mesh)
 
@@ -798,26 +790,20 @@ def axis_scan_roots(
     return real_roots, gap_roots
 
 
-def oracle_mismatches(
-    p: ModelParams,
-    step: float = 1e-3,
-    t_max: float | None = None,
-    match_tol: float = 1e-6,
-    data: CubicData | None = None,
-) -> list[str]:
+def oracle_mismatches(p: ModelParams, data: CubicData | None = None) -> list[str]:
     """Compare cubic-pipeline roots against the dense axis scan.
 
     Both root sets are restricted to the scannable domains (real axis in
-    ``(step, t_max)``, spectral gap in ``(step, gap)`` on the imaginary
+    ``(1e-3, 3m)``, spectral gap in ``(1e-3, gap)`` on the imaginary
     axis): embedded eigenvalues sit on the cuts outside the scan, values at
     or beyond the mesh ends cannot be bracketed, and threshold-exact values
     are boundary cases, so none of those are comparable here.  Returns one
-    message per missing/extra root; an empty list means full agreement.
+    message per root unmatched within ``1e-6``; an empty list means full
+    agreement.
     """
-    if t_max is None:
-        t_max = 3.0 * p.m
+    t_max = _ORACLE_REAL_END * p.m
     gap = p.m - abs(p.omega)
-    margin = step * (1.0 + 1e-9)
+    margin = _ORACLE_STEP * (1.0 + 1e-9)
     accepted = accepted_roots(p, data=data)
     want_real = sorted(
         z.real for z in accepted if abs(z.imag) <= 1e-8 * abs(z) and margin < z.real < t_max
@@ -827,14 +813,14 @@ def oracle_mismatches(
         for z in accepted
         if abs(z.real) <= 1e-8 * abs(z) and margin < z.imag < gap * (1.0 - 1e-12)
     )
-    got_real, got_gap = axis_scan_roots(p, step=step, t_max=t_max)
+    got_real, got_gap = axis_scan_roots(p)
 
     issues: list[str] = []
 
     def _match(wanted: list[float], got: list[float], axis: str) -> None:
         got_left = list(got)
         for t in wanted:
-            hit = next((g for g in got_left if abs(g - t) <= match_tol), None)
+            hit = next((g for g in got_left if abs(g - t) <= 1e-6), None)
             if hit is None:
                 issues.append(f"{axis}: pipeline root {t:.9g} not found by scan")
             else:

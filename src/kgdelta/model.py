@@ -226,8 +226,7 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         if tau.ndim != 1 or tau.shape != vals.shape or tau.size < 2:
             raise ValueError("table coupling needs matching 1-d 'tau' and 'a' arrays")
         interp = PchipInterpolator(tau, vals)
-        deriv = interp.derivative()
-        return Tabulated(a_fn=lambda t: float(interp(t)), a_prime_fn=lambda t: float(deriv(t)))
+        return Tabulated(a_fn=interp, a_prime_fn=interp.derivative())
     raise ValueError(f"unknown nonlinearity type {kind!r}")
 
 
@@ -242,10 +241,6 @@ class AmplitudeScan:
     amplitude: float
     roots: tuple[float, ...]
     degenerate: tuple[bool, ...]
-
-
-def _amplitude_defect(nl: Nonlinearity, p: ModelParams, c: float) -> float:
-    return nl.a(c * c) - p.alpha
 
 
 def _is_normal(x: float) -> bool:
@@ -268,15 +263,14 @@ def _power_law_amplitude(nl: PowerLaw, target: float) -> float:
     )
 
 
-def find_amplitudes(
-    nl: Nonlinearity, p: ModelParams, tau_max: float = 1e6, samples_per_decade: int = 16
-) -> AmplitudeScan:
+def find_amplitudes(nl: Nonlinearity, p: ModelParams) -> AmplitudeScan:
     """Locate every positive amplitude solving ``a(C^2) = 2*kap``.
 
     Power laws are solved in closed form.  Anything else is bracketed by a
-    geometric sweep of ``tau in [1e-12, tau_max]`` followed by ``brentq`` and
-    one Newton polish per bracket.  When the coupling is non-monotone the
-    equation can have several roots; they are all reported, smallest first.
+    geometric sweep of ``tau in [1e-12, 1e6]``, cut to the samples of a table
+    coupling, followed by ``brentq`` and one Newton polish per bracket.  When
+    the coupling is non-monotone the equation can have several roots; they
+    are all reported, smallest first.
 
     Raises
     ------
@@ -292,7 +286,14 @@ def find_amplitudes(
         c = _power_law_amplitude(nl, target)
         return AmplitudeScan(amplitude=c, roots=(c,), degenerate=(False,))
 
-    taus = np.geomspace(1e-12, tau_max, int(samples_per_decade * math.log10(tau_max / 1e-12)) + 1)
+    tau_lo, tau_hi = 1e-12, 1e6
+    table = getattr(nl, "a_fn", None)
+    if isinstance(table, PchipInterpolator):
+        # beyond its samples a table only extrapolates
+        tau_lo, tau_hi = max(tau_lo, float(table.x[0])), min(tau_hi, float(table.x[-1]))
+        if tau_hi < tau_lo:
+            raise NoSolitaryWave("the table holds no C^2 in [1e-12, 1e6]")
+    taus = np.geomspace(tau_lo, tau_hi, int(16 * math.log10(tau_hi / tau_lo)) + 1)
     vals = np.array([nl.a(t) - target for t in taus])
     roots: list[float] = []
     for i in range(len(taus) - 1):
@@ -305,7 +306,7 @@ def find_amplitudes(
         roots.append(float(taus[-1]))
     if not roots:
         raise NoSolitaryWave(
-            f"a(C^2) - {target:g} has no sign change for C^2 in [1e-12, {tau_max:g}]"
+            f"a(C^2) - {target:g} has no sign change for C^2 in [{tau_lo:g}, {tau_hi:g}]"
         )
 
     # Newton polish in tau; brentq already leaves ~1e-15 relative error.
@@ -331,7 +332,7 @@ def find_amplitudes(
     return AmplitudeScan(amplitude=cs[0], roots=cs, degenerate=dg)
 
 
-def solve_amplitude(nl: Nonlinearity, p: ModelParams, tau_max: float = 1e6) -> float:
+def solve_amplitude(nl: Nonlinearity, p: ModelParams) -> float:
     """Amplitude ``C > 0`` of the pinned wave at ``(m, omega)``.
 
     Ties ``|a(C^2) - 2*kap| <= 1e-12 * (1 + 2*kap)``; for a :class:`PowerLaw`
@@ -347,7 +348,7 @@ def solve_amplitude(nl: Nonlinearity, p: ModelParams, tau_max: float = 1e6) -> f
     NoSolitaryWave
         If the amplitude equation has no positive root.
     """
-    return find_amplitudes(nl, p, tau_max=tau_max).amplitude
+    return find_amplitudes(nl, p).amplitude
 
 
 def effective_kappa(nl: Nonlinearity, c: float) -> float:
@@ -359,9 +360,7 @@ def effective_kappa(nl: Nonlinearity, c: float) -> float:
     return tau * nl.a_prime(tau) / denom
 
 
-def charge_and_slope(
-    nl: Nonlinearity, p: ModelParams, tau_max: float = 1e6
-) -> tuple[float, float | None]:
+def charge_and_slope(nl: Nonlinearity, p: ModelParams) -> tuple[float, float | None]:
     """Charge ``Q = omega C^2 / kap`` of the wave and its frequency slope.
 
     The slope along the wave family is
@@ -374,7 +373,7 @@ def charge_and_slope(
     the classical sufficient condition for orbital stability and is
     equivalent to ``kappa_eff < omega^2/m^2`` here.
     """
-    c = solve_amplitude(nl, p, tau_max=tau_max)
+    c = solve_amplitude(nl, p)
     kap = p.decay_rate
     q = p.omega * c * c / kap
     k_eff = effective_kappa(nl, c)
@@ -397,10 +396,8 @@ class SolitaryWave:
             raise ValueError(f"amplitude must be positive, got {self.C}")
 
     @classmethod
-    def solve(
-        cls, nl: Nonlinearity, p: ModelParams, theta: float = 0.0, tau_max: float = 1e6
-    ) -> "SolitaryWave":
-        return cls(params=p, C=solve_amplitude(nl, p, tau_max=tau_max), theta=theta)
+    def solve(cls, nl: Nonlinearity, p: ModelParams) -> "SolitaryWave":
+        return cls(params=p, C=solve_amplitude(nl, p))
 
     @property
     def norm_squared(self) -> float:

@@ -52,9 +52,10 @@ __all__ = [
 INF = math.inf
 
 #: Absolute tolerance for deciding the measure-zero parameter coincidences
-#: kappa = 0, kappa = omega^2/m^2 and kappa = -1/2.  The classification is
-#: discontinuous across these curves, so the knob is exposed everywhere.
-DEFAULT_EQUALITY_TOL = 1e-12
+#: kappa = 0, kappa = omega^2/m^2, kappa = -1/2 and omega = 0.  The closed
+#: forms are discontinuous across these curves, so a point within this
+#: distance of one is treated as lying on it.
+EQUALITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class RealIntervalSet:
 
     def contains(self, x: float) -> bool:
         return any(lo <= x <= hi for lo, hi in self.intervals)
-
-    def __contains__(self, x: float) -> bool:  # pragma: no cover - sugar
-        return self.contains(x)
 
     def to_jsonable(self) -> list[list[float | None]]:
         out: list[list[float | None]] = []
@@ -159,23 +157,23 @@ class Verdict(enum.Enum):
         return self is Verdict.STABLE
 
 
-def scalar_eigenvalue(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> float | None:
+def scalar_eigenvalue(p: ModelParams) -> float | None:
     """Bound level of the scalar defect operator, ``-4 kap^2 (kappa + kappa^2)``.
 
-    Returns ``None`` for ``kappa <= -1/2`` (within ``tol``), where the would-be
+    Returns ``None`` for ``kappa <= -1/2`` (within ``EQUALITY_TOL``), where the would-be
     level merges with the edge of the continuum and ceases to be square
     integrable.
     """
-    if p.kappa <= -0.5 + tol:
+    if p.kappa <= -0.5 + EQUALITY_TOL:
         return None
     k2 = p.decay_rate**2
     return -4.0 * k2 * (p.kappa + p.kappa * p.kappa)
 
 
-def sigma_L(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[RealIntervalSet, PointSpectrum]:
+def sigma_L(p: ModelParams) -> tuple[RealIntervalSet, PointSpectrum]:
     """Essential and point spectrum of the scalar defect operator."""
     ess = RealIntervalSet(((p.decay_rate**2, INF),))
-    lvl = scalar_eigenvalue(p, tol=tol)
+    lvl = scalar_eigenvalue(p)
     if lvl is None:
         return ess, PointSpectrum()
     return ess, PointSpectrum((SpectralPoint(complex(lvl)),))
@@ -192,7 +190,7 @@ def c_pm(p: ModelParams) -> tuple[float, float]:
     return 0.5 * (m2 + 1.0 - disc), 0.5 * (m2 + 1.0 + disc)
 
 
-def lambda_pm(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[float, float] | None:
+def lambda_pm(p: ModelParams) -> tuple[float, float] | None:
     """Discrete levels of the block operator as a sorted pair, or ``None``.
 
     The two levels are the roots of ``z^2 - z*(S+omega^2+1) + S`` where ``S``
@@ -201,7 +199,7 @@ def lambda_pm(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[float,
     across parameters.  ``None`` when the scalar level is absent
     (``kappa <= -1/2``).
     """
-    s = scalar_eigenvalue(p, tol=tol)
+    s = scalar_eigenvalue(p)
     if s is None:
         return None
     b = s + p.omega * p.omega + 1.0
@@ -212,7 +210,7 @@ def lambda_pm(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[float,
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
-def sigma_H(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[RealIntervalSet, PointSpectrum]:
+def sigma_H(p: ModelParams) -> tuple[RealIntervalSet, PointSpectrum]:
     """Essential and point spectrum of the 2x2 block operator.
 
     At ``omega = 0`` the operator is block diagonal: the essential spectrum
@@ -222,16 +220,16 @@ def sigma_H(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> tuple[RealInte
     decoupled point, not of the wave family).
     """
     cm, cp = c_pm(p)
-    if abs(p.omega) <= tol:
+    if abs(p.omega) <= EQUALITY_TOL:
         ess = RealIntervalSet(((p.m * p.m, INF),))
     else:
         ess = RealIntervalSet(((cm, 1.0), (cp, INF)))
 
-    if p.kappa <= -0.5 + tol:
-        if abs(p.omega) <= tol:
+    if p.kappa <= -0.5 + EQUALITY_TOL:
+        if abs(p.omega) <= EQUALITY_TOL:
             return ess, PointSpectrum((SpectralPoint(1.0 + 0j),))
         return ess, PointSpectrum()
-    lo, hi = lambda_pm(p, tol=tol)  # type: ignore[misc]
+    lo, hi = lambda_pm(p)  # type: ignore[misc]
     if lo == hi:
         # Possible only at omega = 0, where the two branches merge with the
         # flat-block level 1; report the merged value once.
@@ -256,17 +254,17 @@ def sigma_ess_A(p: ModelParams) -> RealIntervalSet:
     return RealIntervalSet(((-INF, -gap), (gap, INF)), thresholds=thresholds)
 
 
-def zero_jordan_structure(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> JordanBlock:
+def zero_jordan_structure(p: ModelParams) -> JordanBlock:
     """Geometric and algebraic multiplicity of the zero eigenvalue of ``A``.
 
     The generic block is (1, 2), generated by the phase symmetry.  On the
     critical curve ``kappa = omega^2/m^2`` (frequency derivative of the charge
     vanishes) the chain extends to length 4; at ``kappa = 0`` the kernel
-    itself is two-dimensional.  Equalities are decided within ``tol``.
+    itself is two-dimensional.  Equalities are decided within ``EQUALITY_TOL``.
     """
-    kappa_zero = abs(p.kappa) <= tol
-    omega_zero = abs(p.omega) <= tol
-    on_curve = abs(p.kappa - (p.omega / p.m) ** 2) <= tol
+    kappa_zero = abs(p.kappa) <= EQUALITY_TOL
+    omega_zero = abs(p.omega) <= EQUALITY_TOL
+    on_curve = abs(p.kappa - (p.omega / p.m) ** 2) <= EQUALITY_TOL
     if kappa_zero and omega_zero:
         return JordanBlock(2, 4)
     if kappa_zero:
@@ -276,7 +274,7 @@ def zero_jordan_structure(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> 
     return JordanBlock(1, 2)
 
 
-def stability_verdict(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> Verdict:
+def stability_verdict(p: ModelParams) -> Verdict:
     """Orbital stability of the wave: stable iff ``kappa < omega^2/m^2``.
 
     The boundary case is reported as :class:`Verdict.CRITICAL` (and counts as
@@ -284,6 +282,6 @@ def stability_verdict(p: ModelParams, tol: float = DEFAULT_EQUALITY_TOL) -> Verd
     zero rather than by an exponentially growing mode).
     """
     defect = p.kappa - (p.omega / p.m) ** 2
-    if abs(defect) <= tol:
+    if abs(defect) <= EQUALITY_TOL:
         return Verdict.CRITICAL
     return Verdict.STABLE if defect < 0.0 else Verdict.UNSTABLE

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +54,14 @@ class TestSpectrumCommand:
         # both bands hold; kappa > omega^2 leaves no imaginary pair to report
         assert main(["spectrum", "-m", "1", "-w", "5e-6", "-k", "8e-11"]) == 0
         assert "flags: kolokolov-critical" in capsys.readouterr().out
+
+    def test_kappa_line_pair_resolved_at_small_mass(self, capsys):
+        # omega/m = 1e-4, as at m = 1 where the pair +-2i*omega is reported
+        assert main(["spectrum", "-m", "1e-3", "-w", "1e-7", "-k", "0", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["flags"] == []
+        pair = sorted(e["value"][1] for e in data["point_spectrum"][1:])
+        assert pair == pytest.approx([-2e-7, 2e-7], rel=1e-7)
 
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
@@ -264,6 +273,19 @@ class TestSimulateCommand:
         assert "error: -k 0 disagrees" in capsys.readouterr().err
         assert not (tmp_path / "bad.json").exists()
 
+    def test_table_crossing_only_by_extrapolation_exit_2(self, tmp_path, capsys):
+        # 0.6 is the exponent of the extrapolated root C^2 = 3 past tau = 2
+        table = '{"type":"table","tau":[0.5,1,1.5,2],"a":[1,1.2,1.4,1.6]}'
+        rc = main(
+            [
+                "simulate", "-m", "1", "-w", "0", "-k", "0.6", "-T", "1", "--eps", "0",
+                "--nonlinearity", table, "-o", str(tmp_path / "tab"),
+            ]
+        )
+        assert rc == 2
+        assert "no sign change for C^2 in [0.5, 2]" in capsys.readouterr().err
+        assert not (tmp_path / "tab.json").exists()
+
     def test_table_coupling_takes_the_printed_exponent(self, tmp_path, capsys):
         # a table's exponent comes from the interpolant's slope at the solved
         # amplitude; the 12 digits the error prints must pass the check
@@ -326,3 +348,39 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     # kappa = 0.1 < omega^2/m^2 = 0.25
     assert "orbital stability: stable" in proc.stdout.splitlines()
+
+
+class TestGoldenContract:
+    """The scan CSV and the verbose spectrum JSON, pinned byte for byte.
+
+    The scan is the README grid, written serially.  The spectrum points are
+    those of ``TestClassification`` in ``test_dispersion.py``.  A change that
+    moves a row or a value on purpose updates the hash here and logs the move
+    in CHANGES.md.
+    """
+
+    README_GRID_SHA256 = "cf7a1fc9772c4f8507f5238fa89acdeaf304344dbf2c6a2ad8223e9f8322e9ff"
+    SPECTRUM_SHA256 = {
+        ("1", "0.5", "0"): "93ad7345604d90ca073672a6dc3101d1400ff750a11af13c3e21f243b03b8425",
+        ("1", "0", "1"): "70c3270e187ff91ed187db2820bca23333e0c35e48e4d409b4bb3bd12923bbef",
+        ("1", "0.9", "-0.3"): "b82511a86c2cdf643d0882e754dc1e7fd55653ee7cb00c04bc886d71004cddb4",
+        ("1", "0.8", "0.5"): "309a4355c0e8e1090a171b8703866c706a6744ca016ad3ec52d9af807639c053",
+        ("1", "0", "-0.5"): "41f8dac760bf40244a179416a31e1741e0a3424f61193846535a84f0c78f71ad",
+        ("1", "0.4", "0"): "ac1627e720826ed962e7427e4e656f4e32a16370053c431efec6f96d493e742e",
+    }
+
+    def test_readme_grid_csv(self, tmp_path):
+        cfg = ScanConfig(
+            m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+            kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
+        )
+        path = tmp_path / "readme.csv"
+        write_scan_csv(cfg, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.README_GRID_SHA256
+
+    def test_spectrum_json(self, capsys):
+        for (m, w, k), want in self.SPECTRUM_SHA256.items():
+            argv = ["spectrum", "-m", m, "-w", w, f"-k={k}", "--format", "json", "--verbose"]
+            assert main(argv) == 0
+            got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            assert got == want, (m, w, k)

@@ -237,6 +237,21 @@ def test_nonlinearity_from_config_table():
     assert c == pytest.approx(2.0, abs=1e-9)
 
 
+def test_table_roots_stay_inside_the_table():
+    # the interpolant crosses a = 2*kap again at C^2 = 2.67, past tau = 2,
+    # where it only extrapolates
+    nl = nonlinearity_from_config({"type": "table", "tau": [0.5, 1, 1.5, 2], "a": [1, 1.9, 2.2, 2.3]})
+    scan = find_amplitudes(nl, ModelParams(1.0, 0.3))
+    assert scan.roots == pytest.approx((1.0043930863,), rel=1e-9)
+
+
+def test_table_crossing_only_by_extrapolation_raises():
+    # a = 2 is reached only at C^2 = 3, on the extrapolated line past tau = 2
+    nl = nonlinearity_from_config({"type": "table", "tau": [0.5, 1, 1.5, 2], "a": [1, 1.2, 1.4, 1.6]})
+    with pytest.raises(NoSolitaryWave):
+        find_amplitudes(nl, ModelParams(1.0, 0.0))
+
+
 def test_nonlinearity_from_config_rejects_unknown():
     with pytest.raises(ValueError):
         nonlinearity_from_config({"type": "spline"})

@@ -1,11 +1,12 @@
 """Stability of solitary waves pinned to a nonlinear point defect.
 
-A numpy/scipy library for the complex Klein-Gordon field on the line with a
-nonlinearity concentrated at the origin: closed-form spectra of the
-linearization about a pinned solitary wave, root finding for the dispersion
-determinant on its four-sheet cover, orbital-stability classification of the
-``(omega, kappa)`` parameter plane, and an independent conservative lattice
-simulation for empirical cross-checks.
+A numpy library (scipy only for tabulated couplings) for the complex
+Klein-Gordon field on the line with a nonlinearity concentrated at the
+origin: closed-form spectra of the linearization about a pinned solitary
+wave, root finding for the dispersion determinant on its four-sheet cover,
+orbital-stability classification of the ``(omega, kappa)`` parameter plane,
+and an independent conservative lattice simulation for empirical
+cross-checks.
 """
 
 from .model import (

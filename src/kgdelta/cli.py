@@ -421,11 +421,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         (z.real for z in spec.nonzero_values() if z.real > 0), default=None
     )
     d = report.orbital_distance
-    initial = float(d[0])
-    if initial > 0.0:
-        observed = "growing" if float(np.max(d)) > 100.0 * initial else "bounded"
+    initial, peak = float(d[0]), float(np.max(d))
+    if report.aborted:
+        # the blow-up guard stopped the run
+        observed = "growing"
+    elif initial > 0.0:
+        observed = "growing" if peak > 100.0 * initial else "bounded"
     else:
-        observed = "stationary" if float(np.max(d)) <= 1e-9 else "drifting"
+        observed = "stationary" if peak <= 1e-9 else "drifting"
     agreement = (predicted is Verdict.STABLE) == (observed in ("bounded", "stationary"))
 
     summary = report.summary()

@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .model import ModelParams
+from .model import ModelParams, brentq
 from .spectra import (
     JordanBlock,
     PointSpectrum,
@@ -509,16 +508,16 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
     Only ``kappa`` against ``omega^2/m^2`` and the virtual-level curve, and
     the line ``kappa = 0`` enter, with one limit of the cubic pipeline: on the
     line a pair with ``x = 4 omega^2 <= _X_FLOOR m^2`` is the curve origin.
-    ``band`` is the half-width of the boundary bands (the virtual-level one
-    measured in ``kappa`` and ``|omega|``), reported as explicit boundary
-    codes.  ``|kappa| <= band`` is the line ``kappa = 0``, except where a
-    point off the exact line also lies in another band.
+    ``band`` is the half-width of the boundary bands, measured in ``kappa``
+    and in ``|omega|/m`` (the virtual-level band in both), reported as
+    explicit boundary codes.  ``|kappa| <= band`` is the line ``kappa = 0``,
+    except where a point off the exact line also lies in another band.
     """
     aw = abs(omega)
     if kappa == 0.0:
         # the line meets the Kolokolov curve at the origin, where the band is
-        # measured in omega (off the line the Kolokolov band covers it)
-        if aw <= band or 4.0 * omega * omega <= _X_FLOOR * m * m:
+        # measured in omega/m (off the line the Kolokolov band covers it)
+        if aw <= band * m or 4.0 * omega * omega <= _X_FLOOR * m * m:
             return RegionCode.KOLOKOLOV_CRITICAL
     else:
         kol_defect = kappa - (omega / m) ** 2
@@ -526,7 +525,7 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
             return RegionCode.KOLOKOLOV_CRITICAL
         kv = virtual_level_exponent(m, omega)
         if -0.5 - band <= kappa < _INV_SQRT2 and (
-            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band
+            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band * m
         ):
             return RegionCode.VIRTUAL_LEVEL_BOUNDARY
         if abs(kappa) > band:
@@ -652,7 +651,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     elif region is RegionCode.VIRTUAL_LEVEL_BOUNDARY:
         virtual = (complex(0.0, gap), complex(0.0, -gap))
         flags.append("virtual-level")
-        if abs(w) <= boundary_tol and abs(k + 0.5) <= boundary_tol:
+        if abs(w) <= boundary_tol * m and abs(k + 0.5) <= boundary_tol:
             # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
             flags.append("threshold-overlap")
     elif region is RegionCode.REAL_PAIR:
@@ -700,7 +699,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         entries.append(SpectralPoint(-lam, embedded=embedded))
         if embedded:
             flags.append("embedded")
-        if abs(k) <= boundary_tol and abs(abs(w) - m / 3.0) <= boundary_tol:
+        if abs(k) <= boundary_tol and abs(abs(w) - m / 3.0) <= boundary_tol * m:
             # threshold onset: the embedded pair sits exactly at +-i*gap but
             # keeps a square-integrable eigenfunction, so it is not a virtual
             # level; flag the coincidence instead
@@ -756,7 +755,7 @@ def _scan_segment(fn, mesh: np.ndarray) -> list[float]:
         if sgn[i] == 0.0:
             roots.append(float(mesh[i]))
         else:
-            roots.append(float(brentq(lambda t: float(fn(np.array([t]))[0]), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)))
+            roots.append(brentq(lambda t: float(fn(np.array([t]))[0]), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16))
     if len(mesh) and sgn[-1] == 0.0:
         roots.append(float(mesh[-1]))
     return roots

@@ -27,12 +27,35 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import ModelParams, Nonlinearity, SolitaryWave, solve_amplitude
 from .spectra import Verdict, stability_verdict
 
-__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice"]
+__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "SingularJacobian"]
+
+
+class SingularJacobian(np.linalg.LinAlgError):
+    """Thomas elimination met a zero pivot in the stationary Newton Jacobian."""
+
+
+def _solve_tridiagonal(off: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``off x[i-1] + diag[i] x[i] + off x[i+1] = rhs[i]`` by Thomas elimination.
+
+    No pivoting: the stationary Jacobian is diagonally dominant away from the
+    defect row.  A zero pivot raises :class:`SingularJacobian`.
+    """
+    n = len(diag)
+    c, x = [0.0] * n, [0.0] * n
+    prev_c = prev_x = 0.0
+    for i, (b, r) in enumerate(zip(diag.tolist(), rhs.tolist())):
+        pivot = b - off * prev_c
+        if pivot == 0.0:
+            raise SingularJacobian(f"zero pivot in row {i} of the stationary Jacobian")
+        prev_c = c[i] = off / pivot
+        prev_x = x[i] = (r - off * prev_x) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return np.array(x)
 
 
 @dataclass(frozen=True)
@@ -226,13 +249,10 @@ class DefectLattice:
             if np.max(np.abs(r)) <= max(1e-12, floor):
                 psi = phi.astype(np.complex128)
                 return FieldState(psi=psi, pi=-1j * p.omega * psi, t=0.0, grid=g)
-            ab = np.zeros((3, n_int))
-            ab[0, 1:] = -inv_h2
-            ab[1, :] = m2w2 + 2.0 * inv_h2
-            ab[2, :-1] = -inv_h2
+            diag = np.full(n_int, m2w2 + 2.0 * inv_h2)
             c = phi[j0]
-            ab[1, j0 - 1] -= (nl.a(c * c) + 2.0 * c * c * nl.a_prime(c * c)) / h
-            delta = solve_banded((1, 1), ab, -r)
+            diag[j0 - 1] -= (nl.a(c * c) + 2.0 * c * c * nl.a_prime(c * c)) / h
+            delta = _solve_tridiagonal(-inv_h2, diag, -r)
             phi = phi.copy()
             phi[1:-1] += delta
         raise RuntimeError("stationary Newton did not reach 1e-12 in 50 iterations")
@@ -351,7 +371,8 @@ class DefectLattice:
         above it the nonlinearity saturates.  On the critical curve no rate is
         fitted (the expected growth there is polynomial).  Runs abort, keeping
         the partial series, when ``max|psi|`` exceeds ``1e3`` times the wave
-        amplitude.
+        amplitude or is not finite, or when the energy to be recorded is not
+        finite; that record is dropped, so every recorded value is finite.
         """
         if epsilon < 0.0:
             raise ValueError("perturbation size must be >= 0")
@@ -381,10 +402,17 @@ class DefectLattice:
         aborted = False
         for i in range(1, n_steps + 1):
             state = self.step(state, dt)
-            hit_guard = bool(np.max(np.abs(state.psi)) > 1e3 * amp)
+            # "not <=" so that a NaN field trips the guard too
+            hit_guard = not np.max(np.abs(state.psi)) <= 1e3 * amp
             if i % record_every == 0 or i == n_steps or hit_guard:
+                energy = self.energy(state)
+                if not math.isfinite(energy):
+                    # the field overflowed since the last record: stop before
+                    # the charge and distance, which its sums bound, are taken
+                    aborted = True
+                    break
                 times.append(state.t)
-                energies.append(self.energy(state))
+                energies.append(energy)
                 charges.append(self.charge(state))
                 dists.append(self.orbital_distance(state, reference))
             if hit_guard:

@@ -43,9 +43,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 __all__ = [
     "ModelParams",
@@ -147,6 +144,8 @@ class Nonlinearity:
         The minus sign makes the defect force in the field equation equal to
         ``-grad U``, so the energy functional is conserved along solutions.
         """
+        from scipy.integrate import quad
+
         val, _ = quad(self.a, 0.0, tau)
         return -0.5 * val
 
@@ -225,6 +224,8 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         vals = np.asarray(cfg["a"], dtype=float)
         if tau.ndim != 1 or tau.shape != vals.shape or tau.size < 2:
             raise ValueError("table coupling needs matching 1-d 'tau' and 'a' arrays")
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(tau, vals)
         return Tabulated(a_fn=interp, a_prime_fn=interp.derivative())
     raise ValueError(f"unknown nonlinearity type {kind!r}")
@@ -263,6 +264,64 @@ def _power_law_amplitude(nl: PowerLaw, target: float) -> float:
     )
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4,
+    ported step for step from scipy's ``brentq.c`` (100 iterations at most),
+    so every root is bit-identical to ``scipy.optimize.brentq``'s.  Raises
+    ``ValueError`` when ``f(a)`` and ``f(b)`` share a sign or ``f`` returns
+    NaN, and ``RuntimeError`` when it does not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)  # inverse quadratic extrapolation
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # IEEE division gives inf or NaN, and C then bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def find_amplitudes(nl: Nonlinearity, p: ModelParams) -> AmplitudeScan:
     """Locate every positive amplitude solving ``a(C^2) = 2*kap``.
 
@@ -286,6 +345,8 @@ def find_amplitudes(nl: Nonlinearity, p: ModelParams) -> AmplitudeScan:
         c = _power_law_amplitude(nl, target)
         return AmplitudeScan(amplitude=c, roots=(c,), degenerate=(False,))
 
+    from scipy.interpolate import PchipInterpolator
+
     tau_lo, tau_hi = 1e-12, 1e6
     table = getattr(nl, "a_fn", None)
     if isinstance(table, PchipInterpolator):
@@ -301,7 +362,7 @@ def find_amplitudes(nl: Nonlinearity, p: ModelParams) -> AmplitudeScan:
         if lo == 0.0:
             roots.append(float(taus[i]))
         elif lo * hi < 0.0:
-            roots.append(float(brentq(lambda t: nl.a(t) - target, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-15)))
+            roots.append(brentq(lambda t: nl.a(t) - target, taus[i], taus[i + 1], xtol=1e-300, rtol=1e-15))
     if vals[-1] == 0.0:
         roots.append(float(taus[-1]))
     if not roots:

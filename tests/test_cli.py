@@ -63,6 +63,23 @@ class TestSpectrumCommand:
         pair = sorted(e["value"][1] for e in data["point_spectrum"][1:])
         assert pair == pytest.approx([-2e-7, 2e-7], rel=1e-7)
 
+    def test_kappa_line_origin_band_relative_to_mass(self, capsys):
+        # omega/m = 5e-5 on kappa = 0 is outside the 1e-10 band at any mass
+        for m, w in (("1", "5e-5"), ("1e-6", "5e-11")):
+            assert main(["spectrum", "-m", m, "-w", w, "-k", "0", "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["flags"] == []
+            pair = sorted(e["value"][1] for e in data["point_spectrum"] if e["value"][1] != 0.0)
+            assert pair == pytest.approx([-2.0 * float(w), 2.0 * float(w)], rel=1e-6)
+
+    def test_virtual_level_band_relative_to_mass(self, capsys):
+        # omega/m = 0.8 lies 1e-4 m off the virtual-level curve at kappa = 0.4999
+        for m, w in (("1", "0.8"), ("1e-6", "0.8e-6")):
+            assert main(["spectrum", "-m", m, "-w", w, "-k", "0.4999", "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["virtual_levels"] == []
+            assert "virtual-level" not in data["flags"]
+
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
         assert "error" in capsys.readouterr().err
@@ -257,6 +274,16 @@ class TestSimulateCommand:
         assert summary["aborted"] is True
         assert summary["verdict_predicted"] == "unstable"
 
+    def test_overflow_stops_as_growing(self, tmp_path, capsys):
+        # kappa = 10: pi overflows while max|psi| is still below the guard
+        prefix = str(tmp_path / "over")
+        assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "10", "-T", "2", "-o", prefix]) == 3
+        assert "observed: growing; agreement: True" in capsys.readouterr().out
+        text = (tmp_path / "over.json").read_text()
+        summary = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+        assert summary["aborted"] is True and summary["observed"] == "growing"
+        assert "nan" not in (tmp_path / "over.csv").read_text()
+
     def test_invalid_params_exit_2(self):
         assert main(["simulate", "-m", "1", "-w", "2", "-k", "1", "-T", "1"]) == 2
 
@@ -348,6 +375,42 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     # kappa = 0.1 < omega^2/m^2 = 0.25
     assert "orbital stability: stable" in proc.stdout.splitlines()
+
+
+def test_power_coupling_commands_load_no_scipy(tmp_path):
+    # scipy is imported only for table couplings; a fresh interpreter shows
+    # what each command really loads
+    script = f"""
+import json, sys
+from kgdelta.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["spectrum", "-m", "1", "-w", "0.5", "-k", "0.1", "--format", "json"],
+    ["scan", "--omega-min", "-0.5", "--omega-max", "0.5", "--omega-step", "0.25",
+     "--kappa-min", "-1", "--kappa-max", "1", "--kappa-step", "0.5", "-o", out + "/s.csv", "--threads", "2"],
+    ["simulate", "-m", "1", "-w", "0.6", "-k", "0.1", "-T", "0.5", "-o", out + "/p"],
+    ["validate", "--grid", "3", "--sweep", "10"],
+]
+codes = [main(argv) for argv in runs]
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+table = '{{"type": "table", "tau": [0, 2, 4, 6], "a": [0, 1, 2, 3]}}'
+codes.append(main(["simulate", "-m", "1", "-w", "0", "-k", "1", "-T", "0.5", "--eps", "0",
+                   "--nonlinearity", table, "-o", out + "/t"]))
+print(json.dumps({{"codes": codes, "before": before, "after": sorted(sys.modules)}}))
+"""
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0, 0, 0]
+    assert got["before"] == []
+    # the table a = tau/2 is interpolated, and its potential integrated
+    assert {"scipy.interpolate", "scipy.integrate"} <= set(got["after"])
 
 
 class TestGoldenContract:

@@ -311,3 +311,63 @@ class TestExperiments:
         assert summary["schema"] == 1
         assert summary["verdict"] == "stable"
         assert 0 <= summary["energy_drift"] < 1e-8
+
+
+class TestThomasSolve:
+    """The stationary Newton step's tridiagonal solve against LAPACK's."""
+
+    @staticmethod
+    def banded(off, diag, rhs):
+        from scipy.linalg import solve_banded
+
+        ab = np.zeros((3, len(diag)))
+        ab[0, 1:] = ab[2, :-1] = off
+        ab[1] = diag
+        return solve_banded((1, 1), ab, rhs)
+
+    # the two benchmark lattices: (omega, kappa, horizon)
+    @pytest.mark.parametrize("omega, kappa, horizon", [(0.6, 0.1, 50.0), (0.0, 0.25, 15.0)])
+    def test_matches_solve_banded_on_stationary_jacobians(self, monkeypatch, omega, kappa, horizon):
+        from kgdelta import lattice
+
+        thomas, errors = lattice._solve_tridiagonal, []
+
+        def both(off, diag, rhs):
+            x, ref = thomas(off, diag, rhs), self.banded(off, diag, rhs)
+            errors.append(float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
+            return x
+
+        monkeypatch.setattr(lattice, "_solve_tridiagonal", both)
+        make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon).discrete_stationary()
+        assert errors and max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.0, 0.6])
+    @pytest.mark.parametrize("kappa", [0.1, 10.0, 1000.0])
+    def test_stationary_state_matches_banded_newton(self, monkeypatch, omega, kappa):
+        from kgdelta import lattice
+
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0)
+        got = sim.discrete_stationary().psi.real
+        monkeypatch.setattr(lattice, "_solve_tridiagonal", self.banded)
+        want = sim.discrete_stationary().psi.real
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_zero_pivot_raises_typed_error(self):
+        from kgdelta.lattice import SingularJacobian, _solve_tridiagonal
+
+        # the second pivot is 1 - 1*1/1 = 0
+        with pytest.raises(SingularJacobian, match="zero pivot in row 1"):
+            _solve_tridiagonal(1.0, np.array([1.0, 1.0, 3.0]), np.ones(3))
+        assert issubclass(SingularJacobian, np.linalg.LinAlgError)
+
+
+def test_overflow_is_never_recorded():
+    # kappa = 10: the defect force overflows pi while max|psi| is still
+    # below the 1e3-amplitude guard, and the next step turns the field to NaN
+    sim = make_sim(omega=0.6, kappa=10.0, g=1.0, horizon=2.0)
+    rep = sim.run_experiment(epsilon=1e-6, horizon=2.0)
+    assert rep.aborted
+    for series in (rep.times, rep.energy, rep.charge, rep.orbital_distance):
+        assert np.all(np.isfinite(series))
+    summary = rep.summary()
+    assert all(math.isfinite(summary[k]) for k in ("energy_drift", "charge_drift", "max_orbital_distance"))

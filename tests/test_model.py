@@ -255,3 +255,62 @@ def test_table_crossing_only_by_extrapolation_raises():
 def test_nonlinearity_from_config_rejects_unknown():
     with pytest.raises(ValueError):
         nonlinearity_from_config({"type": "spline"})
+
+
+class TestBrentq:
+    """The Brent port against ``scipy.optimize.brentq``, bit for bit."""
+
+    TOLERANCES = [(1e-14, 8.9e-16), (1e-300, 1e-15), (2e-12, 4 * np.finfo(float).eps)]
+
+    def test_oracle_brackets_bit_identical(self, monkeypatch):
+        from scipy.optimize import brentq as scipy_brentq
+
+        from kgdelta import dispersion
+        from kgdelta.model import brentq
+
+        pairs = []
+
+        def both(f, a, b, xtol, rtol):
+            pairs.append((brentq(f, a, b, xtol, rtol), scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(dispersion, "brentq", both)
+        for w in np.linspace(-0.95, 0.95, 9):
+            for k in np.linspace(-1.5, 2.0, 9):
+                dispersion.axis_scan_roots(ModelParams(1.0, float(w), float(k)))
+        assert len(pairs) > 20
+        assert [ours for ours, _ in pairs] == [theirs for _, theirs in pairs]
+
+    @pytest.mark.parametrize("xtol, rtol", TOLERANCES)
+    def test_random_brackets_bit_identical(self, xtol, rtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        from kgdelta.model import brentq
+
+        rng = np.random.default_rng(20240)
+        checked = 0
+        for _ in range(400):
+            c, s, p = rng.normal(), rng.uniform(0.1, 5.0), int(rng.integers(1, 6))
+            f = [
+                lambda x: math.tanh(s * (x - c)),
+                lambda x: s * (x - c) ** p + 1e-3 * (x - c),
+                lambda x: math.expm1(s * (x - c)),
+                lambda x: math.sin(s * x) - 0.3,
+                # values near the underflow edge: C divides by an underflowed
+                # zero and bisects, where Python would raise
+                lambda x: 1e-300 * (s * (x - c) ** p + 1e-3 * (x - c)),
+            ][int(rng.integers(5))]
+            a, b = c - rng.uniform(1e-6, 3.0), c + rng.uniform(1e-6, 3.0)
+            if f(a) == 0.0 or f(b) == 0.0 or (f(a) < 0.0) == (f(b) < 0.0):
+                continue
+            assert brentq(f, a, b, xtol, rtol) == scipy_brentq(f, a, b, xtol=xtol, rtol=rtol)
+            checked += 1
+        assert checked > 200
+
+    def test_same_sign_and_nan_raise_value_error(self):
+        from kgdelta.model import brentq
+
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-15)
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, 1e-14, 1e-15)

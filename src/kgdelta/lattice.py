@@ -9,7 +9,10 @@ weight ``1/h``, and time stepping by the kick-drift-kick Verlet scheme for
 
 The scheme is symplectic, time reversible, exactly phase equivariant, and
 commutes with the reflection x -> -x, so energy/charge drift and parity are
-honest diagnostics of the dynamics rather than artifacts.
+honest diagnostics of the dynamics rather than artifacts.  Each step
+evaluates the force once: the force at the end of a step is the one the
+next step starts with, so it travels on the returned state, whose ``psi`` is
+read-only for that reason.  The diagnostics take their sums as dot products.
 
 The unperturbed initial state solves the *discrete* stationary problem (a
 Newton iteration seeded with the continuum profile), which makes it a fixed
@@ -23,6 +26,7 @@ allowance).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -101,9 +105,13 @@ class Grid:
         profile; adding the horizon plus ``10/kap`` keeps reflected radiation
         away from the defect for the whole run.
         """
+        if not (horizon >= 0.0 and math.isfinite(horizon)):
+            raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
         kap = p.decay_rate
         if target_h is None:
             target_h = 0.02 / max(kap, p.m)
+        elif not (target_h > 0.0 and math.isfinite(target_h)):
+            raise ValueError(f"grid spacing must be finite and > 0, got {target_h}")
         if half_length is None:
             half_length = max(30.0 / kap, horizon + 10.0 / kap)
         n = int(math.ceil(2.0 * half_length / target_h)) + 1
@@ -120,6 +128,8 @@ class FieldState:
     pi: np.ndarray
     t: float
     grid: Grid
+    # (lattice, psi, force on psi) as left by DefectLattice.step
+    _carried: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.psi = np.asarray(self.psi, dtype=np.complex128)
@@ -262,20 +272,49 @@ class DefectLattice:
     def _force(self, psi: np.ndarray) -> np.ndarray:
         p, g = self.params, self.grid
         h = g.h
-        f = np.zeros_like(psi)
-        f[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h) - p.m**2 * psi[1:-1]
+        f = np.empty_like(psi)
+        f[0] = f[-1] = 0.0
+        # (psi[2:] - 2 psi[1:-1] + psi[:-2]) / h^2 - m^2 psi[1:-1], one ufunc
+        # at a time in that order, so every node rounds as the plain
+        # expression does
+        lap = f[1:-1]
+        np.multiply(2.0, psi[1:-1], out=lap)
+        np.subtract(psi[2:], lap, out=lap)
+        np.add(lap, psi[:-2], out=lap)
+        np.divide(lap, h * h, out=lap)
+        np.subtract(lap, p.m**2 * psi[1:-1], out=lap)
         c = psi[g.center]
         f[g.center] += self.nl.a(abs(c) ** 2) * c / h
         return f
 
     def step(self, state: FieldState, dt: float) -> FieldState:
-        """One Verlet step (kick-drift-kick).  Negative ``dt`` steps backward."""
+        """One Verlet step (kick-drift-kick).  Negative ``dt`` steps backward.
+
+        The force at the end of a step is the one the next step starts
+        with, so it travels on the returned state, together with the lattice
+        and the ``psi`` array it was computed from; that ``psi`` is read-only.
+        A state built by hand, copied, or with ``psi`` rebound carries no
+        force, and the step computes it afresh.
+        """
         if abs(dt) > self.cfl_limit() * (1.0 + 1e-12):
             raise ValueError(f"dt={dt:g} violates the CFL bound {self.cfl_limit():g}")
-        pi_half = state.pi + (0.5 * dt) * self._force(state.psi)
-        psi_new = state.psi + dt * pi_half
-        pi_new = pi_half + (0.5 * dt) * self._force(psi_new)
-        return FieldState(psi=psi_new, pi=pi_new, t=state.t + dt, grid=self.grid)
+        carried = state._carried
+        if carried is not None and carried[0] is self and carried[1] is state.psi:
+            f = carried[2]
+        else:
+            f = self._force(state.psi)
+        # pi + (dt/2) f, psi + dt pi_half, pi_half + (dt/2) f_new
+        pi_half = np.multiply(0.5 * dt, f)
+        np.add(state.pi, pi_half, out=pi_half)
+        psi_new = np.multiply(dt, pi_half)
+        np.add(state.psi, psi_new, out=psi_new)
+        psi_new.flags.writeable = False
+        f_new = self._force(psi_new)
+        pi_new = np.multiply(0.5 * dt, f_new)
+        np.add(pi_half, pi_new, out=pi_new)
+        out = FieldState(psi=psi_new, pi=pi_new, t=state.t + dt, grid=self.grid)
+        out._carried = (self, psi_new, f_new)
+        return out
 
     # -- functionals ----------------------------------------------------------
 
@@ -283,13 +322,13 @@ class DefectLattice:
         h = self.grid.h
         psi, pi = state.psi, state.pi
         grad = (psi[1:] - psi[:-1]) / h
-        quad = np.sum(np.abs(pi) ** 2) + np.sum(np.abs(grad) ** 2)
-        quad += self.params.m**2 * np.sum(np.abs(psi) ** 2)
+        quad = np.vdot(pi, pi).real + np.vdot(grad, grad).real
+        quad += self.params.m**2 * np.vdot(psi, psi).real
         c = psi[self.grid.center]
         return 0.5 * h * float(quad) + self.nl.potential(abs(c) ** 2)
 
     def charge(self, state: FieldState) -> float:
-        return -self.grid.h * float(np.sum((np.conj(state.psi) * state.pi).imag))
+        return -self.grid.h * float(np.vdot(state.psi, state.pi).imag)
 
     def e_inner(self, a: FieldState, b: FieldState) -> complex:
         """Lattice H1 (+) L2 inner product, conjugate-linear in ``a``."""
@@ -300,7 +339,12 @@ class DefectLattice:
         return h * complex(val)
 
     def e_norm(self, state: FieldState) -> float:
-        return math.sqrt(max(self.e_inner(state, state).real, 0.0))
+        # the real part of e_inner(state, state), with the gradient formed once
+        h = self.grid.h
+        psi, pi = state.psi, state.pi
+        d = (psi[1:] - psi[:-1]) / h
+        sq = np.vdot(d, d).real + np.vdot(psi, psi).real + np.vdot(pi, pi).real
+        return math.sqrt(max(h * float(sq), 0.0))
 
     def orbital_distance(self, state: FieldState, reference: FieldState) -> float:
         """Distance from ``state`` to the phase orbit of ``reference``.
@@ -309,9 +353,14 @@ class DefectLattice:
         in the energy inner product, so no search is needed.  The norm is
         taken of the explicit difference vector rather than expanded into
         inner products: the expansion would cancel two O(|ref|^2) terms and
-        floor the resolvable distance at |ref|*sqrt(eps).
+        floor the resolvable distance at |ref|*sqrt(eps).  A state whose
+        inner product with ``reference`` is not finite is at distance ``nan``.
         """
         z = self.e_inner(reference, state)
+        if not cmath.isfinite(z):
+            # CPython's abs() of a nan complex keeps a stale errno and can
+            # raise OverflowError; the finite branch resets it
+            return math.nan
         phase = z / abs(z) if z != 0 else 1.0 + 0j
         diff = FieldState(
             psi=state.psi - phase * reference.psi,
@@ -373,11 +422,21 @@ class DefectLattice:
         the partial series, when ``max|psi|`` exceeds ``1e3`` times the wave
         amplitude or is not finite, or when the energy to be recorded is not
         finite; that record is dropped, so every recorded value is finite.
+
+        ``epsilon`` must be finite and ``>= 0``, ``horizon`` and ``dt`` finite
+        and ``> 0``, and ``record_every >= 1``; anything else raises
+        ``ValueError`` before the stationary solve.
         """
-        if epsilon < 0.0:
-            raise ValueError("perturbation size must be >= 0")
+        if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+            raise ValueError(f"perturbation size must be finite and >= 0, got {epsilon}")
+        if not (horizon > 0.0 and math.isfinite(horizon)):
+            raise ValueError(f"horizon must be finite and > 0, got {horizon}")
         if dt is None:
             dt = self.default_dt()
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"time step must be finite and > 0, got {dt}")
+        if record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {record_every}")
         reference = self.discrete_stationary()
         ref_norm = self.e_norm(reference)
         amp = float(np.max(np.abs(reference.psi)))

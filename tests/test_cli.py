@@ -287,6 +287,28 @@ class TestSimulateCommand:
     def test_invalid_params_exit_2(self):
         assert main(["simulate", "-m", "1", "-w", "2", "-k", "1", "-T", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["-T", "1", "--record-every", "0"], "record_every must be >= 1"),
+            (["-T", "1", "--dt", "0"], "time step must be finite and > 0"),
+            (["-T", "1", "--dt", "-0.01"], "time step must be finite and > 0"),
+            (["-T", "1", "--dt", "nan"], "time step must be finite and > 0"),
+            (["-T", "inf"], "horizon must be finite and >= 0"),
+            (["-T", "-5"], "horizon must be finite and >= 0"),
+            (["-T", "0"], "horizon must be finite and > 0"),
+            (["-T", "1", "--eps", "nan"], "perturbation size must be finite and >= 0"),
+            (["-T", "1", "--eps", "inf"], "perturbation size must be finite and >= 0"),
+            (["-T", "1", "--grid-h", "0"], "grid spacing must be finite and > 0"),
+            (["-T", "1", "--grid-h", "nan"], "grid spacing must be finite and > 0"),
+        ],
+    )
+    def test_run_inputs_outside_domain_exit_2(self, tmp_path, capsys, flags, message):
+        prefix = str(tmp_path / "bad")
+        assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "0.1", *flags, "-o", prefix]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_kappa_disagreeing_with_nonlinearity_exit_2(self, tmp_path, capsys):
         # the coupling g*tau has effective exponent 1, not the stated 0
         rc = main(

@@ -371,3 +371,156 @@ def test_overflow_is_never_recorded():
         assert np.all(np.isfinite(series))
     summary = rep.summary()
     assert all(math.isfinite(summary[k]) for k in ("energy_drift", "charge_drift", "max_orbital_distance"))
+
+
+def two_force_step(sim, state, dt):
+    """The kick-drift-kick step written out, both forces computed afresh."""
+
+    def force(psi):
+        h, j0 = sim.grid.h, sim.grid.center
+        f = np.zeros_like(psi)
+        f[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h) - sim.params.m**2 * psi[1:-1]
+        c = psi[j0]
+        f[j0] += sim.nl.a(abs(c) ** 2) * c / h
+        return f
+
+    pi_half = state.pi + (0.5 * dt) * force(state.psi)
+    psi_new = state.psi + dt * pi_half
+    pi_new = pi_half + (0.5 * dt) * force(psi_new)
+    return FieldState(psi_new, pi_new, state.t + dt, sim.grid)
+
+
+def same_bits(a, b):
+    return np.array_equal(a.psi.view(np.float64), b.psi.view(np.float64)) and np.array_equal(
+        a.pi.view(np.float64), b.pi.view(np.float64)
+    )
+
+
+# the two benchmark lattices: (omega, kappa, horizon, epsilon)
+BENCHMARK_LATTICES = [(0.6, 0.1, 50.0, 1e-3), (0.0, 0.25, 15.0, 1e-6)]
+
+
+def perturbed_stationary(sim, seed, size):
+    st = sim.discrete_stationary()
+    pert = sim.perturbation(seed=seed, size=size)
+    return FieldState(st.psi + pert.psi, st.pi + pert.pi, 0.0, sim.grid)
+
+
+class TestCarriedForce:
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_trajectory_matches_two_force_step_bit_for_bit(self, omega, kappa, horizon, eps):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        a = b = perturbed_stationary(sim, seed=7, size=eps)
+        dt = sim.default_dt()
+        for signed in (dt, -dt):
+            for i in range(400):
+                a, b = sim.step(a, signed), two_force_step(sim, b, signed)
+                assert same_bits(a, b), f"dt={signed:g}, step {i}"
+
+    def test_rebinding_psi_drops_the_carried_force(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        dt = sim.default_dt()
+        s = sim.step(perturbed_stationary(sim, seed=1, size=1e-2), dt)
+        s.psi = 1.001 * s.psi
+        assert same_bits(sim.step(s, dt), two_force_step(sim, s, dt))
+
+    def test_stepped_psi_is_read_only(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        s = sim.step(sim.discrete_stationary(), sim.default_dt())
+        with pytest.raises(ValueError, match="read-only"):
+            s.psi[sim.grid.center] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.psi *= 2.0
+        assert s.copy().psi.flags.writeable
+
+    def test_copied_and_hand_built_states_step_as_the_reference(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        dt = sim.default_dt()
+        s = sim.step(perturbed_stationary(sim, seed=2, size=1e-2), dt)
+        want = two_force_step(sim, s, dt)
+        assert same_bits(sim.step(s, dt), want)
+        assert same_bits(sim.step(s.copy(), dt), want)
+        assert same_bits(sim.step(FieldState(s.psi, s.pi, s.t, sim.grid), dt), want)
+
+    def test_force_carried_from_another_lattice_is_not_used(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        other = DefectLattice(PowerLaw(2.0, 0.3), sim.params, sim.grid)
+        dt = sim.default_dt()
+        s = other.step(perturbed_stationary(sim, seed=3, size=1e-2), dt)
+        assert same_bits(sim.step(s, dt), two_force_step(sim, s, dt))
+
+
+class TestDiagnosticsAgainstPlainSums:
+    """energy, charge and orbital_distance against the sums written out."""
+
+    @staticmethod
+    def plain_energy(sim, s):
+        h = sim.grid.h
+        grad = (s.psi[1:] - s.psi[:-1]) / h
+        quad = np.sum(np.abs(s.pi) ** 2) + np.sum(np.abs(grad) ** 2)
+        quad += sim.params.m**2 * np.sum(np.abs(s.psi) ** 2)
+        return 0.5 * h * float(quad) + sim.nl.potential(abs(s.psi[sim.grid.center]) ** 2)
+
+    @staticmethod
+    def plain_charge(sim, s):
+        return -sim.grid.h * float(np.sum((np.conj(s.psi) * s.pi).imag))
+
+    @staticmethod
+    def plain_distance(sim, s, ref):
+        def inner(a_psi, a_pi, b_psi, b_pi):
+            h = sim.grid.h
+            da, db = np.diff(a_psi) / h, np.diff(b_psi) / h
+            terms = np.conj(da) * db, np.conj(a_psi) * b_psi, np.conj(a_pi) * b_pi
+            return h * complex(sum(np.sum(t) for t in terms))
+
+        z = inner(ref.psi, ref.pi, s.psi, s.pi)
+        phase = z / abs(z)
+        dpsi, dpi = s.psi - phase * ref.psi, s.pi - phase * ref.pi
+        return math.sqrt(inner(dpsi, dpi, dpsi, dpi).real)
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_agree_to_roundoff_on_seeded_states(self, omega, kappa, horizon, eps, seed):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        ref = sim.discrete_stationary()
+        s = perturbed_stationary(sim, seed=seed, size=1e-2)
+        for _ in range(50):
+            s = sim.step(s, sim.default_dt())
+        assert sim.energy(s) == pytest.approx(self.plain_energy(sim, s), rel=1e-13)
+        assert sim.charge(s) == pytest.approx(self.plain_charge(sim, s), rel=1e-13)
+        assert sim.orbital_distance(s, ref) == pytest.approx(self.plain_distance(sim, s, ref), rel=1e-13)
+
+    def test_tiny_distance_still_resolved(self):
+        sim = make_sim(omega=0.4, kappa=0.5, g=1.0)
+        ref = sim.discrete_stationary()
+        eps = 1e-9
+        st = FieldState((1 + eps) * ref.psi, (1 + eps) * ref.pi, 0.0, sim.grid)
+        assert sim.orbital_distance(st, ref) == pytest.approx(eps * sim.e_norm(ref), rel=1e-6)
+
+    def test_nan_state_is_at_distance_nan_after_a_stale_errno(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        ref = sim.discrete_stationary()
+        psi = ref.psi.copy()
+        psi[5] = np.nan
+        st = FieldState(psi, ref.pi, 0.0, sim.grid)
+        with np.errstate(all="ignore"):
+            np.float64(1e300) ** 2.0  # C pow leaves errno = ERANGE
+        assert math.isnan(sim.orbital_distance(st, ref))
+        assert math.isnan(sim.energy(st)) and math.isnan(sim.charge(st))
+
+    def test_run_calls_step_per_step_and_diagnostics_per_record(self, monkeypatch):
+        calls = {"step": 0, "energy": 0, "charge": 0, "orbital_distance": 0}
+        for name in calls:
+            original = getattr(DefectLattice, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(DefectLattice, name, counted)
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0, horizon=2.0)
+        rep = sim.run_experiment(epsilon=1e-3, horizon=2.0, seed=4, record_every=7)
+        n_steps = int(round(2.0 / sim.default_dt()))
+        records = 1 + len([i for i in range(1, n_steps + 1) if i % 7 == 0 or i == n_steps])
+        assert n_steps % 7 != 0 and len(rep.times) == records
+        assert calls == {"step": n_steps, "energy": records, "charge": records, "orbital_distance": records}

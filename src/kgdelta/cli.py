@@ -9,7 +9,8 @@ Four subcommands:
   pipeline, and the dense axis scans.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid parameters,
-3 simulation aborted by the blow-up guard.  Scans are cell-parallel with a
+3 simulation aborted by the blow-up guard, 141 (128 + SIGPIPE) standard
+output closed by its reader.  Scans are cell-parallel with a
 deterministic gather order, so output files are byte-identical for any
 parallelism degree (``KGDELTA_THREADS`` caps the worker count).
 """
@@ -78,8 +79,16 @@ class ScanConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        grid = (
+            self.omega_min, self.omega_max, self.omega_step,
+            self.kappa_min, self.kappa_max, self.kappa_step,
+        )
+        if not all(math.isfinite(x) for x in grid):
+            raise ValueError("grid bounds and steps must be finite")
         if self.omega_step <= 0.0 or self.kappa_step <= 0.0:
             raise ValueError("grid steps must be positive")
+        if not self.band >= 0.0:
+            raise ValueError(f"band must be >= 0, got {self.band}")
         if max(abs(self.omega_min), abs(self.omega_max)) >= self.m:
             raise ValueError("omega range must stay inside (-m, m)")
 
@@ -265,7 +274,7 @@ def _suite_virtual_levels(m: float, n: int) -> tuple[int, list[str]]:
         p = ModelParams(m=m, omega=t, kappa=k)
         lam = 1j * (m - t)
         resid = abs(D_eval(p, lam, PHYSICAL))
-        scale = residual_scale(p, lam, PHYSICAL)
+        scale = residual_scale(p, lam)
         if resid > 1e-10 * scale:
             fails.append(f"kappa={k:g}: |D| = {resid:.3e} > 1e-10 * {scale:.3e}")
     return n, fails
@@ -311,7 +320,7 @@ def _validate_at(at: tuple[float, float, float]) -> int:
     if not math.isnan(t) and abs(abs(w) - t) <= 1e-6:
         lam = 1j * (m - abs(w))
         resid = abs(D_eval(p, lam, PHYSICAL))
-        scale = residual_scale(p, lam, PHYSICAL)
+        scale = residual_scale(p, lam)
         print(f"virtual-level residual |D({lam.imag:g}i)| = {resid:.3e} (scale {scale:.3e})")
         if resid > 1e-10 * scale:
             failures.append("virtual-level residual out of tolerance")
@@ -526,7 +535,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`kgdelta validate | head -1`): no
+        # traceback, and not exit 1, which means a failed validation; stdout
+        # goes to devnull so the interpreter's last flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

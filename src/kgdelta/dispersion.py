@@ -175,14 +175,15 @@ def D_eval(p: ModelParams, lam: complex, sheet: SheetSelector = PHYSICAL) -> com
     return _D_from_nus(p, nup, num)
 
 
-def residual_scale(p: ModelParams, lam: complex, sheet: SheetSelector = PHYSICAL) -> float:
+def residual_scale(p: ModelParams, lam: complex) -> float:
     """Natural magnitude of the determinant's terms at ``lam``.
 
     The four terms of ``D`` vary over many orders of magnitude across the
     parameter plane, so root acceptance compares ``|D|`` against this sum of
-    term magnitudes rather than against an absolute number.
+    term magnitudes rather than against an absolute number.  It sees only
+    ``|nu_pm|``, which is the same on every sheet.
     """
-    nup, num = nu_pm(p, lam, sheet)
+    nup, num = nu_pm(p, lam)
     a = p.alpha
     k = p.kappa
     return (
@@ -342,7 +343,7 @@ def _physical_fit(
 ) -> tuple[complex, complex, float, float, bool]:
     """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``."""
     nup, num = nu_pm(p, lam, PHYSICAL)
-    scale = residual_scale(p, lam, PHYSICAL)
+    scale = residual_scale(p, lam)
     res = abs(_D_from_nus(p, nup, num))
     ok = res <= ACCEPT_TOL * scale and _presquare_sign_ok(p, cd, lam, nup, num)
     return nup, num, scale, res, ok

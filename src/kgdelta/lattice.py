@@ -14,8 +14,10 @@ evaluates the force once: the force at the end of a step is the one the
 next step starts with, so it travels on the returned state, whose ``psi`` is
 read-only for that reason.  The diagnostics take their sums as dot products.
 
-The unperturbed initial state solves the *discrete* stationary problem (a
-Newton iteration seeded with the continuum profile), which makes it a fixed
+The unperturbed initial state solves the *discrete* stationary problem in
+closed form (see ``DefectLattice.discrete_stationary``): a geometric profile
+``A (r^|j| - r^(2N-|j|))`` whose center amplitude solves ``a(phi_0^2) =
+2 kap_h`` at a lattice decay rate ``kap_h -> kap``.  That makes it a fixed
 point of the semidiscrete flow to machine precision; perturbation growth
 measured on top of it is then dynamical, not an O(h^2) transient.  No
 global-existence claim is made: runs are finite-horizon, guarded against
@@ -32,34 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, Nonlinearity, SolitaryWave, solve_amplitude
+from .model import ModelParams, Nonlinearity, solve_amplitude
 from .spectra import Verdict, stability_verdict
 
-__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "SingularJacobian"]
-
-
-class SingularJacobian(np.linalg.LinAlgError):
-    """Thomas elimination met a zero pivot in the stationary Newton Jacobian."""
-
-
-def _solve_tridiagonal(off: float, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``off x[i-1] + diag[i] x[i] + off x[i+1] = rhs[i]`` by Thomas elimination.
-
-    No pivoting: the stationary Jacobian is diagonally dominant away from the
-    defect row.  A zero pivot raises :class:`SingularJacobian`.
-    """
-    n = len(diag)
-    c, x = [0.0] * n, [0.0] * n
-    prev_c = prev_x = 0.0
-    for i, (b, r) in enumerate(zip(diag.tolist(), rhs.tolist())):
-        pivot = b - off * prev_c
-        if pivot == 0.0:
-            raise SingularJacobian(f"zero pivot in row {i} of the stationary Jacobian")
-        prev_c = c[i] = off / pivot
-        prev_x = x[i] = (r - off * prev_x) / pivot
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return np.array(x)
+__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice"]
 
 
 @dataclass(frozen=True)
@@ -217,55 +195,42 @@ class DefectLattice:
     # -- stationary state ---------------------------------------------------
 
     def discrete_stationary(self) -> FieldState:
-        """Solve the lattice stationary problem by Newton from the continuum seed.
+        """The lattice stationary state, in closed form.
 
         The discrete equation (interior nodes, Dirichlet ends) is
 
             omega^2 phi_j = -(phi_{j+1} - 2 phi_j + phi_{j-1})/h^2 + m^2 phi_j
-                            - (delta_{j,j0}/h) a(phi_j0^2) phi_j0,
+                            - (delta_{j,j0}/h) a(phi_j0^2) phi_j0.
 
-        solved for a real positive profile; the Jacobian is tridiagonal with a
-        single defect correction on the center diagonal.  At most 50 Newton
-        steps bring the residual to ``1e-12`` or its roundoff floor.
+        Off the defect it reads ``phi_{j+1} + phi_{j-1} = (2 + mu) phi_j`` with
+        ``mu = (m^2 - omega^2) h^2``, so with ``N = j0`` nodes to each wall
+        the profile is ``phi_j = A (r^|d| - r^(2N-|d|))``, ``d = j - j0``,
+        where ``r = 1/(1 + mu/2 + sqrt(mu + mu^2/4))`` is the root of
+        ``r + 1/r = 2 + mu`` below 1; it vanishes exactly at both ends.  The
+        defect row is then the continuum amplitude equation ``a(C^2) = 2 kap``
+        at the lattice decay rate
+
+            kap_h = (mu + 2 (1 - q)) / (2 h),   q = phi_{j0+1}/phi_j0,
+
+        which tends to ``kap`` as ``h -> 0``; its smallest root is ``phi_j0``
+        and ``A = phi_j0 / (1 - r^(2N))``.  ``1 - r = r (mu/2 + sqrt(...))``
+        and ``1 - q = (1 - r)(1 + r^(2N-1)) / (1 - r^(2N))`` are formed
+        without cancellation.
         """
-        p, g, nl = self.params, self.grid, self.nl
-        h, j0 = g.h, g.center
-        m2w2 = p.m**2 - p.omega**2
-        wave = SolitaryWave(params=p, C=solve_amplitude(nl, p))
-        phi = wave.profile(g.xs()).real
-        phi[0] = phi[-1] = 0.0
-
-        n_int = g.n_points - 2
-        inv_h2 = 1.0 / (h * h)
-
-        def residual(full: np.ndarray) -> np.ndarray:
-            lap = (full[2:] - 2.0 * full[1:-1] + full[:-2]) * inv_h2
-            r = m2w2 * full[1:-1] - lap
-            c = full[j0]
-            r[j0 - 1] -= nl.a(c * c) * c / h
-            return r
-
-        # the residual is evaluated with O(1/h^2) cancellations, so it cannot
-        # be driven below this roundoff floor no matter how exact phi is
-        eps = np.finfo(float).eps
-
-        for _ in range(50):
-            r = residual(phi)
-            amp = float(np.max(np.abs(phi)))
-            cc = phi[j0]
-            floor = 8.0 * eps * (
-                (4.0 * inv_h2 + abs(m2w2)) * amp + abs(nl.a(cc * cc) * cc) / h
-            )
-            if np.max(np.abs(r)) <= max(1e-12, floor):
-                psi = phi.astype(np.complex128)
-                return FieldState(psi=psi, pi=-1j * p.omega * psi, t=0.0, grid=g)
-            diag = np.full(n_int, m2w2 + 2.0 * inv_h2)
-            c = phi[j0]
-            diag[j0 - 1] -= (nl.a(c * c) + 2.0 * c * c * nl.a_prime(c * c)) / h
-            delta = _solve_tridiagonal(-inv_h2, diag, -r)
-            phi = phi.copy()
-            phi[1:-1] += delta
-        raise RuntimeError("stationary Newton did not reach 1e-12 in 50 iterations")
+        p, g = self.params, self.grid
+        h, n = g.h, g.center
+        mu = (p.m - p.omega) * (p.m + p.omega) * h * h
+        s = 0.5 * mu + math.sqrt(mu + 0.25 * mu * mu)
+        r = 1.0 / (1.0 + s)
+        r2n = r ** (2 * n)
+        one_minus_q = r * s * (1.0 + r ** (2 * n - 1)) / (1.0 - r2n)
+        kap_h = (mu + 2.0 * one_minus_q) / (2.0 * h)
+        # the continuum solver at decay rate kap_h: a wave at rest of mass
+        # kap_h decays at exactly kap_h, since sqrt(m*m) == m in float64
+        c = solve_amplitude(self.nl, ModelParams(m=kap_h, omega=0.0, kappa=p.kappa))
+        d = np.abs(np.arange(g.n_points) - n)
+        psi = (c / (1.0 - r2n)) * (r**d - r ** (2 * n - d)) + 0j
+        return FieldState(psi=psi, pi=-1j * p.omega * psi, t=0.0, grid=g)
 
     # -- dynamics ------------------------------------------------------------
 

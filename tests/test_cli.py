@@ -240,6 +240,30 @@ class TestScan:
         assert {r[2] for r in rows if float(r[1]) == 0.0} == {"EmbeddedPair"}
         assert {r[2] for r in rows if float(r[1]) != 0.0} == {"ZeroOnly"}
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--kappa-max", "inf", "grid bounds and steps must be finite"),
+            ("--kappa-min", "-inf", "grid bounds and steps must be finite"),
+            ("--omega-min", "nan", "grid bounds and steps must be finite"),
+            ("--kappa-step", "nan", "grid bounds and steps must be finite"),
+            ("--omega-step", "inf", "grid bounds and steps must be finite"),
+            ("--kappa-step", "0", "grid steps must be positive"),
+            ("--band", "nan", "band must be >= 0, got nan"),
+            ("--band", "-1", "band must be >= 0, got -1.0"),
+        ],
+    )
+    def test_inputs_outside_domain_exit_2(self, tmp_path, capsys, flag, value, message):
+        grid = {
+            "--omega-min": "-0.4", "--omega-max": "0.4", "--omega-step": "0.2",
+            "--kappa-min": "-0.5", "--kappa-max": "0.5", "--kappa-step": "0.25",
+        }
+        grid[flag] = value
+        argv = ["scan", "-o", str(tmp_path / "bad.csv"), "--threads", "1"]
+        assert main(argv + [f"{f}={v}" for f, v in grid.items()]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateCommand:
     def test_stationary_run(self, tmp_path, capsys):
@@ -397,6 +421,39 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0, proc.stderr
     # kappa = 0.1 < omega^2/m^2 = 0.25
     assert "orbital stability: stable" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_without_traceback(unbuffered):
+    # the read end is closed before the child writes, as `| head -1` can do;
+    # buffered, the write fails only when stdout is flushed
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kgdelta", "validate", "--grid", "3", "--sweep", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(package_root)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert err == ""
+
+
+def test_closed_stdout_at_start_is_not_an_error():
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgdelta", "spectrum", "-m", "1", "-w", "0.5", "-k", "0.1"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_power_coupling_commands_load_no_scipy(tmp_path):

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kgdelta import ModelParams, PowerLaw, SolitaryWave, Tabulated
+from kgdelta import (
+    ModelParams,
+    PowerLaw,
+    SolitaryWave,
+    Tabulated,
+    nonlinearity_from_config,
+    solve_amplitude,
+)
 from kgdelta.lattice import DefectLattice, FieldState, Grid
 
 
@@ -313,52 +320,102 @@ class TestExperiments:
         assert 0 <= summary["energy_drift"] < 1e-8
 
 
+def banded_newton(sim):
+    """The stationary state by Newton from the continuum seed, LAPACK inside.
+
+    The iteration the closed form replaced: Newton on the interior rows with
+    the tridiagonal Jacobian solved by ``scipy.linalg.solve_banded``, stopped
+    at a residual of ``1e-12`` or its roundoff floor.
+    """
+    from scipy.linalg import solve_banded
+
+    p, g, nl = sim.params, sim.grid, sim.nl
+    h, j0 = g.h, g.center
+    m2w2 = p.m**2 - p.omega**2
+    inv_h2 = 1.0 / (h * h)
+    phi = SolitaryWave(params=p, C=solve_amplitude(nl, p)).profile(g.xs()).real
+    phi[0] = phi[-1] = 0.0
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        r = m2w2 * phi[1:-1] - (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) * inv_h2
+        c = phi[j0]
+        r[j0 - 1] -= nl.a(c * c) * c / h
+        amp = float(np.max(np.abs(phi)))
+        floor = 8.0 * eps * ((4.0 * inv_h2 + abs(m2w2)) * amp + abs(nl.a(c * c) * c) / h)
+        if np.max(np.abs(r)) <= max(1e-12, floor):
+            return phi
+        ab = np.zeros((3, g.n_points - 2))
+        ab[0, 1:] = ab[2, :-1] = -inv_h2
+        ab[1] = m2w2 + 2.0 * inv_h2
+        ab[1, j0 - 1] -= (nl.a(c * c) + 2.0 * c * c * nl.a_prime(c * c)) / h
+        phi[1:-1] += solve_banded((1, 1), ab, -r)
+    raise AssertionError("reference Newton did not converge")
+
+
+def _table_sim(omega):
+    tau = np.geomspace(1e-3, 10.0, 40)
+    a = 2.0 * np.sqrt(tau)  # effective exponent 1/2
+    nl = nonlinearity_from_config({"type": "table", "tau": tau.tolist(), "a": a.tolist()})
+    p = ModelParams(1.0, omega, 0.5)
+    return DefectLattice(nl, p, Grid.for_run(p))
+
+
+def _close_wall_sim(omega):
+    # L = 4 puts the walls within a few decay lengths: r^(2N) up to 8e-3
+    p = ModelParams(1.0, omega, 1.0)
+    return DefectLattice(PowerLaw(2.0, 1.0), p, Grid(half_length=4.0, n_points=401))
+
+
 class TestThomasSolve:
-    """The stationary Newton step's tridiagonal solve against LAPACK's."""
+    """The closed-form stationary state against the banded Newton solve it replaced."""
 
     @staticmethod
-    def banded(off, diag, rhs):
-        from scipy.linalg import solve_banded
-
-        ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = ab[2, :-1] = off
-        ab[1] = diag
-        return solve_banded((1, 1), ab, rhs)
-
-    # the two benchmark lattices: (omega, kappa, horizon)
-    @pytest.mark.parametrize("omega, kappa, horizon", [(0.6, 0.1, 50.0), (0.0, 0.25, 15.0)])
-    def test_matches_solve_banded_on_stationary_jacobians(self, monkeypatch, omega, kappa, horizon):
-        from kgdelta import lattice
-
-        thomas, errors = lattice._solve_tridiagonal, []
-
-        def both(off, diag, rhs):
-            x, ref = thomas(off, diag, rhs), self.banded(off, diag, rhs)
-            errors.append(float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))))
-            return x
-
-        monkeypatch.setattr(lattice, "_solve_tridiagonal", both)
-        make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon).discrete_stationary()
-        assert errors and max(errors) <= 1e-12
+    def assert_matches_newton(sim):
+        got = sim.discrete_stationary().psi.real
+        want = banded_newton(sim)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("omega", [0.0, 0.6])
     @pytest.mark.parametrize("kappa", [0.1, 10.0, 1000.0])
-    def test_stationary_state_matches_banded_newton(self, monkeypatch, omega, kappa):
-        from kgdelta import lattice
+    def test_stationary_state_matches_banded_newton(self, omega, kappa):
+        self.assert_matches_newton(make_sim(omega=omega, kappa=kappa, g=1.0))
 
-        sim = make_sim(omega=omega, kappa=kappa, g=1.0)
-        got = sim.discrete_stationary().psi.real
-        monkeypatch.setattr(lattice, "_solve_tridiagonal", self.banded)
-        want = sim.discrete_stationary().psi.real
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # the two benchmark lattices: (omega, kappa, horizon)
+            lambda: make_sim(omega=0.6, kappa=0.1, g=1.0, horizon=50.0),
+            lambda: make_sim(omega=0.0, kappa=0.25, g=1.0, horizon=15.0),
+            lambda: make_sim(omega=0.5, kappa=0.3, g=1.0),
+            lambda: make_sim(omega=0.95, kappa=0.5, g=1.0),
+            lambda: make_sim(omega=-0.9, kappa=2.0, g=1.0),
+            lambda: _table_sim(0.0),
+            lambda: _table_sim(0.5),
+            lambda: _table_sim(0.8),
+            lambda: _close_wall_sim(0.0),
+            lambda: _close_wall_sim(0.8),
+        ],
+        ids=[
+            "lattice_stable",
+            "lattice_unstable",
+            "omega0.5",
+            "omega0.95",
+            "omega-0.9",
+            "table-omega0",
+            "table-omega0.5",
+            "table-omega0.8",
+            "close-wall-omega0",
+            "close-wall-omega0.8",
+        ],
+    )
+    def test_more_lattices_match_banded_newton(self, build):
+        self.assert_matches_newton(build())
 
-    def test_zero_pivot_raises_typed_error(self):
-        from kgdelta.lattice import SingularJacobian, _solve_tridiagonal
-
-        # the second pivot is 1 - 1*1/1 = 0
-        with pytest.raises(SingularJacobian, match="zero pivot in row 1"):
-            _solve_tridiagonal(1.0, np.array([1.0, 1.0, 3.0]), np.ones(3))
-        assert issubclass(SingularJacobian, np.linalg.LinAlgError)
+    def test_profile_vanishes_at_the_walls_and_is_even(self):
+        sim = _close_wall_sim(0.8)
+        phi = sim.discrete_stationary().psi
+        assert phi[0] == phi[-1] == 0.0
+        assert np.array_equal(phi, phi[::-1])
 
 
 def test_overflow_is_never_recorded():

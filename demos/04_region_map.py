@@ -4,10 +4,12 @@ Every cell of the plane falls into one of six classes: no nonzero
 eigenvalues, a real pair (exponential instability), an imaginary pair in the
 spectral gap, an embedded imaginary pair (only on the decoupled line
 kappa = 0), or one of the two boundary classes sitting on the critical
-curves.  The scanner classifies cells independently and writes a
-deterministic CSV; here we also collapse the map to a quick text picture and,
-if matplotlib is importable, save a figure with the two critical curves
-overlaid.
+curves.  The scanner runs serially and vectorized: it classifies blocks of
+cells as numpy arrays, sends the few it cannot decide with margin to the
+scalar classifier, and writes a deterministic CSV (``threads`` and
+``KGDELTA_THREADS`` are accepted and ignored, so none is set here).  Here
+we also collapse the map to a quick text picture and, if matplotlib is
+importable, save a figure with the two critical curves overlaid.
 """
 
 import collections
@@ -36,7 +38,6 @@ cfg = ScanConfig(
     kappa_min=-1.5,
     kappa_max=1.5,
     kappa_step=0.1,
-    threads=int(os.environ.get("KGDELTA_THREADS", "2")),
 )
 out = os.path.join(tempfile.gettempdir(), "kgdelta_region_map.csv")
 write_scan_csv(cfg, out)

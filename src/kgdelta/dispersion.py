@@ -25,7 +25,9 @@ against ``D`` itself on all four sheets: the pre-squaring radical identity
 picks the branch and a scale-aware residual decides acceptance.  The
 classifier then assembles the point spectrum, embedded eigenvalues, virtual
 levels at the gap thresholds, and the stability verdict into a
-:class:`SpectrumReport`.
+:class:`SpectrumReport`.  For scans, :func:`classify_cells` runs the same
+pipeline as numpy arrays over many cells at once and leaves each cell it
+cannot decide with margin to the scalar classifier.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ __all__ = [
     "virtual_level_exponent",
     "region_code",
     "classify_point_spectrum",
+    "classify_cells",
     "axis_scan_roots",
     "oracle_mismatches",
 ]
@@ -96,6 +99,13 @@ _ORACLE_STEP = 1e-3
 _ORACLE_REAL_END = 3.0
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+#: Margin, relative to each test's own scale, that :func:`classify_cells`
+#: keeps from every acceptance threshold.  Its numpy evaluation of ``D`` and
+#: of the pre-squaring identity differs from the scalar one by a few ulps of
+#: that scale; a cell with a decision inside the margin goes to the scalar
+#: classifier.
+_GRID_MARGIN = 1e-12
 
 
 class ClassificationError(RuntimeError):
@@ -437,19 +447,17 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
     return out
 
 
-def _distinct_accepted(cands: list[RootCandidate]) -> list[complex]:
+def _distinct(values: list[complex]) -> list[complex]:
     roots: list[complex] = []
-    for cand in cands:
-        if cand.accepted and not any(
-            abs(cand.lam - r) <= 1e-8 * (1.0 + abs(r)) for r in roots
-        ):
-            roots.append(cand.lam)
+    for z in values:
+        if not any(abs(z - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
+            roots.append(z)
     return roots
 
 
 def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline."""
-    return _distinct_accepted(candidate_roots(params, data=data))
+    return _distinct([c.lam for c in candidate_roots(params, data=data) if c.accepted])
 
 
 # ---------------------------------------------------------------------------
@@ -612,31 +620,16 @@ def _check_symmetry(values: list[complex]) -> None:
                 )
 
 
-def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectrumReport:
-    """Point spectrum, embedded eigenvalues and virtual levels at ``p``.
+def _region_pair(
+    region: RegionCode, accepted: list[complex], m: float, w: float, k: float
+) -> tuple[complex | None, list[str]]:
+    """The upper value of the nonzero pair ``region`` calls for, and its flags.
 
-    The region of the ``(omega, kappa)`` plane is decided by
-    :func:`region_code` with band ``boundary_tol``, while the nonzero
-    eigenvalue *values* come from the cubic pipeline; a disagreement between
-    the two raises :class:`ClassificationError`.  Inside the boundary bands
-    the discontinuous classification is replaced by an explicit boundary
-    report (flags ``"kolokolov-critical"`` / ``"virtual-level"``), because
-    silent tie-breaking would make parameter scans irreproducible.
+    The value is ``None`` in ZeroOnly and on the boundary codes; the flags are
+    ZeroOnly's grazing flags.  Raises :class:`ClassificationError` where the
+    accepted roots do not fit the region.
     """
-    m, w, k = p.m, p.omega, p.kappa
     gap = m - abs(w)
-    ess = sigma_ess_A(p)
-    jordan = zero_jordan_structure(p)
-    verdict = stability_verdict(p)
-    cands = candidate_roots(p)
-    accepted = _distinct_accepted(cands)
-    region = region_code(m, w, k, boundary_tol)
-
-    entries: list[SpectralPoint] = [
-        SpectralPoint(0j, geometric_mult=jordan.geometric, algebraic_mult=jordan.algebraic)
-    ]
-    virtual: tuple[complex, ...] = ()
-    flags: list[str] = []
 
     def _pick(predicate, what: str) -> complex:
         sel = [z for z in accepted if predicate(z)]
@@ -647,19 +640,9 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
             )
         return max(sel, key=abs)
 
-    if region is RegionCode.KOLOKOLOV_CRITICAL:
-        flags.append("kolokolov-critical")
-    elif region is RegionCode.VIRTUAL_LEVEL_BOUNDARY:
-        virtual = (complex(0.0, gap), complex(0.0, -gap))
-        flags.append("virtual-level")
-        if abs(w) <= boundary_tol * m and abs(k + 0.5) <= boundary_tol:
-            # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
-            flags.append("threshold-overlap")
-    elif region is RegionCode.REAL_PAIR:
-        lam = _pick(lambda z: abs(z.imag) <= 1e-8 * abs(z) and z.real > 0, "real")
-        entries.append(SpectralPoint(lam))
-        entries.append(SpectralPoint(-lam))
-    elif region is RegionCode.ZERO_ONLY:
+    if region is RegionCode.REAL_PAIR:
+        return _pick(lambda z: abs(z.imag) <= 1e-8 * abs(z) and z.real > 0, "real"), []
+    if region is RegionCode.ZERO_ONLY:
         # kappa <= K(omega) off the line kappa = 0: the nonzero pair has
         # crossed onto an unphysical sheet.  Grazing acceptance is tolerated
         # and flagged: roots within float resolution of the gap threshold
@@ -669,6 +652,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         # beyond the threshold (for small |kappa| the resonance left by the
         # embedded pair +-2i*omega of kappa = 0 is closer to it than the
         # residual resolves).
+        flags: list[str] = []
         near_threshold = [
             z for z in accepted if abs(abs(z.imag) - gap) <= 1e-6 * (1.0 + gap)
         ]
@@ -688,14 +672,53 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
             raise ClassificationError(
                 f"unexpected accepted roots {stray} at (m={m}, omega={w}, kappa={k})"
             )
-    else:
+        return None, flags
+    if region in (RegionCode.IMAGINARY_PAIR, RegionCode.EMBEDDED_PAIR):
         # an imaginary pair: inside the gap, or on the line kappa = 0 the
         # decoupled pair +-2i*omega, embedded once it reaches the threshold
+        what = "embedded imaginary" if region is RegionCode.EMBEDDED_PAIR else "in-gap imaginary"
+        return _pick(lambda z: abs(z.real) <= 1e-8 * abs(z) and 0.0 < z.imag, what), []
+    return None, []
+
+
+def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectrumReport:
+    """Point spectrum, embedded eigenvalues and virtual levels at ``p``.
+
+    The region of the ``(omega, kappa)`` plane is decided by
+    :func:`region_code` with band ``boundary_tol``, while the nonzero
+    eigenvalue *values* come from the cubic pipeline; a disagreement between
+    the two raises :class:`ClassificationError`.  Inside the boundary bands
+    the discontinuous classification is replaced by an explicit boundary
+    report (flags ``"kolokolov-critical"`` / ``"virtual-level"``), because
+    silent tie-breaking would make parameter scans irreproducible.
+    """
+    m, w, k = p.m, p.omega, p.kappa
+    gap = m - abs(w)
+    ess = sigma_ess_A(p)
+    jordan = zero_jordan_structure(p)
+    verdict = stability_verdict(p)
+    cands = candidate_roots(p)
+    accepted = _distinct([c.lam for c in cands if c.accepted])
+    region = region_code(m, w, k, boundary_tol)
+
+    entries: list[SpectralPoint] = [
+        SpectralPoint(0j, geometric_mult=jordan.geometric, algebraic_mult=jordan.algebraic)
+    ]
+    virtual: tuple[complex, ...] = ()
+    lam, flags = _region_pair(region, accepted, m, w, k)
+
+    if region is RegionCode.KOLOKOLOV_CRITICAL:
+        flags.append("kolokolov-critical")
+    elif region is RegionCode.VIRTUAL_LEVEL_BOUNDARY:
+        virtual = (complex(0.0, gap), complex(0.0, -gap))
+        flags.append("virtual-level")
+        if abs(w) <= boundary_tol * m and abs(k + 0.5) <= boundary_tol:
+            # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
+            flags.append("threshold-overlap")
+    elif lam is not None:
+        # a real pair, an in-gap imaginary pair, or the embedded pair of the
+        # line kappa = 0 (a real pair has |kappa| > boundary_tol)
         embedded = region is RegionCode.EMBEDDED_PAIR
-        lam = _pick(
-            lambda z: abs(z.real) <= 1e-8 * abs(z) and 0.0 < z.imag,
-            "embedded imaginary" if embedded else "in-gap imaginary",
-        )
         entries.append(SpectralPoint(lam, embedded=embedded))
         entries.append(SpectralPoint(-lam, embedded=embedded))
         if embedded:
@@ -718,6 +741,176 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         candidates=tuple(cands),
         region=region,
     )
+
+
+# ---------------------------------------------------------------------------
+# many cells at once: the scan's array path
+# ---------------------------------------------------------------------------
+
+
+def _each(fn, values: np.ndarray, *args) -> np.ndarray:
+    """``fn(v, *args)`` per element on Python numbers, NaN where it raises.
+
+    numpy's ``**``, ``arccos``, ``cos`` and complex ``sqrt`` may differ in
+    the last bit from the libm calls of the scalar pipeline, so the values
+    the classification reports are formed by the same calls, one by one.
+    """
+    vals = values.ravel().tolist()
+    try:
+        out = [fn(v, *args) for v in vals]
+    except (ArithmeticError, ValueError):
+        out = []
+        for v in vals:
+            try:
+                out.append(fn(v, *args))
+            except (ArithmeticError, ValueError):
+                out.append(math.nan)
+    return np.array(out, dtype=complex if values.dtype.kind == "c" else float).reshape(values.shape)
+
+
+def _nu_cells(m: float, w: np.ndarray, lr: np.ndarray, li: np.ndarray, plus: bool) -> np.ndarray:
+    """:func:`_nu_principal` of ``omega +- i*lam`` on arrays.
+
+    ``z = m^2 - (omega +- i*lam)^2`` is formed with the real operations of
+    Python's complex arithmetic, so the cut test and the cut values are
+    exact; elsewhere only the square root may differ in the last bits.
+    """
+    tr, ti = 0.0 * lr - li, 0.0 * li + lr  # 1j * lam
+    wr, wi = (w + tr, 0.0 + ti) if plus else (w - tr, 0.0 - ti)
+    zr = m * m - (wr * wr - wi * wi)
+    zi = 0.0 - (wr * wi + wi * wr)
+    cut = (zi == 0.0) & (zr < 0.0)
+    z = np.empty(zr.shape, dtype=complex)
+    z.real, z.imag = zr, zi
+    on_cut = 1j * np.copysign(np.sqrt(-zr), -wr if plus else wr)
+    return np.where(cut, on_cut, np.sqrt(z))
+
+
+def classify_cells(
+    m: float, omegas: list[float], kappas: list[float], band: float
+) -> list[tuple[RegionCode, complex | None, float] | None]:
+    """What :func:`classify_point_spectrum` decides at many cells, or ``None``.
+
+    Cell ``i`` is ``(m, omegas[i], kappas[i])`` with boundary band ``band``.
+    Its entry is the region code, the upper value of the nonzero pair the
+    region calls for (``None`` in ZeroOnly) and the discriminant ``delta``,
+    each to the bit what the scalar classifier and :func:`cubic_data` give.
+    The cubic pipeline, the ``+-sqrt(x)`` candidates, their physical-sheet
+    residuals and the pre-squaring identity run as arrays over all cells.  A
+    cell is decided here only when every decision has a margin of
+    ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
+    classifier: the boundary-band codes, the discriminant band of
+    :func:`cubic_roots`, near misses, decisions inside the margin, and
+    accepted roots that do not fit the region.
+    """
+    n = len(omegas)
+    codes = [region_code(m, w, k, band) for w, k in zip(omegas, kappas)]
+    w = np.array(omegas, dtype=float)
+    k = np.array(kappas, dtype=float)
+    with np.errstate(all="ignore"):
+        # cubic_data, operation for operation
+        a = 2.0 * np.sqrt((m - w) * (m + w))
+        a2 = _each(pow, a, 2)
+        kp2 = _each(pow, 1.0 + k, 2)
+        c = 4.0 * m * m - a2 * (1.0 + k + 0.5 * k * k)
+        r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)
+        p = -c * c / 3.0 + r
+        a6k4 = _each(pow, a2, 3) * kp2 * _each(pow, k, 4)
+        q = -2.0 * _each(pow, c, 3) / 27.0 + c * r / 3.0 - a6k4 / 8.0
+        delta = -4.0 * _each(pow, p, 3) - 27.0 * q * q
+
+        # cubic_roots, outside its double-root band
+        split = np.abs(delta) > 1e-12 * np.maximum(_each(pow, np.abs(p), 3), q * q)
+        yr = np.full((n, 3), math.nan)
+        yi = np.zeros((n, 3))
+        trig = split & (delta > 0.0)
+        pt, qt = p[trig], q[trig]
+        amp = 2.0 * np.sqrt(-pt / 3.0)
+        theta = _each(math.acos, np.clip(3.0 * qt / (pt * amp), -1.0, 1.0)) / 3.0
+        for j in range(3):
+            yr[trig, j] = amp * _each(math.cos, theta - 2.0 * math.pi * j / 3.0)
+        card = split & (delta < 0.0)
+        pc, qc = p[card], q[card]
+        d = np.sqrt(-delta[card] / 108.0)
+        t = -0.5 * qc
+        u3 = np.where(np.abs(t + d) >= np.abs(t - d), t + d, t - d)
+        u = np.copysign(_each(pow, np.abs(u3), 1.0 / 3.0), u3)
+        v = -pc / (3.0 * u)
+        y1 = u + v
+        im = 0.5 * math.sqrt(3.0) * np.abs(u - v)
+        yr[card] = np.stack([y1, -0.5 * y1, -0.5 * y1], axis=1)
+        yi[card] = np.stack([np.zeros_like(im), im, -im], axis=1)
+
+        # candidate_roots: +-sqrt(x) for x = y - 2c/3 off the root at zero
+        x = np.empty((n, 3), dtype=complex)
+        x.real, x.imag = yr - 2.0 * c[:, None] / 3.0, yi
+        x_floor = _X_FLOOR * np.maximum(m * m, np.abs(c))[:, None]
+        ax = np.abs(x)
+        skip = np.repeat(ax <= x_floor, 2, axis=1)
+        unsure_floor = np.abs(ax - x_floor) <= _GRID_MARGIN * x_floor
+        principal = _each(cmath.sqrt, x)
+        lam = np.stack([principal, -principal], axis=2).reshape(n, 6)
+
+        # _physical_fit: |D| against residual_scale, and the pre-squaring identity
+        a, c, k, kp2 = a[:, None], c[:, None], k[:, None], kp2[:, None]
+        w = w[:, None]
+        lr, li = lam.real, lam.imag
+        nup = _nu_cells(m, w, lr, li, True)
+        num = _nu_cells(m, w, lr, li, False)
+        res = np.abs(
+            a * a * kp2 - 2.0 * (nup + num) * a * (1.0 + k) + 4.0 * nup * num - a * a * k * k
+        )
+        scale = (
+            a * a * kp2
+            + a * a * k * k
+            + 4.0 * (np.abs(nup) + np.abs(num)) * a * np.abs(1.0 + k)
+            + 4.0 * np.abs(nup * num)
+        )
+        x2 = np.empty(lam.shape, dtype=complex)
+        x2.real, x2.imag = lr * lr - li * li, lr * li + li * lr
+        rad = np.empty(lam.shape, dtype=complex)
+        rad.real = a * a * _each(pow, 1.0 - k, 2) + 8.0 * x2.real
+        rad.imag = 0.0 + (8.0 * x2.imag + 0.0 * x2.real)
+        disc = np.sqrt(rad)
+        sigma = nup + num
+        d_plus = np.abs(sigma - 0.5 * (a * (1.0 + k) + disc))
+        d_minus = np.abs(sigma - 0.5 * (a * (1.0 + k) - disc))
+        unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * (
+            np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
+        )
+        s = np.where(d_plus <= d_minus, 1.0, -1.0)
+        a2 = a2[:, None]
+        rhs = s * (a2 * a) * (1.0 + k) * k * k / 8.0 * disc
+        gap_id = np.abs(x2 * x2 + c * x2 + a2 * a2 * k * k * (1.0 - k * k) / 8.0 - rhs)
+        id_scale = (
+            np.abs(x2 * x2) + np.abs(c * x2) + a2 * a2 * k * k * (1.0 + k * k) / 8.0 + np.abs(rhs) + 1e-300
+        )
+        id_ok = gap_id <= (_NEAR_TOL - _GRID_MARGIN) * id_scale
+        id_fails = gap_id > (_NEAR_TOL + _GRID_MARGIN) * id_scale
+        small = res <= (ACCEPT_TOL - _GRID_MARGIN) * scale
+        accept = ~skip & small & ~unsure_sign & id_ok
+        far = res > (_NEAR_TOL + _GRID_MARGIN) * scale
+        reject = skip | far | (small & ~unsure_sign & id_fails)
+        open_cells = ~split | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
+
+    out: list[tuple[RegionCode, complex | None, float] | None] = []
+    boundary = (RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY)
+    cells = zip(codes, omegas, kappas, open_cells.tolist(), lam.tolist(), accept.tolist(), delta.tolist())
+    for code, w_i, k_i, is_open, lams, oks, delta_i in cells:
+        if is_open or code in boundary:
+            out.append(None)
+            continue
+        roots = _distinct([z for z, ok in zip(lams, oks) if ok])
+        try:
+            pair, _ = _region_pair(code, roots, m, w_i, k_i)
+            if pair is not None and pair.real and pair.imag:
+                # an exactly real or imaginary pair is symmetric as it stands
+                _check_symmetry([0j, pair, -pair])
+        except ClassificationError:
+            out.append(None)
+            continue
+        out.append((code, pair, delta_i))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ import numpy as np
 from .model import ModelParams, Nonlinearity, solve_amplitude
 from .spectra import Verdict, stability_verdict
 
-__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice"]
+__all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODES"]
+
+#: Most nodes a default grid may have: 160 times the larger benchmark
+#: lattice, 89 times the largest test lattice (11,251).  At the cap each
+#: complex field array takes 16 MB.
+MAX_LATTICE_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,13 @@ class Grid:
             raise ValueError(f"grid spacing must be finite and > 0, got {target_h}")
         if half_length is None:
             half_length = max(30.0 / kap, horizon + 10.0 / kap)
-        n = int(math.ceil(2.0 * half_length / target_h)) + 1
+        span = 2.0 * half_length / target_h
+        if not span < MAX_LATTICE_NODES:
+            raise ValueError(
+                f"spacing {target_h:.6g} on [-{half_length:.6g}, {half_length:.6g}] needs more "
+                f"than MAX_LATTICE_NODES = {MAX_LATTICE_NODES} nodes"
+            )
+        n = int(math.ceil(span)) + 1
         if n % 2 == 0:
             n += 1
         return cls(half_length=half_length, n_points=max(n, 3))

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import kgdelta
 from kgdelta.cli import (
+    MAX_SCAN_CELLS,
     RegionCode,
     ScanConfig,
     main,
@@ -17,6 +21,8 @@ from kgdelta.cli import (
     scan_rows,
     write_scan_csv,
 )
+from kgdelta.cli import _cell_rows, _scan_cell
+from kgdelta.dispersion import ClassificationError, classify_cells
 
 
 class TestSpectrumCommand:
@@ -251,6 +257,9 @@ class TestScan:
             ("--kappa-step", "0", "grid steps must be positive"),
             ("--band", "nan", "band must be >= 0, got nan"),
             ("--band", "-1", "band must be >= 0, got -1.0"),
+            ("--omega-min", "0.6", "omega_min must not exceed omega_max"),
+            ("--kappa-max", "-0.6", "kappa_min must not exceed kappa_max"),
+            ("--kappa-max", "1e300", "scan grid exceeds MAX_SCAN_CELLS = 2000000 cells"),
         ],
     )
     def test_inputs_outside_domain_exit_2(self, tmp_path, capsys, flag, value, message):
@@ -263,6 +272,107 @@ class TestScan:
         assert main(argv + [f"{f}={v}" for f, v in grid.items()]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_cell_cap_fails_before_building_the_grid(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MAX_SCAN_CELLS"):
+            ScanConfig(
+                m=1.0, omega_min=0.0, omega_max=0.0, omega_step=0.1,
+                kappa_min=0.0, kappa_max=1e300, kappa_step=1.0,
+            )
+        assert time.perf_counter() - start < 1.0
+
+    def test_cell_cap_admits_a_million_cell_zoom(self):
+        cfg = ScanConfig(
+            m=1.0, omega_min=0.5, omega_max=0.9995, omega_step=0.0005,
+            kappa_min=0.0, kappa_max=0.6993, kappa_step=0.0007,
+        )
+        assert len(cfg.omegas()) * len(cfg.kappas()) == 1_000_000 < MAX_SCAN_CELLS
+
+    def test_reports_scalar_cells_and_rate(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        argv = [
+            "scan",
+            "--omega-min", "-0.4", "--omega-max", "0.4", "--omega-step", "0.2",
+            "--kappa-min", "-0.5", "--kappa-max", "0.5", "--kappa-step", "0.25",
+            "-o", str(path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"wrote 25 cells to {path}"
+        words = out[1].split()
+        # the cell (0, 0) is on the Kolokolov curve, so at least it is scalar
+        assert 1 <= int(words[0]) <= 25 and words[1:4] == ["of", "25", "cells"]
+        assert out[1].endswith(" cells/s") and float(words[-2]) > 0
+
+
+def _scalar_row(m, omega, kappa, band):
+    try:
+        return _scan_cell(m, omega, kappa, band)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+class TestArrayScan:
+    """The scan's array path against the scalar classifier, cell by cell.
+
+    A row the array path writes must be the bytes ``_scan_cell`` writes, and
+    a cell on which ``_scan_cell`` raises must raise the same type.
+    """
+
+    def test_readme_grid_row_for_row(self):
+        cfg = ScanConfig(
+            m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+            kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
+        )
+        tally = Counter()
+        rows = scan_rows(cfg, tally)
+        want = [_scan_cell(cfg.m, w, k, cfg.band) for w in cfg.omegas() for k in cfg.kappas()]
+        assert rows == want
+        # the array path decides all but a few percent of the cells
+        assert 0 < tally["scalar"] <= 0.05 * len(rows)
+
+    def test_boundary_cells_reach_the_scalar_classifier(self):
+        assert classify_cells(1.0, [5e-4], [8e-7], 1e-6) == [None]
+        cfg = ScanConfig(
+            m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+            kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
+        )
+        cells = [(w, k) for w in cfg.omegas() for k in cfg.kappas()]
+        got = classify_cells(cfg.m, [w for w, _ in cells], [k for _, k in cells], cfg.band)
+        boundary = {RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY}
+        on_curves = [i for i, (w, k) in enumerate(cells) if region_code(cfg.m, w, k, cfg.band) in boundary]
+        assert (0.0, 0.0) in [cells[i] for i in on_curves]
+        assert [got[i] for i in on_curves] == [None] * len(on_curves)
+
+    @pytest.mark.parametrize("band", [1e-6, 1e-10])
+    def test_dense_zooms_onto_the_critical_curves(self, band):
+        zooms = [
+            # the virtual-level curve omega = (1 + 2 kappa)^2 / (3 + 4 kappa)
+            ScanConfig(m=1.0, omega_min=0.5, omega_max=0.98, omega_step=0.002,
+                       kappa_min=0.0, kappa_max=0.7, kappa_step=0.005),
+            # the Kolokolov curve kappa = omega^2 and the line kappa = 0
+            ScanConfig(m=1.0, omega_min=-0.3, omega_max=0.3, omega_step=0.003,
+                       kappa_min=-0.6, kappa_max=0.1, kappa_step=0.004),
+        ]
+        rng = random.Random(11)
+        # 3e-8 above the virtual-level curve: a boundary cell at the default
+        # band, and one the classifier cannot certify at band 1e-10
+        cells = [(0.9, 0.603834871531)]
+        for cfg in zooms:
+            grid = [(w, k) for w in cfg.omegas() for k in cfg.kappas()]
+            cells += rng.sample(grid, 1500)
+        want = [_scalar_row(1.0, w, k, band) for w, k in cells]
+        if band == 1e-6:
+            assert want[0].split(",")[2] == "VirtualLevelBoundary"
+        else:
+            assert want[0] is ClassificationError
+        for cell, exc in zip(cells, want):
+            if isinstance(exc, type):
+                with pytest.raises(exc):
+                    _cell_rows(1.0, [cell], band)
+        fine = [(cell, row) for cell, row in zip(cells, want) if isinstance(row, str)]
+        assert _cell_rows(1.0, [cell for cell, _ in fine], band) == [row for _, row in fine]
 
 
 class TestSimulateCommand:
@@ -331,6 +441,13 @@ class TestSimulateCommand:
         prefix = str(tmp_path / "bad")
         assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "0.1", *flags, "-o", prefix]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lattice_above_node_cap_exit_2(self, tmp_path, capsys):
+        # 2,121,323 nodes: the decay length 1/kap = 707 sets the walls
+        prefix = str(tmp_path / "big")
+        assert main(["simulate", "-m", "1", "-w", "0.999999", "-k", "0.1", "-T", "10", "-o", prefix]) == 2
+        assert "needs more than MAX_LATTICE_NODES = 1000000 nodes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_kappa_disagreeing_with_nonlinearity_exit_2(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kgdelta import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, RegionCode
+from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, RegionCode, classify_cells
 
 
 class TestExponents:
@@ -528,6 +529,49 @@ class TestJordanOrderOracle:
         vals = np.array([abs(D_eval(p, float(t))) for t in ts])
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope == pytest.approx(order, abs=0.2)
+
+
+def _grid(omega_min, omega_max, omega_step, kappa_min, kappa_max, kappa_step):
+    # the cells of a scan grid, as ScanConfig lays them out
+    ws = [round(omega_min + i * omega_step, 12) for i in range(round((omega_max - omega_min) / omega_step) + 1)]
+    ks = [round(kappa_min + j * kappa_step, 12) for j in range(round((kappa_max - kappa_min) / kappa_step) + 1)]
+    return [(w, k) for w in ws for k in ks]
+
+
+class TestClassifyCells:
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            _grid(-0.96, 0.96, 0.02, -2.0, 2.0, 0.05),  # the README grid
+            # a zoom onto the Kolokolov curve and the line kappa = 0, where
+            # many cells take the three-real-root (arccos) branch of the cubic
+            random.Random(3).sample(_grid(-0.3, 0.3, 0.003, -0.6, 0.1, 0.004), 6000),
+        ],
+        ids=["readme-grid", "kolokolov-zoom"],
+    )
+    def test_values_are_the_scalar_bits(self, cells):
+        # every cell the array path decides carries the region, eigenvalue
+        # pair and discriminant of the scalar path, to the last bit
+        got = classify_cells(1.0, [w for w, _ in cells], [k for _, k in cells], 1e-6)
+        decided = 0
+        for (w, k), res in zip(cells, got):
+            if res is None:
+                continue
+            decided += 1
+            p = ModelParams(1.0, w, k)
+            report = classify_point_spectrum(p, boundary_tol=1e-6)
+            code, pair, delta = res
+            assert code is report.region
+            assert delta == cubic_data(p).delta
+            assert report.nonzero_values() == (() if pair is None else (pair, -pair))
+        assert decided >= 0.95 * len(cells)
+
+    def test_open_where_a_power_overflows(self):
+        # kappa**4 overflows, so the scalar pipeline raises OverflowError there
+        with pytest.raises(OverflowError):
+            cubic_data(ModelParams(1.0, 0.1, 1e80))
+        got = classify_cells(1.0, [0.1, 0.1], [1e80, 0.3], 1e-6)
+        assert got[0] is None and got[1] is not None
 
 
 class TestOracle:

@@ -37,6 +37,12 @@ class TestGrid:
         assert g.h <= 0.02 / max(p.decay_rate, p.m) + 1e-15
         assert g.half_length >= 30.0 / p.decay_rate
 
+    @pytest.mark.parametrize("target_h", [None, 1e-320])
+    def test_node_cap_raises_before_allocating(self, target_h):
+        p = ModelParams(1.0, 0.999999, 0.1)
+        with pytest.raises(ValueError, match="MAX_LATTICE_NODES"):
+            Grid.for_run(p, horizon=10.0, target_h=target_h)
+
 
 class TestStationary:
     def test_center_amplitude_near_continuum(self):

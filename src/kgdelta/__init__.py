@@ -46,6 +46,7 @@ from .dispersion import (
     ClassificationError,
     CriticalCurves,
     CubicData,
+    CubicOverflow,
     D_eval,
     Q_eval,
     RootCandidate,

@@ -62,6 +62,7 @@ __all__ = [
     "RegionCode",
     "SpectrumReport",
     "ClassificationError",
+    "CubicOverflow",
     "nu_pm",
     "D_eval",
     "residual_scale",
@@ -110,6 +111,14 @@ _GRID_MARGIN = 1e-12
 
 class ClassificationError(RuntimeError):
     """The cubic pipeline and the analytic region predicates disagree."""
+
+
+class CubicOverflow(ValueError, OverflowError):
+    """The cubic's coefficients overflow float64 (from ``|kappa|`` about 4e25 at ``m = 1``).
+
+    A ``ValueError``, so the command line exits 2 with ``error: ...``, and
+    still the ``OverflowError`` that Python's ``**`` raised.
+    """
 
 
 @dataclass(frozen=True)
@@ -247,8 +256,11 @@ def cubic_data(params: ModelParams) -> CubicData:
     c = 4.0 * m * m - a2 * (1.0 + k + 0.5 * k * k)
     r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)  # alpha^4 kappa^2 (1 - kappa^2) / 4
     p = -c * c / 3.0 + r
-    q = -2.0 * c**3 / 27.0 + c * r / 3.0 - a2**3 * (1.0 + k) ** 2 * k**4 / 8.0
-    delta = -4.0 * p**3 - 27.0 * q * q
+    try:
+        q = -2.0 * c**3 / 27.0 + c * r / 3.0 - a2**3 * (1.0 + k) ** 2 * k**4 / 8.0
+        delta = -4.0 * p**3 - 27.0 * q * q
+    except OverflowError:
+        raise CubicOverflow(f"the cubic's coefficients overflow float64 at kappa = {k:g}") from None
     return CubicData(c=c, p=p, q=q, delta=delta)
 
 

@@ -13,6 +13,12 @@ honest diagnostics of the dynamics rather than artifacts.  Each step
 evaluates the force once: the force at the end of a step is the one the
 next step starts with, so it travels on the returned state, whose ``psi`` is
 read-only for that reason.  The diagnostics take their sums as dot products.
+No complex array is divided by a real scalar, numpy's slowest elementwise
+loop here: the energy and the inner product divide the dot product of
+undivided differences by ``h^2``, and the force and the energy norm multiply
+a float64 view by the reciprocal, which gives the quotient's bits.  The
+blow-up guard takes ``max|psi|`` only when the cheap bound
+``sum |psi|^2 <= limit^2/4`` fails.
 
 The unperturbed initial state solves the *discrete* stationary problem in
 closed form (see ``DefectLattice.discrete_stationary``): a geometric profile
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +50,16 @@ __all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODE
 #: lattice, 89 times the largest test lattice (11,251).  At the cap each
 #: complex field array takes 16 MB.
 MAX_LATTICE_NODES = 1_000_000
+
+
+def _past_guard(psi: np.ndarray, limit: float) -> bool:
+    """``not max|psi| <= limit``: true also for a field holding nan.
+
+    ``sum |psi|^2 <= limit^2/4`` bounds ``max|psi|`` by about ``limit/2``, so
+    the exact test would pass however either side rounds, and it is skipped;
+    a sum that fails the bound, nan or inf among them, takes the exact test.
+    """
+    return not (np.vdot(psi, psi).real <= 0.25 * limit * limit or np.max(np.abs(psi)) <= limit)
 
 
 @dataclass(frozen=True)
@@ -257,7 +274,11 @@ class DefectLattice:
         np.multiply(2.0, psi[1:-1], out=lap)
         np.subtract(psi[2:], lap, out=lap)
         np.add(lap, psi[:-2], out=lap)
-        np.divide(lap, h * h, out=lap)
+        # numpy divides a complex by a real as (a + b*0) * (1/h^2) and
+        # (b - a*0) * (1/h^2), so the float64 view times the reciprocal gives
+        # the same bits (up to the sign of a zero) at a fifth of the cost
+        lv = lap.view(np.float64)
+        np.multiply(lv, 1.0 / (h * h), out=lv)
         np.subtract(lap, p.m**2 * psi[1:-1], out=lap)
         c = psi[g.center]
         f[g.center] += self.nl.a(abs(c) ** 2) * c / h
@@ -297,8 +318,8 @@ class DefectLattice:
     def energy(self, state: FieldState) -> float:
         h = self.grid.h
         psi, pi = state.psi, state.pi
-        grad = (psi[1:] - psi[:-1]) / h
-        quad = np.vdot(pi, pi).real + np.vdot(grad, grad).real
+        d = psi[1:] - psi[:-1]
+        quad = np.vdot(pi, pi).real + np.vdot(d, d).real / (h * h)
         quad += self.params.m**2 * np.vdot(psi, psi).real
         c = psi[self.grid.center]
         return 0.5 * h * float(quad) + self.nl.potential(abs(c) ** 2)
@@ -309,16 +330,22 @@ class DefectLattice:
     def e_inner(self, a: FieldState, b: FieldState) -> complex:
         """Lattice H1 (+) L2 inner product, conjugate-linear in ``a``."""
         h = self.grid.h
-        da = (a.psi[1:] - a.psi[:-1]) / h
-        db = (b.psi[1:] - b.psi[:-1]) / h
-        val = np.vdot(da, db) + np.vdot(a.psi, b.psi) + np.vdot(a.pi, b.pi)
+        da = a.psi[1:] - a.psi[:-1]
+        db = b.psi[1:] - b.psi[:-1]
+        val = np.vdot(da, db) / (h * h) + np.vdot(a.psi, b.psi) + np.vdot(a.pi, b.pi)
         return h * complex(val)
 
     def e_norm(self, state: FieldState) -> float:
-        # the real part of e_inner(state, state), with the gradient formed once
+        return self._e_norm(state.psi, state.pi)
+
+    def _e_norm(self, psi: np.ndarray, pi: np.ndarray) -> float:
+        # the real part of e_inner with itself, with the gradient formed once;
+        # it is d/h to the bit (see _force), so the norm that scales the
+        # initial perturbation, and with it every trajectory, keeps its bits
         h = self.grid.h
-        psi, pi = state.psi, state.pi
-        d = (psi[1:] - psi[:-1]) / h
+        d = psi[1:] - psi[:-1]
+        dv = d.view(np.float64)
+        np.multiply(dv, 1.0 / h, out=dv)
         sq = np.vdot(d, d).real + np.vdot(psi, psi).real + np.vdot(pi, pi).real
         return math.sqrt(max(h * float(sq), 0.0))
 
@@ -338,13 +365,7 @@ class DefectLattice:
             # raise OverflowError; the finite branch resets it
             return math.nan
         phase = z / abs(z) if z != 0 else 1.0 + 0j
-        diff = FieldState(
-            psi=state.psi - phase * reference.psi,
-            pi=state.pi - phase * reference.pi,
-            t=state.t,
-            grid=self.grid,
-        )
-        return self.e_norm(diff)
+        return self._e_norm(state.psi - phase * reference.psi, state.pi - phase * reference.pi)
 
     # -- perturbations and experiments -----------------------------------------
 
@@ -398,6 +419,8 @@ class DefectLattice:
         the partial series, when ``max|psi|`` exceeds ``1e3`` times the wave
         amplitude or is not finite, or when the energy to be recorded is not
         finite; that record is dropped, so every recorded value is finite.
+        ``meta`` gives the wall time of the steps with their guard
+        (``step_s``), of the records (``diagnostics_s``), and ``steps_per_s``.
 
         ``epsilon`` must be finite and ``>= 0``, ``horizon`` and ``dt`` finite
         and ``> 0``, and ``record_every >= 1``; anything else raises
@@ -430,15 +453,21 @@ class DefectLattice:
             state.pi = rot * state.pi
 
         n_steps = max(int(round(horizon / dt)), 1)
+        limit = 1e3 * amp
+        clock = time.perf_counter
+        start = clock()
         times = [0.0]
         energies = [self.energy(state)]
         charges = [self.charge(state)]
         dists = [self.orbital_distance(state, reference)]
+        step_s, diagnostics_s = 0.0, clock() - start
         aborted = False
         for i in range(1, n_steps + 1):
+            start = clock()
             state = self.step(state, dt)
-            # "not <=" so that a NaN field trips the guard too
-            hit_guard = not np.max(np.abs(state.psi)) <= 1e3 * amp
+            hit_guard = _past_guard(state.psi, limit)
+            stepped = clock()
+            step_s += stepped - start
             if i % record_every == 0 or i == n_steps or hit_guard:
                 energy = self.energy(state)
                 if not math.isfinite(energy):
@@ -450,6 +479,7 @@ class DefectLattice:
                 energies.append(energy)
                 charges.append(self.charge(state))
                 dists.append(self.orbital_distance(state, reference))
+                diagnostics_s += clock() - stepped
             if hit_guard:
                 aborted = True
                 break
@@ -479,6 +509,9 @@ class DefectLattice:
             "record_every": record_every,
             "verdict": verdict.value,
             "reference_e_norm": ref_norm,
+            "step_s": step_s,
+            "diagnostics_s": diagnostics_s,
+            "steps_per_s": i / step_s if step_s > 0.0 else 0.0,
         }
         return RunReport(
             times=times_a,

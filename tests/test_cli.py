@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -89,6 +90,12 @@ class TestSpectrumCommand:
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_kappa_overflowing_the_cubic_exits_2(self, capsys):
+        assert main(["spectrum", "-m", "1", "-w", "0.1", "-k", "1e80"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the cubic's coefficients overflow float64")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_verbose_audit_trail(self, capsys):
         assert main(
@@ -273,6 +280,16 @@ class TestScan:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_grid_reaching_an_overflowing_kappa_exits_2(self, tmp_path, capsys):
+        argv = [
+            "scan", "-o", str(tmp_path / "huge.csv"),
+            "--omega-min=0", "--omega-max=0.1", "--omega-step=0.1",
+            "--kappa-min=0", "--kappa-max=1e80", "--kappa-step=5e79",
+        ]
+        assert main(argv) == 2
+        assert "error: the cubic's coefficients overflow float64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cell_cap_fails_before_building_the_grid(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_SCAN_CELLS"):
@@ -420,6 +437,14 @@ class TestSimulateCommand:
 
     def test_invalid_params_exit_2(self):
         assert main(["simulate", "-m", "1", "-w", "2", "-k", "1", "-T", "1"]) == 2
+
+    def test_summary_times_stepping_and_diagnostics(self, tmp_path):
+        prefix = str(tmp_path / "timed")
+        assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "0.1", "-T", "1", "-o", prefix]) == 0
+        summary = json.loads((tmp_path / "timed.json").read_text())
+        for key in ("step_s", "diagnostics_s", "steps_per_s"):
+            assert math.isfinite(summary[key]) and summary[key] >= 0.0, key
+        assert summary["steps_per_s"] > 0.0
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -25,7 +25,7 @@ from kgdelta import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, RegionCode, classify_cells
+from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, CubicOverflow, RegionCode, classify_cells
 
 
 class TestExponents:
@@ -189,6 +189,20 @@ class TestCubic:
             roots = cubic_roots(cd)
             assert max(abs(z) for z in roots) < 10.0
             assert min(abs(z - 4.0) for z in roots) < 1e-3
+
+    @pytest.mark.parametrize("kappa", [1e80, -1e80, 1e300])
+    def test_overflowing_coefficients_raise_a_typed_error(self, kappa):
+        p = ModelParams(m=1.0, omega=0.1, kappa=kappa)
+        with pytest.raises(CubicOverflow, match="overflow float64"):
+            cubic_data(p)
+        with pytest.raises(CubicOverflow):
+            classify_point_spectrum(p)
+
+    @pytest.mark.parametrize("kappa", [1e25, -1e25])
+    def test_largest_kappa_below_the_overflow_is_answered(self, kappa):
+        p = ModelParams(m=1.0, omega=0.1, kappa=kappa)
+        assert math.isfinite(cubic_data(p).delta)
+        assert classify_point_spectrum(p).region is not None
 
 
 class TestCandidates:

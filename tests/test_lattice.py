@@ -11,7 +11,7 @@ from kgdelta import (
     nonlinearity_from_config,
     solve_amplitude,
 )
-from kgdelta.lattice import DefectLattice, FieldState, Grid
+from kgdelta.lattice import DefectLattice, FieldState, Grid, _past_guard
 
 
 def make_sim(m=1.0, omega=0.0, kappa=1.0, g=2.0, half_length=None, target_h=None, horizon=0.0):
@@ -436,6 +436,42 @@ def test_overflow_is_never_recorded():
     assert all(math.isfinite(summary[k]) for k in ("energy_drift", "charge_drift", "max_orbital_distance"))
 
 
+class TestBlowupGuard:
+    """The guard's cheap bound against the exact test ``not max|psi| <= limit``."""
+
+    @staticmethod
+    def states():
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        ref = sim.discrete_stationary().psi
+        limit = 1e3 * float(np.max(np.abs(ref)))
+        j0 = sim.grid.center
+        built = {"stationary": ref.copy()}
+        for frac in (0.999, 1.001):
+            psi = ref.copy()
+            psi[j0] = frac * limit
+            built[f"peak at {frac} of the limit"] = psi
+        for bad in (np.nan, np.inf):
+            psi = ref.copy()
+            psi[7] = bad
+            built[f"{bad} node"] = psi
+        built["broad"] = np.full(sim.grid.n_points, 0.1 * limit * (1 + 1j) / math.sqrt(2))
+        return limit, built
+
+    def test_same_answer_as_the_exact_test(self):
+        limit, built = self.states()
+        for name, psi in built.items():
+            assert _past_guard(psi, limit) == (not np.max(np.abs(psi)) <= limit), name
+        assert [name for name, psi in built.items() if _past_guard(psi, limit)] == [
+            "peak at 1.001 of the limit", "nan node", "inf node"
+        ]
+
+    def test_broad_state_fails_the_cheap_bound_yet_passes(self):
+        limit, built = self.states()
+        psi = built["broad"]
+        assert not np.vdot(psi, psi).real <= 0.25 * limit * limit
+        assert np.max(np.abs(psi)) < limit and not _past_guard(psi, limit)
+
+
 def two_force_step(sim, state, dt):
     """The kick-drift-kick step written out, both forces computed afresh."""
 
@@ -512,6 +548,21 @@ class TestCarriedForce:
         s = other.step(perturbed_stationary(sim, seed=3, size=1e-2), dt)
         assert same_bits(sim.step(s, dt), two_force_step(sim, s, dt))
 
+    @pytest.mark.parametrize("kappa", [0.25, -0.25])
+    def test_zero_imaginary_parts_match_the_division_to_the_byte(self, kappa):
+        # the omega = 0 wave is real: every imaginary part is an exact zero,
+        # where scaling the float64 view and dividing the complex array could
+        # differ in the sign of a zero; the bytes compare those signs too
+        sim = make_sim(omega=0.0, kappa=kappa, g=1.0, horizon=15.0)
+        a = b = sim.discrete_stationary()
+        dt = sim.default_dt()
+        for signed in (dt, -dt):
+            for i in range(400):
+                a, b = sim.step(a, signed), two_force_step(sim, b, signed)
+                assert a.psi.tobytes() == b.psi.tobytes(), f"dt={signed:g}, step {i}"
+                assert a.pi.tobytes() == b.pi.tobytes(), f"dt={signed:g}, step {i}"
+        assert not a.psi.imag.any() and not a.pi.imag.any()
+
 
 class TestDiagnosticsAgainstPlainSums:
     """energy, charge and orbital_distance against the sums written out."""
@@ -552,6 +603,32 @@ class TestDiagnosticsAgainstPlainSums:
         assert sim.energy(s) == pytest.approx(self.plain_energy(sim, s), rel=1e-13)
         assert sim.charge(s) == pytest.approx(self.plain_charge(sim, s), rel=1e-13)
         assert sim.orbital_distance(s, ref) == pytest.approx(self.plain_distance(sim, s, ref), rel=1e-13)
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_agree_at_every_seventh_step_of_the_benchmark_runs(self, omega, kappa, horizon, eps):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        ref = sim.discrete_stationary()
+        floor = 1e-14 * sim.e_norm(ref)
+        s = perturbed_stationary(sim, seed=7, size=eps)
+        dt = sim.default_dt()
+        for i in range(1, int(round(horizon / dt)) + 1):
+            s = sim.step(s, dt)
+            if i % 7:
+                continue
+            assert sim.energy(s) == pytest.approx(self.plain_energy(sim, s), rel=1e-13), i
+            assert sim.charge(s) == pytest.approx(self.plain_charge(sim, s), rel=1e-13), i
+            assert abs(sim.orbital_distance(s, ref) - self.plain_distance(sim, s, ref)) <= floor, i
+
+    @pytest.mark.parametrize("seed", [7, 101, 202])
+    def test_e_norm_rounds_as_the_divided_gradient(self, seed):
+        # e_norm scales every initial perturbation, so its rounding is part
+        # of every trajectory: it stays that of the gradient divided by h
+        sim = make_sim(omega=0.0, kappa=0.25, g=1.0, horizon=15.0)
+        s = perturbed_stationary(sim, seed=seed, size=1e-2)
+        h = sim.grid.h
+        grad = np.diff(s.psi) / h
+        sq = np.vdot(grad, grad).real + np.vdot(s.psi, s.psi).real + np.vdot(s.pi, s.pi).real
+        assert sim.e_norm(s) == math.sqrt(h * float(sq))
 
     def test_tiny_distance_still_resolved(self):
         sim = make_sim(omega=0.4, kappa=0.5, g=1.0)

@@ -6,10 +6,9 @@ spectral gap, an embedded imaginary pair (only on the decoupled line
 kappa = 0), or one of the two boundary classes sitting on the critical
 curves.  The scanner runs serially and vectorized: it classifies blocks of
 cells as numpy arrays, sends the few it cannot decide with margin to the
-scalar classifier, and writes a deterministic CSV (``threads`` and
-``KGDELTA_THREADS`` are accepted and ignored, so none is set here).  Here
-we also collapse the map to a quick text picture and, if matplotlib is
-importable, save a figure with the two critical curves overlaid.
+scalar classifier, and writes a deterministic CSV.  Here we also collapse
+the map to a quick text picture and, if matplotlib is importable, save a
+figure with the two critical curves overlaid.
 """
 
 import collections

@@ -13,8 +13,7 @@ Exit codes: 0 success, 1 validation failure, 2 invalid parameters,
 output closed by its reader.  Scans run serially: blocks of cells go
 through the array classifier ``classify_cells``, and the few cells it
 leaves open through the scalar one, so output files are byte-identical to a
-cell-by-cell scan.  ``--threads`` and ``KGDELTA_THREADS`` are accepted and
-ignored.
+cell-by-cell scan.  ``--threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .dispersion import (
 )
 from .lattice import DefectLattice, Grid
 from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
-from .spectra import Verdict, stability_verdict
+from .spectra import Verdict
 
 __all__ = [
     "RegionCode",
@@ -77,7 +76,7 @@ MAX_SCAN_CELLS = 2_000_000
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Grid and tolerances of a region scan (``threads`` is ignored)."""
+    """Grid and tolerances of a region scan."""
 
     m: float
     omega_min: float
@@ -87,7 +86,6 @@ class ScanConfig:
     kappa_max: float
     kappa_step: float
     band: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self) -> None:
         grid = (
@@ -215,10 +213,7 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> int:
     """
     tally: Counter = Counter()
     lines = scan_rows(cfg, tally)
-    # threads are ignored; keep them out of the header so output is
-    # byte-identical whatever was asked for
-    resolved = {k: v for k, v in asdict(cfg).items() if k != "threads"}
-    header = "# kgdelta-scan schema=1 config=" + json.dumps(resolved, sort_keys=True)
+    header = "# kgdelta-scan schema=1 config=" + json.dumps(asdict(cfg), sort_keys=True)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scan-", suffix=".tmp")
     try:
@@ -474,8 +469,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     json_path = args.output + ".json"
     report.write_csv(csv_path)
 
-    predicted = stability_verdict(p)
     spec = classify_point_spectrum(p)
+    predicted = spec.verdict
     predicted_rate = max(
         (z.real for z in spec.nonzero_values() if z.real > 0), default=None
     )

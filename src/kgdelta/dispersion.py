@@ -27,13 +27,16 @@ classifier then assembles the point spectrum, embedded eigenvalues, virtual
 levels at the gap thresholds, and the stability verdict into a
 :class:`SpectrumReport`.  For scans, :func:`classify_cells` runs the same
 pipeline as numpy arrays over many cells at once and leaves each cell it
-cannot decide with margin to the scalar classifier.
+cannot decide with margin to the scalar classifier.  Both paths call the
+same helpers, each formula written once for numbers or arrays; the array
+path keeps the scalar bits of ``c, p, q, delta``, the roots and ``lambda``.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -177,21 +180,25 @@ def nu_pm(
     return sheet.s_plus * nup, sheet.s_minus * num
 
 
-def _D_from_nus(p: ModelParams, nup: complex, num: complex) -> complex:
-    a = p.alpha
-    k = p.kappa
+def _D_from_nus(a, k, nup, num):
+    """``D`` from the exponents at coupling ``a = alpha``; numbers or arrays."""
+    return a * a * (1.0 + k) ** 2 - 2.0 * (nup + num) * a * (1.0 + k) + 4.0 * nup * num - a * a * k * k
+
+
+def _scale_from_nus(a, k, nup, num):
+    """:func:`residual_scale` from the exponents; numbers or arrays."""
     return (
         a * a * (1.0 + k) ** 2
-        - 2.0 * (nup + num) * a * (1.0 + k)
-        + 4.0 * nup * num
-        - a * a * k * k
+        + a * a * k * k
+        + 4.0 * (abs(nup) + abs(num)) * a * abs(1.0 + k)
+        + 4.0 * abs(nup * num)
     )
 
 
 def D_eval(p: ModelParams, lam: complex, sheet: SheetSelector = PHYSICAL) -> complex:
     """Dispersion determinant at ``lam`` on the chosen sheet."""
     nup, num = nu_pm(p, lam, sheet)
-    return _D_from_nus(p, nup, num)
+    return _D_from_nus(p.alpha, p.kappa, nup, num)
 
 
 def residual_scale(p: ModelParams, lam: complex) -> float:
@@ -203,14 +210,7 @@ def residual_scale(p: ModelParams, lam: complex) -> float:
     ``|nu_pm|``, which is the same on every sheet.
     """
     nup, num = nu_pm(p, lam)
-    a = p.alpha
-    k = p.kappa
-    return (
-        a * a * (1.0 + k) ** 2
-        + a * a * k * k
-        + 4.0 * (abs(nup) + abs(num)) * a * abs(1.0 + k)
-        + 4.0 * abs(nup * num)
-    )
+    return _scale_from_nus(p.alpha, p.kappa, nup, num)
 
 
 def Q_eval(p: ModelParams, big_lambda: float) -> float:
@@ -250,18 +250,27 @@ class CubicData:
     delta: float
 
 
-def cubic_data(params: ModelParams) -> CubicData:
-    m, k = params.m, params.kappa
-    a2 = params.alpha**2
+def _cubic_terms(m, a, k, pw=pow):
+    """``(c, p, q, delta)`` at ``a = alpha``, on numbers or arrays.
+
+    Every power is ``pw(base, exponent)``: Python's ``pow``, which raises
+    ``OverflowError``, or on arrays that same ``pow`` per element.
+    """
+    a2 = pw(a, 2)
     c = 4.0 * m * m - a2 * (1.0 + k + 0.5 * k * k)
     r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)  # alpha^4 kappa^2 (1 - kappa^2) / 4
     p = -c * c / 3.0 + r
+    q = -2.0 * pw(c, 3) / 27.0 + c * r / 3.0 - pw(a2, 3) * pw(1.0 + k, 2) * pw(k, 4) / 8.0
+    delta = -4.0 * pw(p, 3) - 27.0 * q * q
+    return c, p, q, delta
+
+
+def cubic_data(params: ModelParams) -> CubicData:
+    k = params.kappa
     try:
-        q = -2.0 * c**3 / 27.0 + c * r / 3.0 - a2**3 * (1.0 + k) ** 2 * k**4 / 8.0
-        delta = -4.0 * p**3 - 27.0 * q * q
+        return CubicData(*_cubic_terms(params.m, params.alpha, k))
     except OverflowError:
         raise CubicOverflow(f"the cubic's coefficients overflow float64 at kappa = {k:g}") from None
-    return CubicData(c=c, p=p, q=q, delta=delta)
 
 
 def _cbrt(x: float) -> float:
@@ -348,16 +357,28 @@ def _presquare_sign_ok(
     branch fixes the sign of the pre-squaring identity in ``x``.  A candidate
     whose physical exponent sum matches neither branch identity is spurious.
     """
-    a = p.alpha
-    k = p.kappa
+    a, k = p.alpha, p.kappa
     x = lam * lam
     disc = cmath.sqrt(a * a * (1.0 - k) ** 2 + 8.0 * x)
-    sigma = nup + num
-    s = 1.0 if abs(sigma - 0.5 * (a * (1.0 + k) + disc)) <= abs(sigma - 0.5 * (a * (1.0 + k) - disc)) else -1.0
-    lhs = x * x + cd.c * x + a**4 * k * k * (1.0 - k * k) / 8.0
+    d_plus, d_minus = _branch_distances(a, k, nup + num, disc)
+    gap, scale = _identity_gap(a, k, cd.c, x, 1.0 if d_plus <= d_minus else -1.0, disc)
+    return gap <= _NEAR_TOL * scale
+
+
+def _branch_distances(a, k, sigma, disc):
+    """Distances of the exponent sum ``sigma`` from the branches ``(a(1+k) +- disc)/2``."""
+    return abs(sigma - 0.5 * (a * (1.0 + k) + disc)), abs(sigma - 0.5 * (a * (1.0 + k) - disc))
+
+
+def _identity_gap(a, k, c, x, s, disc):
+    """``|lhs - rhs|`` of the pre-squaring identity on branch ``s``, and its scale.
+
+    Only the product ``s*disc`` enters, and ``s`` follows the sign of ``disc``.
+    """
     rhs = s * a**3 * (1.0 + k) * k * k / 8.0 * disc
-    scale = abs(x * x) + abs(cd.c * x) + a**4 * k * k * (1.0 + k * k) / 8.0 + abs(rhs) + 1e-300
-    return abs(lhs - rhs) <= _NEAR_TOL * scale
+    gap = abs(x * x + c * x + a**4 * k * k * (1.0 - k * k) / 8.0 - rhs)
+    scale = abs(x * x) + abs(c * x) + a**4 * k * k * (1.0 + k * k) / 8.0 + abs(rhs) + 1e-300
+    return gap, scale
 
 
 def _physical_fit(
@@ -365,8 +386,9 @@ def _physical_fit(
 ) -> tuple[complex, complex, float, float, bool]:
     """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``."""
     nup, num = nu_pm(p, lam, PHYSICAL)
-    scale = residual_scale(p, lam)
-    res = abs(_D_from_nus(p, nup, num))
+    a, k = p.alpha, p.kappa
+    scale = _scale_from_nus(a, k, nup, num)
+    res = abs(_D_from_nus(a, k, nup, num))
     ok = res <= ACCEPT_TOL * scale and _presquare_sign_ok(p, cd, lam, nup, num)
     return nup, num, scale, res, ok
 
@@ -390,7 +412,7 @@ def _refine_near_miss(
             dnup = -1j * (p.omega + 1j * cur) / nup
             dnum = 1j * (p.omega - 1j * cur) / num
             slope = -2.0 * p.alpha * (1.0 + p.kappa) * (dnup + dnum) + 4.0 * (dnup * num + nup * dnum)
-            step = -_D_from_nus(p, nup, num) / slope
+            step = -_D_from_nus(p.alpha, p.kappa, nup, num) / slope
         except ZeroDivisionError:  # a threshold (nu = 0) or a flat determinant
             return None
         if lam.imag == 0.0:
@@ -422,6 +444,7 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
     is the Jordan data's job.
     """
     cd = cubic_data(params) if data is None else data
+    a, k = params.alpha, params.kappa
     x_floor = _X_FLOOR * max(params.m * params.m, abs(cd.c))
     out: list[RootCandidate] = []
     for idx, y in enumerate(cubic_roots(cd)):
@@ -448,7 +471,7 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
                 if sheet is PHYSICAL:
                     r = res_phys
                 else:
-                    r = abs(_D_from_nus(params, sheet.s_plus * nup, sheet.s_minus * num))
+                    r = abs(_D_from_nus(a, k, sheet.s_plus * nup, sheet.s_minus * num))
                 if r / scale < best_res:
                     best_res, best_sheet = r / scale, sheet
             if best_res > _NEAR_TOL:
@@ -808,28 +831,22 @@ def classify_cells(
     region calls for (``None`` in ZeroOnly) and the discriminant ``delta``,
     each to the bit what the scalar classifier and :func:`cubic_data` give.
     The cubic pipeline, the ``+-sqrt(x)`` candidates, their physical-sheet
-    residuals and the pre-squaring identity run as arrays over all cells.  A
-    cell is decided here only when every decision has a margin of
-    ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
-    classifier: the boundary-band codes, the discriminant band of
-    :func:`cubic_roots`, near misses, decisions inside the margin, and
-    accepted roots that do not fit the region.
+    residuals and the pre-squaring identity run as arrays over all cells,
+    through the scalar helpers: ``c, p, q, delta`` (libm ``pow`` per element),
+    the roots and ``lambda`` keep the scalar bits, while ``|D|``, its scale
+    and the identity may be a few ulps off.  A cell is decided here only when
+    every decision has a margin of ``_GRID_MARGIN`` of its scale; ``None``
+    leaves it to the scalar classifier: the boundary-band codes, the
+    discriminant band of :func:`cubic_roots`, near misses, decisions inside
+    the margin, and accepted roots that do not fit the region.
     """
     n = len(omegas)
     codes = [region_code(m, w, k, band) for w, k in zip(omegas, kappas)]
     w = np.array(omegas, dtype=float)
     k = np.array(kappas, dtype=float)
     with np.errstate(all="ignore"):
-        # cubic_data, operation for operation
-        a = 2.0 * np.sqrt((m - w) * (m + w))
-        a2 = _each(pow, a, 2)
-        kp2 = _each(pow, 1.0 + k, 2)
-        c = 4.0 * m * m - a2 * (1.0 + k + 0.5 * k * k)
-        r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)
-        p = -c * c / 3.0 + r
-        a6k4 = _each(pow, a2, 3) * kp2 * _each(pow, k, 4)
-        q = -2.0 * _each(pow, c, 3) / 27.0 + c * r / 3.0 - a6k4 / 8.0
-        delta = -4.0 * _each(pow, p, 3) - 27.0 * q * q
+        a = 2.0 * np.sqrt((m - w) * (m + w))  # ModelParams.alpha
+        c, p, q, delta = _cubic_terms(m, a, k, functools.partial(_each, pow))
 
         # cubic_roots, outside its double-root band
         split = np.abs(delta) > 1e-12 * np.maximum(_each(pow, np.abs(p), 3), q * q)
@@ -863,40 +880,19 @@ def classify_cells(
         principal = _each(cmath.sqrt, x)
         lam = np.stack([principal, -principal], axis=2).reshape(n, 6)
 
-        # _physical_fit: |D| against residual_scale, and the pre-squaring identity
-        a, c, k, kp2 = a[:, None], c[:, None], k[:, None], kp2[:, None]
-        w = w[:, None]
-        lr, li = lam.real, lam.imag
-        nup = _nu_cells(m, w, lr, li, True)
-        num = _nu_cells(m, w, lr, li, False)
-        res = np.abs(
-            a * a * kp2 - 2.0 * (nup + num) * a * (1.0 + k) + 4.0 * nup * num - a * a * k * k
-        )
-        scale = (
-            a * a * kp2
-            + a * a * k * k
-            + 4.0 * (np.abs(nup) + np.abs(num)) * a * np.abs(1.0 + k)
-            + 4.0 * np.abs(nup * num)
-        )
-        x2 = np.empty(lam.shape, dtype=complex)
-        x2.real, x2.imag = lr * lr - li * li, lr * li + li * lr
-        rad = np.empty(lam.shape, dtype=complex)
-        rad.real = a * a * _each(pow, 1.0 - k, 2) + 8.0 * x2.real
-        rad.imag = 0.0 + (8.0 * x2.imag + 0.0 * x2.real)
-        disc = np.sqrt(rad)
+        # _physical_fit: |D| against its scale, and the pre-squaring identity
+        a, c, k, w = a[:, None], c[:, None], k[:, None], w[:, None]
+        nup = _nu_cells(m, w, lam.real, lam.imag, True)
+        num = _nu_cells(m, w, lam.real, lam.imag, False)
+        res = abs(_D_from_nus(a, k, nup, num))
+        scale = _scale_from_nus(a, k, nup, num)
+        x2 = lam * lam
+        disc = np.sqrt(a * a * (1.0 - k) ** 2 + 8.0 * x2)
         sigma = nup + num
-        d_plus = np.abs(sigma - 0.5 * (a * (1.0 + k) + disc))
-        d_minus = np.abs(sigma - 0.5 * (a * (1.0 + k) - disc))
-        unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * (
-            np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
-        )
-        s = np.where(d_plus <= d_minus, 1.0, -1.0)
-        a2 = a2[:, None]
-        rhs = s * (a2 * a) * (1.0 + k) * k * k / 8.0 * disc
-        gap_id = np.abs(x2 * x2 + c * x2 + a2 * a2 * k * k * (1.0 - k * k) / 8.0 - rhs)
-        id_scale = (
-            np.abs(x2 * x2) + np.abs(c * x2) + a2 * a2 * k * k * (1.0 + k * k) / 8.0 + np.abs(rhs) + 1e-300
-        )
+        d_plus, d_minus = _branch_distances(a, k, sigma, disc)
+        span = np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
+        unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * span
+        gap_id, id_scale = _identity_gap(a, k, c, x2, np.where(d_plus <= d_minus, 1.0, -1.0), disc)
         id_ok = gap_id <= (_NEAR_TOL - _GRID_MARGIN) * id_scale
         id_fails = gap_id > (_NEAR_TOL + _GRID_MARGIN) * id_scale
         small = res <= (ACCEPT_TOL - _GRID_MARGIN) * scale

@@ -113,6 +113,10 @@ class ModelParams:
             )
         if not math.isfinite(self.kappa):
             raise ValueError(f"kappa must be finite, got {self.kappa}")
+        # Python floats, so that a numpy scalar's ``**`` cannot return inf
+        # where Python's raises OverflowError
+        for name in ("m", "omega", "kappa"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def decay_rate(self) -> float:

@@ -117,7 +117,6 @@ def test_criterion_4_region_map():
         kappa_max=2.0,
         kappa_step=0.05,
         band=1e-6,
-        threads=2,
     )
     rows = scan_rows(cfg)
     assert len(rows) == 97 * 81

@@ -128,7 +128,7 @@ class TestRegionPredicate:
         assert region_code(1.0, omega, kappa) is want
 
 
-def small_config(threads=1):
+def small_config():
     return ScanConfig(
         m=1.0,
         omega_min=-0.8,
@@ -137,7 +137,6 @@ def small_config(threads=1):
         kappa_min=-1.0,
         kappa_max=1.0,
         kappa_step=0.125,
-        threads=threads,
     )
 
 
@@ -148,11 +147,6 @@ class TestScan:
             parts = line.split(",")
             w, k, code = float(parts[0]), float(parts[1]), parts[2]
             assert code == region_code(cfg.m, w, k, cfg.band).value
-
-    def test_deterministic_across_parallelism(self):
-        serial = scan_rows(small_config(threads=1))
-        parallel = scan_rows(small_config(threads=2))
-        assert serial == parallel
 
     def test_file_output_and_schema(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -167,7 +161,7 @@ class TestScan:
     def test_byte_identical_repeat_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scan_csv(small_config(), str(a))
-        write_scan_csv(small_config(threads=2), str(b))
+        write_scan_csv(small_config(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_frequency_reflection_symmetry(self):
@@ -193,7 +187,6 @@ class TestScan:
             kappa_min=-2.0,
             kappa_max=2.0,
             kappa_step=0.05,
-            threads=2,
         )
         omegas, kappas = cfg.omegas(), cfg.kappas()
         grid = {}
@@ -536,8 +529,9 @@ class TestValidateCommand:
         assert "validation passed" in out
         assert out.count("PASS") == 4
 
-    def test_fault_injection_detected(self, capsys):
-        rc = run_validation(m=1.0, grid=5, sweep=10, perturb_q=1e-3)
+    @pytest.mark.parametrize("grid, sweep", [(5, 10), (3, 4), (5, 4)])
+    def test_fault_injection_detected(self, capsys, grid, sweep):
+        rc = run_validation(m=1.0, grid=grid, sweep=sweep, perturb_q=1e-3)
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out

@@ -190,7 +190,9 @@ class TestCubic:
             assert max(abs(z) for z in roots) < 10.0
             assert min(abs(z - 4.0) for z in roots) < 1e-3
 
-    @pytest.mark.parametrize("kappa", [1e80, -1e80, 1e300])
+    @pytest.mark.parametrize(
+        "kappa", [1e80, -1e80, 1e300, pytest.param(np.float64(1e80), id="numpy-1e+80")]
+    )
     def test_overflowing_coefficients_raise_a_typed_error(self, kappa):
         p = ModelParams(m=1.0, omega=0.1, kappa=kappa)
         with pytest.raises(CubicOverflow, match="overflow float64"):

@@ -339,9 +339,21 @@ def run_validation(
     perturb_q: float = 0.0,
     at: tuple[float, float, float] | None = None,
 ) -> int:
-    """Run the cross-validation suites; returns the process exit code."""
+    """Run the cross-validation suites; returns the process exit code.
+
+    Arguments are checked before any suite runs: a bad one raises
+    ``ValueError`` and prints nothing.  The last lines are the wall time of
+    each suite and the overall verdict.
+    """
     if at is not None:
         return _validate_at(at)
+    if not (grid >= 1 and sweep >= 1):
+        raise ValueError(f"grid and sweep must be at least 1, got grid={grid}, sweep={sweep}")
+    if grid * grid > MAX_SCAN_CELLS:
+        raise ValueError(f"oracle grid exceeds MAX_SCAN_CELLS = {MAX_SCAN_CELLS} cells")
+    if not math.isfinite(perturb_q):
+        raise ValueError(f"perturb_q must be finite, got {perturb_q}")
+    ModelParams(m=m, omega=0.0)  # raises unless m is positive and finite
     suites = [
         ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
         ("closed-form-special-cases", lambda: _suite_closed_forms(m, sweep, perturb_q)),
@@ -349,8 +361,11 @@ def run_validation(
         ("virtual-level-residuals", lambda: _suite_virtual_levels(m, 20)),
     ]
     total_fail = 0
+    times: list[str] = []
     for name, fn in suites:
+        start = time.perf_counter()
         checks, fails = fn()
+        times.append(f"{name} {time.perf_counter() - start:.3g} s")
         total_fail += len(fails)
         status = "PASS" if not fails else "FAIL"
         print(f"{name}: {status} ({checks} checks, {len(fails)} failed)")
@@ -358,6 +373,7 @@ def run_validation(
             print(f"  {msg}")
         if len(fails) > 10:
             print(f"  ... and {len(fails) - 10} more")
+    print(f"suite times: {', '.join(times)}")
     print(f"validation {'passed' if total_fail == 0 else 'FAILED'}")
     return 0 if total_fail == 0 else 1
 

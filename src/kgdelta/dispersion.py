@@ -922,42 +922,73 @@ def classify_cells(
 
 
 # ---------------------------------------------------------------------------
-# independent on-axis oracle: dense sign scan + bisection
+# independent on-axis oracle: dense sign scan + Brent's method
 # ---------------------------------------------------------------------------
 
 
-def _real_axis_values(p: ModelParams, ts: np.ndarray) -> np.ndarray:
-    # for real lambda = t the two exponents are complex conjugates and D is
-    # real; plain principal square roots agree with the sheet convention
-    wplus = p.omega + 1j * ts
-    nup = np.sqrt(p.m * p.m - wplus * wplus)
+def _real_axis_exponents(m: float, omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # for real lambda = t the two exponents are complex conjugates, so D needs
+    # only Re nu_+ and |nu_+|^2; plain principal square roots agree with the
+    # sheet convention
+    wplus = omega + 1j * ts
+    nup = np.sqrt(m * m - wplus * wplus)
+    # copies, so that a cached mesh keeps no complex array alive
+    return nup.real.copy(), (nup * np.conj(nup)).real.copy()
+
+
+def _real_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    re, sq = exponents
     a, k = p.alpha, p.kappa
-    d = (
-        a * a * (1.0 + k) ** 2
-        - 4.0 * nup.real * a * (1.0 + k)
-        + 4.0 * (nup * np.conj(nup)).real
-        - a * a * k * k
-    )
-    return d
+    return a * a * (1.0 + k) ** 2 - 4.0 * re * a * (1.0 + k) + 4.0 * sq - a * a * k * k
 
 
-def _gap_axis_values(p: ModelParams, ts: np.ndarray) -> np.ndarray:
+def _gap_axis_exponents(m: float, omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # lambda = i t with 0 < t < m - |omega|: both exponents real positive
-    m, w = p.m, p.omega
-    nup = np.sqrt(m * m - (w - ts) ** 2)
-    num = np.sqrt(m * m - (w + ts) ** 2)
+    return np.sqrt(m * m - (omega - ts) ** 2), np.sqrt(m * m - (omega + ts) ** 2)
+
+
+def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    nup, num = exponents
     a, k = p.alpha, p.kappa
     return a * a * (1.0 + k) ** 2 - 2.0 * (nup + num) * a * (1.0 + k) + 4.0 * nup * num - a * a * k * k
 
 
-def _scan_segment(fn, mesh: np.ndarray) -> list[float]:
-    sgn = np.sign(fn(mesh))
+@functools.lru_cache(maxsize=1)
+def _axis_meshes(m: float, omega: float) -> tuple[tuple, tuple]:
+    """The real-axis and gap meshes at ``(m, omega)``, each with its exponents.
+
+    Returns ``((real_mesh, real_exponents), (gap_mesh, gap_exponents))``, all
+    arrays read-only.  None of it depends on ``kappa``, so a sweep over
+    ``kappa`` at one ``(m, omega)`` builds it once; the cache keeps the last
+    pair only (at most 96 KB at ``m = 1``, growing linearly with ``m``).
+    """
+    step, t_max = _ORACLE_STEP, _ORACLE_REAL_END * m
+    real_mesh = np.unique(np.concatenate([np.arange(step, t_max, step), [t_max]]))
+    real_ex = _real_axis_exponents(m, omega, real_mesh)
+
+    gap = m - abs(omega)
+    gcore = np.arange(step, gap, step)
+    gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
+    gap_mesh = np.unique(np.concatenate([gcore, gtop]))
+    gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
+    gap_ex = _gap_axis_exponents(m, omega, gap_mesh)
+
+    for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
+        arr.flags.writeable = False
+    return (real_mesh, real_ex), (gap_mesh, gap_ex)
+
+
+def _scan_segment(p: ModelParams, exponents, values, mesh: np.ndarray, mesh_exponents) -> list[float]:
+    sgn = np.sign(values(p, mesh_exponents))
     roots: list[float] = []
     for i in np.flatnonzero((sgn[:-1] == 0.0) | (sgn[:-1] * sgn[1:] < 0.0)):
         if sgn[i] == 0.0:
             roots.append(float(mesh[i]))
         else:
-            roots.append(brentq(lambda t: float(fn(np.array([t]))[0]), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16))
+            roots.append(brentq(
+                lambda t: float(values(p, exponents(p.m, p.omega, np.array([t])))[0]),
+                mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16,
+            ))
     if len(mesh) and sgn[-1] == 0.0:
         roots.append(float(mesh[-1]))
     return roots
@@ -968,26 +999,22 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
 
     Scans ``D(t)`` for ``t in [1e-3, 3m]`` (real axis) and ``D(i t)`` for
     ``t in [1e-3, m - |omega|)`` (inside the gap) for sign changes on a mesh
-    of step ``1e-3`` and refines each bracket by bisection.  Both restrictions
-    are real valued on the physical sheet, which is what makes this an oracle
-    fully independent of the cubic reduction.  The mesh starts at one step
-    rather than at zero: the determinant always has a double root at the
-    origin, so below ``t ~ 1e-8`` its values drown in evaluation roundoff and
-    sign scanning is meaningless there.  Log-spaced fringe points are appended
-    just below the gap threshold, where the square-root singularity keeps
-    values well resolved and a virtual-level collision can push a root
-    arbitrarily close to the edge.
+    of step ``1e-3`` and refines each bracket by Brent's method
+    (:func:`~kgdelta.model.brentq`).  Both restrictions are real valued on
+    the physical sheet, which is what makes this an oracle fully independent
+    of the cubic reduction.  The mesh starts at one step rather than at zero:
+    the determinant always has a double root at the origin, so below
+    ``t ~ 1e-8`` its values drown in evaluation roundoff and sign scanning is
+    meaningless there.  Log-spaced fringe points are appended just below the
+    gap threshold, where the square-root singularity keeps values well
+    resolved and a virtual-level collision can push a root arbitrarily close
+    to the edge.  The exponents on both axes depend on ``(m, omega)`` only,
+    so the meshes and their exponents are built once per ``(m, omega)``
+    (:func:`_axis_meshes`) and each point combines them with its ``kappa``.
     """
-    step, t_max = _ORACLE_STEP, _ORACLE_REAL_END * p.m
-    real_mesh = np.unique(np.concatenate([np.arange(step, t_max, step), [t_max]]))
-    real_roots = _scan_segment(lambda ts: _real_axis_values(p, ts), real_mesh)
-
-    gap = p.m - abs(p.omega)
-    gcore = np.arange(step, gap, step)
-    gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
-    gap_mesh = np.unique(np.concatenate([gcore, gtop]))
-    gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
-    gap_roots = _scan_segment(lambda ts: _gap_axis_values(p, ts), gap_mesh)
+    (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(p.m, p.omega)
+    real_roots = _scan_segment(p, _real_axis_exponents, _real_axis_values, real_mesh, real_ex)
+    gap_roots = _scan_segment(p, _gap_axis_exponents, _gap_axis_values, gap_mesh, gap_ex)
     return real_roots, gap_roots
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -528,6 +529,41 @@ class TestValidateCommand:
         assert rc == 0
         assert "validation passed" in out
         assert out.count("PASS") == 4
+
+    def test_suite_times_line_precedes_the_verdict(self, capsys):
+        rc = run_validation(m=1.0, grid=3, sweep=4)
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[-1] == "validation passed"
+        names = [line.split(":")[0] for line in lines[:4]]
+        assert lines[:4] == [
+            "oracle-root-agreement: PASS (9 checks, 0 failed)",
+            "closed-form-special-cases: PASS (8 checks, 0 failed)",
+            "algebraic-identities: PASS (110 checks, 0 failed)",
+            "virtual-level-residuals: PASS (20 checks, 0 failed)",
+        ]
+        assert lines[-2].startswith("suite times: ")
+        entries = lines[-2][len("suite times: "):].split(", ")
+        assert [e.split(" ")[0] for e in entries] == names
+        for e in entries:
+            _, seconds, unit = e.split(" ")
+            assert float(seconds) >= 0.0 and unit == "s"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--grid", "0"], ["--sweep", "0"], ["--grid", "0", "--sweep", "-3"], ["--grid", "1415"],
+         ["-m", "inf"], ["-m", "0"], ["--perturb-q", "nan"]],
+    )
+    def test_bad_arguments_exit_2_before_any_suite(self, capsys, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["validate", *args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in captured.err
 
     @pytest.mark.parametrize("grid, sweep", [(5, 10), (3, 4), (5, 4)])
     def test_fault_injection_detected(self, capsys, grid, sweep):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -25,7 +26,14 @@ from kgdelta import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from kgdelta.dispersion import ACCEPT_TOL, BOUNDARY_TOL, CubicOverflow, RegionCode, classify_cells
+from kgdelta.dispersion import (
+    ACCEPT_TOL,
+    BOUNDARY_TOL,
+    CubicOverflow,
+    RegionCode,
+    _axis_meshes,
+    classify_cells,
+)
 
 
 class TestExponents:
@@ -607,3 +615,69 @@ class TestOracle:
                 if issues:
                     bad.append((p.omega, p.kappa, issues))
         assert bad == []
+
+
+def _validate_grid(m: float, n: int = 21) -> list[ModelParams]:
+    """The points of ``validate --grid n`` at mass ``m``, omega-major."""
+    return [
+        ModelParams(m=m, omega=round(float(w), 12), kappa=round(float(k), 12))
+        for w in np.linspace(-0.9 * m, 0.9 * m, n)
+        for k in np.linspace(-1.9, 1.9, n)
+    ]
+
+
+def _root_bits(roots: tuple[list[float], list[float]]) -> str:
+    real, gap = roots
+    return " ".join(map(float.hex, real)) + "|" + " ".join(map(float.hex, gap))
+
+
+class TestOracleMeshCache:
+    """The oracle builds its meshes and exponents once per ``(m, omega)``.
+
+    The cache may change how often they are built, never a bit of a root.
+    """
+
+    # SHA-256 of every root's float.hex over the validate grid at m = 1 and
+    # m = 2.5 (286 roots), as the oracle gave them when it rebuilt its meshes
+    # at every point
+    VALIDATE_GRID_SHA256 = "d1456d367e18c5a7b20561ca7c79d24c1f184615a37c028709671e17534db0bd"
+
+    def test_roots_are_pinned(self):
+        h = hashlib.sha256()
+        count = 0
+        for m in (1.0, 2.5):
+            for p in _validate_grid(m):
+                roots = axis_scan_roots(p)
+                count += len(roots[0]) + len(roots[1])
+                h.update((_root_bits(roots) + "\n").encode())
+        assert count == 286
+        assert h.hexdigest() == self.VALIDATE_GRID_SHA256
+
+    def test_visit_order_does_not_matter(self):
+        points = _validate_grid(1.0)
+        omega_major = [_root_bits(axis_scan_roots(p)) for p in points]
+        order = list(range(len(points)))
+        random.Random(7).shuffle(order)
+        shuffled = {i: _root_bits(axis_scan_roots(points[i])) for i in order}
+        cold = []
+        for p in points:
+            _axis_meshes.cache_clear()
+            cold.append(_root_bits(axis_scan_roots(p)))
+        assert [shuffled[i] for i in range(len(points))] == omega_major
+        assert cold == omega_major
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_negative_zero_omega_shares_the_entry(self, first):
+        # -0.0 == 0.0 is one cache key, so whichever comes first builds it
+        for k in (-1.9, -0.3, 0.25, 1.0):
+            _axis_meshes.cache_clear()
+            a = _root_bits(axis_scan_roots(ModelParams(1.0, first, k)))
+            b = _root_bits(axis_scan_roots(ModelParams(1.0, -first, k)))
+            assert _axis_meshes.cache_info().hits >= 1
+            assert a == b
+
+    def test_cached_arrays_are_read_only(self):
+        (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(1.0, 0.3)
+        for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0

@@ -52,6 +52,7 @@ from .dispersion import (
     RootCandidate,
     SheetSelector,
     SpectrumReport,
+    UnresolvableMass,
     accepted_roots,
     axis_scan_roots,
     candidate_roots,

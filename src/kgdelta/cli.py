@@ -38,6 +38,7 @@ from .dispersion import (
     PHYSICAL,
     RegionCode,
     SpectrumReport,
+    check_oracle_mass,
     classify_cells,
     classify_point_spectrum,
     collision_exponent_frequency,
@@ -124,7 +125,8 @@ def _grid_values(lo: float, hi: float, step: float) -> list[float]:
     n = int(round((hi - lo) / step)) + 1
     # snap to 12 decimals so decimal-specified grids hit the special lines
     # (kappa = 0 in particular) exactly instead of at float-noise offsets
-    return [round(lo + i * step, 12) for i in range(n) if lo + i * step <= hi + 0.5 * step]
+    # (and + 0.0 turns a -0.0 from the rounding into 0.0, which prints as 0)
+    return [round(lo + i * step, 12) + 0.0 for i in range(n) if lo + i * step <= hi + 0.5 * step]
 
 
 SCAN_COLUMNS = "omega,kappa,region_code,lambda_re,lambda_im,Delta,K_omega,T_kappa,Omega_kappa"
@@ -145,29 +147,62 @@ def _representative(values: tuple[complex, ...], virtual: tuple[complex, ...]) -
     return 0j
 
 
-def _row(m: float, omega: float, kappa: float, code: RegionCode, lam: complex, delta: float) -> str:
-    fields = (
-        _fmt(omega),
+def _omega_fields(m: float, omega: float) -> tuple[str, str]:
+    """The columns that depend on ``omega`` alone: ``omega`` and ``K_omega``."""
+    return _fmt(omega), _fmt(virtual_level_exponent(m, omega))
+
+
+def _kappa_fields(m: float, kappa: float) -> tuple[str, str, str]:
+    """The columns that depend on ``kappa`` alone: ``kappa``, ``T_kappa``, ``Omega_kappa``."""
+    return (
         _fmt(kappa),
-        code.value,
-        _fmt(lam.real),
-        _fmt(lam.imag),
-        _fmt(delta),
-        _fmt(virtual_level_exponent(m, omega)),
         _fmt(virtual_level_frequency(m, kappa)),
         _fmt(collision_exponent_frequency(m, kappa)),
+    )
+
+
+def _row(
+    omega_fields: tuple[str, str],
+    kappa_fields: tuple[str, str, str],
+    code: RegionCode,
+    lam: complex,
+    delta: float,
+) -> str:
+    """One CSV data line from its axis columns and its classification."""
+    omega, k_omega = omega_fields
+    kappa, t_kappa, omega_kappa = kappa_fields
+    fields = (
+        omega, kappa, code.value, _fmt(lam.real), _fmt(lam.imag), _fmt(delta),
+        k_omega, t_kappa, omega_kappa,
     )
     return ",".join(fields)
 
 
-def _scan_cell(m: float, omega: float, kappa: float, band: float) -> str:
-    """One CSV data line through the scalar classifier."""
+def _classify_scalar(
+    m: float, omega: float, kappa: float, band: float
+) -> tuple[RegionCode, complex, float]:
+    """Region code, representative eigenvalue and ``delta`` from the scalar classifier."""
     p = ModelParams(m=m, omega=omega, kappa=kappa)
     report = classify_point_spectrum(p, boundary_tol=band)
     code = region_code_from_report(report)
     lam = _representative(report.nonzero_values(), report.virtual_levels)
-    cd = cubic_data(p)
-    return _row(m, omega, kappa, code, lam, cd.delta)
+    return code, lam, cubic_data(p).delta
+
+
+def _scan_cell(m: float, omega: float, kappa: float, band: float) -> str:
+    """One CSV data line through the scalar classifier."""
+    code, lam, delta = _classify_scalar(m, omega, kappa, band)
+    return _row(_omega_fields(m, omega), _kappa_fields(m, kappa), code, lam, delta)
+
+
+def _axis_columns(cache: dict, fields, m: float, value: float) -> tuple[str, ...]:
+    """``fields(m, value)``, formed once per ``value`` in ``cache``."""
+    # -0.0 == 0.0, but %.12g writes the first as -0, so the sign is in the key
+    key = (value, math.copysign(1.0, value))
+    cols = cache.get(key)
+    if cols is None:
+        cols = cache[key] = fields(m, value)
+    return cols
 
 
 #: Cells per array call of the scan, eight rows of the README grid.  Arrays
@@ -181,21 +216,28 @@ def _cell_rows(
     """The CSV data lines of ``(omega, kappa)`` cells, in order.
 
     Blocks of cells go through :func:`classify_cells`; a cell it leaves open
-    goes through :func:`_scan_cell`, and ``tally["scalar"]`` counts those.
+    goes through the scalar classifier, and ``tally["scalar"]`` counts those.
+    ``tally`` also counts the cells of each :class:`RegionCode`.  The columns
+    that depend on one axis alone are formatted once per value of that axis.
     """
     lines: list[str] = []
+    omega_cols: dict = {}
+    kappa_cols: dict = {}
     cells = iter(cells)
     while block := list(itertools.islice(cells, _BLOCK_CELLS)):
         ws, ks = (list(axis) for axis in zip(*block))
         for (w, k), res in zip(block, classify_cells(m, ws, ks, band)):
             if res is None:
-                lines.append(_scan_cell(m, w, k, band))
-                if tally is not None:
-                    tally["scalar"] += 1
-                continue
-            code, pair, delta = res
-            lam = 0j if pair is None else _representative((pair, -pair), ())
-            lines.append(_row(m, w, k, code, lam, delta))
+                code, lam, delta = _classify_scalar(m, w, k, band)
+            else:
+                code, pair, delta = res
+                lam = 0j if pair is None else _representative((pair, -pair), ())
+            if tally is not None:
+                tally["scalar"] += res is None
+                tally[code] += 1
+            w_cols = _axis_columns(omega_cols, _omega_fields, m, w)
+            k_cols = _axis_columns(kappa_cols, _kappa_fields, m, k)
+            lines.append(_row(w_cols, k_cols, code, lam, delta))
     return lines
 
 
@@ -206,10 +248,12 @@ def scan_rows(cfg: ScanConfig, tally: Counter | None = None) -> list[str]:
     return _cell_rows(cfg.m, cells, cfg.band, tally)
 
 
-def write_scan_csv(cfg: ScanConfig, path: str) -> int:
+def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
     """Write the region map, via a temp file renamed on completion.
 
-    Returns the number of cells that took the scalar classifier.
+    Returns the tally of :func:`scan_rows`: ``"scalar"``, the number of cells
+    that took the scalar classifier, and the number of cells of each
+    :class:`RegionCode`.
     """
     tally: Counter = Counter()
     lines = scan_rows(cfg, tally)
@@ -227,7 +271,7 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> int:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return tally["scalar"]
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +398,7 @@ def run_validation(
     if not math.isfinite(perturb_q):
         raise ValueError(f"perturb_q must be finite, got {perturb_q}")
     ModelParams(m=m, omega=0.0)  # raises unless m is positive and finite
+    check_oracle_mass(m)
     suites = [
         ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
         ("closed-form-special-cases", lambda: _suite_closed_forms(m, sweep, perturb_q)),
@@ -381,6 +426,7 @@ def run_validation(
 def _validate_at(at: tuple[float, float, float]) -> int:
     m, w, k = at
     p = ModelParams(m=m, omega=w, kappa=k)
+    check_oracle_mass(m)
     failures = oracle_mismatches(p)
     for msg in failures:
         print(f"  {msg}")
@@ -451,11 +497,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         band=args.band,
     )
     start = time.perf_counter()
-    scalar = write_scan_csv(cfg, args.output)
+    tally = write_scan_csv(cfg, args.output)
     elapsed = time.perf_counter() - start
     n = len(cfg.omegas()) * len(cfg.kappas())
     print(f"wrote {n} cells to {args.output}")
-    print(f"{scalar} of {n} cells took the scalar classifier; {n / elapsed:.0f} cells/s")
+    print(f"{tally['scalar']} of {n} cells took the scalar classifier; {n / elapsed:.0f} cells/s")
+    print("regions: " + ", ".join(f"{code.value} {tally[code]}" for code in RegionCode))
     return 0
 
 

@@ -26,10 +26,11 @@ picks the branch and a scale-aware residual decides acceptance.  The
 classifier then assembles the point spectrum, embedded eigenvalues, virtual
 levels at the gap thresholds, and the stability verdict into a
 :class:`SpectrumReport`.  For scans, :func:`classify_cells` runs the same
-pipeline as numpy arrays over many cells at once and leaves each cell it
-cannot decide with margin to the scalar classifier.  Both paths call the
-same helpers, each formula written once for numbers or arrays; the array
-path keeps the scalar bits of ``c, p, q, delta``, the roots and ``lambda``.
+pipeline as numpy arrays over many cells at once, the discriminant band
+of the cubic included, and leaves each cell it cannot decide with margin to
+the scalar classifier.  Both paths call the same helpers, each formula
+written once for numbers or arrays; the array path keeps the scalar bits of
+``c, p, q, delta``, the roots and ``lambda``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "SpectrumReport",
     "ClassificationError",
     "CubicOverflow",
+    "UnresolvableMass",
     "nu_pm",
     "D_eval",
     "residual_scale",
@@ -82,6 +84,7 @@ __all__ = [
     "classify_point_spectrum",
     "classify_cells",
     "axis_scan_roots",
+    "check_oracle_mass",
     "oracle_mismatches",
 ]
 
@@ -101,6 +104,12 @@ _X_FLOOR = 1e-13
 #: Mesh step of the axis-scan oracle, and the end of its real axis over ``m``.
 _ORACLE_STEP = 1e-3
 _ORACLE_REAL_END = 3.0
+#: Masses whose roots that absolute step resolves.  Below 0.02 roots of the
+#: validate grids fall under the first mesh point (141 of 143 are compared at
+#: m = 0.01 on the 21 x 21 grid, 94 at m = 1e-3).  Above 3, points next to the
+#: origin that agree at m = 1 start to disagree, and from m = 7 the grids
+#: fail where D has a fourth-order zero at lambda = 0 (omega = kappa = 0).
+_ORACLE_MASS_RANGE = (0.02, 3.0)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -114,6 +123,20 @@ _GRID_MARGIN = 1e-12
 
 class ClassificationError(RuntimeError):
     """The cubic pipeline and the analytic region predicates disagree."""
+
+
+class UnresolvableMass(ValueError):
+    """The axis-scan oracle's mesh does not resolve the roots at this mass."""
+
+
+def check_oracle_mass(m: float) -> None:
+    """Raise :class:`UnresolvableMass` unless ``m`` lies in the oracle's mass range."""
+    lo, hi = _ORACLE_MASS_RANGE
+    if not lo <= m <= hi:
+        raise UnresolvableMass(
+            f"the axis-scan oracle resolves masses in [{lo:g}, {hi:g}] "
+            f"(mesh step {_ORACLE_STEP:g}), got m = {m:g}"
+        )
 
 
 class CubicOverflow(ValueError, OverflowError):
@@ -834,11 +857,15 @@ def classify_cells(
     residuals and the pre-squaring identity run as arrays over all cells,
     through the scalar helpers: ``c, p, q, delta`` (libm ``pow`` per element),
     the roots and ``lambda`` keep the scalar bits, while ``|D|``, its scale
-    and the identity may be a few ulps off.  A cell is decided here only when
-    every decision has a margin of ``_GRID_MARGIN`` of its scale; ``None``
-    leaves it to the scalar classifier: the boundary-band codes, the
-    discriminant band of :func:`cubic_roots`, near misses, decisions inside
-    the margin, and accepted roots that do not fit the region.
+    and the identity may be a few ulps off.  The discriminant band of
+    :func:`cubic_roots` (the whole line ``kappa = 0`` among others) is decided
+    here too: its double-root formulas use only ``*`` and ``/``, and band
+    membership compares the scalar bits, so it needs no margin.  A cell is
+    decided here only when every other decision has a margin of
+    ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
+    classifier: the boundary-band codes, a cubic with ``p = q = 0``, near
+    misses, decisions inside the margin, and accepted roots that do not fit
+    the region.
     """
     n = len(omegas)
     codes = [region_code(m, w, k, band) for w, k in zip(omegas, kappas)]
@@ -848,10 +875,15 @@ def classify_cells(
         a = 2.0 * np.sqrt((m - w) * (m + w))  # ModelParams.alpha
         c, p, q, delta = _cubic_terms(m, a, k, functools.partial(_each, pow))
 
-        # cubic_roots, outside its double-root band
-        split = np.abs(delta) > 1e-12 * np.maximum(_each(pow, np.abs(p), 3), q * q)
+        # cubic_roots: the double-root band, then the two generic branches
+        cubic_scale = np.maximum(_each(pow, np.abs(p), 3), q * q)
+        in_band = (np.abs(delta) <= 1e-12 * cubic_scale) & (cubic_scale != 0.0)
+        split = np.abs(delta) > 1e-12 * cubic_scale
         yr = np.full((n, 3), math.nan)
         yi = np.zeros((n, 3))
+        pb, qb = p[in_band], q[in_band]
+        yd = -1.5 * qb / pb
+        yr[in_band] = np.stack([3.0 * qb / pb, yd, yd], axis=1)
         trig = split & (delta > 0.0)
         pt, qt = p[trig], q[trig]
         amp = 2.0 * np.sqrt(-pt / 3.0)
@@ -899,7 +931,7 @@ def classify_cells(
         accept = ~skip & small & ~unsure_sign & id_ok
         far = res > (_NEAR_TOL + _GRID_MARGIN) * scale
         reject = skip | far | (small & ~unsure_sign & id_fails)
-        open_cells = ~split | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
+        open_cells = ~(split | in_band) | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
 
     out: list[tuple[RegionCode, complex | None, float] | None] = []
     boundary = (RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY)

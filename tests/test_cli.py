@@ -24,7 +24,7 @@ from kgdelta.cli import (
     write_scan_csv,
 )
 from kgdelta.cli import _cell_rows, _scan_cell
-from kgdelta.dispersion import ClassificationError, classify_cells
+from kgdelta.dispersion import ClassificationError, UnresolvableMass, classify_cells
 
 
 class TestSpectrumCommand:
@@ -316,6 +316,42 @@ class TestScan:
         assert 1 <= int(words[0]) <= 25 and words[1:4] == ["of", "25", "cells"]
         assert out[1].endswith(" cells/s") and float(words[-2]) > 0
 
+    @pytest.mark.parametrize("axis", ["omega", "kappa"])
+    def test_no_negative_zero_on_the_grid(self, tmp_path, axis):
+        # -0.9 + 3 * 0.3 rounds to -0.0, which %.12g would write as -0
+        grid = {"omega": ("-0.4", "0.4", "0.2"), "kappa": ("-0.5", "0.5", "0.25")}
+        grid[axis] = ("-0.9", "0.9", "0.3")
+        argv = ["scan", "-o", str(tmp_path / "z.csv")]
+        for name, (lo, hi, step) in grid.items():
+            argv += [f"--{name}-min={lo}", f"--{name}-max={hi}", f"--{name}-step={step}"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in (tmp_path / "z.csv").read_text().splitlines()[2:]]
+        column = 0 if axis == "omega" else 1
+        assert "0" in {r[column] for r in rows}
+        assert not [r for r in rows if "-0" in (r[0], r[1], r[8])]
+
+    def test_region_histogram_matches_the_csv(self, tmp_path, capsys):
+        path = tmp_path / "cells.csv"
+        argv = [
+            "scan",
+            "--omega-min", "-0.96", "--omega-max", "0.96", "--omega-step", "0.08",
+            "--kappa-min", "-2", "--kappa-max", "2", "--kappa-step", "0.1",
+            "-o", str(path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        n = 25 * 41
+        assert len(out) == 3
+        assert out[0] == f"wrote {n} cells to {path}"
+        assert out[1].startswith(f"{out[1].split()[0]} of {n} cells took the scalar classifier; ")
+        assert out[2].startswith("regions: ")
+        entries = [e.split(" ") for e in out[2][len("regions: "):].split(", ")]
+        assert [name for name, _ in entries] == [code.value for code in RegionCode]
+        counts = {name: int(count) for name, count in entries}
+        assert sum(counts.values()) == n
+        column = Counter(line.split(",")[2] for line in path.read_text().splitlines()[2:])
+        assert counts == {code.value: column[code.value] for code in RegionCode}
+
 
 def _scalar_row(m, omega, kappa, band):
     try:
@@ -384,6 +420,42 @@ class TestArrayScan:
                     _cell_rows(1.0, [cell], band)
         fine = [(cell, row) for cell, row in zip(cells, want) if isinstance(row, str)]
         assert _cell_rows(1.0, [cell for cell, _ in fine], band) == [row for _, row in fine]
+
+    @pytest.mark.parametrize("band", [1e-6, 1e-10])
+    @pytest.mark.parametrize(
+        "kappas",
+        [[0.0], [-1.0], [1e-7, -1e-7, 3e-8, -3e-9, 1e-12, -1e-15]],
+        ids=["kappa-zero", "kappa-minus-one", "small-kappa"],
+    )
+    def test_discriminant_band_row_for_row(self, band, kappas):
+        # strips that lie (almost) wholly in the double-root band of
+        # cubic_roots, which the array path decides with the scalar formulas
+        omegas = [round(-0.96 + 0.005 * i, 12) for i in range(385)]
+        cells = [(w, k) for k in kappas for w in omegas]
+        want = [_scalar_row(1.0, w, k, band) for w, k in cells]
+        fine = [(cell, row) for cell, row in zip(cells, want) if isinstance(row, str)]
+        assert len(fine) >= 0.99 * len(cells)
+        assert _cell_rows(1.0, [cell for cell, _ in fine], band) == [row for _, row in fine]
+        got = classify_cells(1.0, [w for w, _ in cells], [k for _, k in cells], band)
+        assert sum(res is None for res in got) <= 0.01 * len(cells)
+
+    def test_signed_zero_cells_keep_their_own_bytes(self):
+        # the axis columns are formatted once per value, and -0.0 == 0.0
+        cells = [(0.0, 0.0), (-0.0, 0.5), (0.0, -0.0), (-0.0, -0.0), (0.5, -0.0), (0.5, 0.0), (-0.0, 0.5)]
+        rows = _cell_rows(1.0, cells, 1e-6)
+        assert rows == [_scan_cell(1.0, w, k, 1e-6) for w, k in cells]
+        assert rows[1].startswith("-0,0.5,") and rows[4].startswith("0.5,-0,")
+
+    def test_readme_grid_scalar_count(self):
+        # the cells left to the scalar classifier: the boundary codes
+        # (KolokolovCritical, VirtualLevelBoundary) and near misses
+        cfg = ScanConfig(
+            m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+            kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
+        )
+        tally = Counter()
+        scan_rows(cfg, tally)
+        assert tally["scalar"] == 6
 
 
 class TestSimulateCommand:
@@ -578,6 +650,24 @@ class TestValidateCommand:
         assert rc == 0
         assert "virtual-level residual" in out
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--at", "1e-6,0,0.5"], ["--at", "1e-300,0,0.5"], ["--at", "1e200,0,0.5"], ["-m", "10"],
+         ["-m", "0.01", "--grid", "3"]],
+    )
+    def test_masses_the_oracle_cannot_resolve_exit_2(self, capsys, args):
+        assert main(["validate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the axis-scan oracle resolves masses in [0.02, 3]")
+        with pytest.raises(UnresolvableMass):
+            run_validation(at=(1e-6, 0.0, 0.5))
+
+    @pytest.mark.parametrize("m", [0.02, 3.0])
+    def test_oracle_mass_range_ends_are_admitted(self, capsys, m):
+        assert run_validation(at=(m, 0.3 * m, 0.5)) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
 def test_console_entry_point_runs():

@@ -590,6 +590,26 @@ class TestClassifyCells:
             assert report.nonzero_values() == (() if pair is None else (pair, -pair))
         assert decided >= 0.95 * len(cells)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1e-7, -1e-12])
+    def test_discriminant_band_keeps_the_scalar_bits(self, kappa):
+        # cells in the double-root band of cubic_roots are decided here with
+        # its own formulas, so pair and discriminant are the scalar bits
+        omegas = [round(-0.96 + 0.005 * i, 12) for i in range(385)]
+        got = classify_cells(1.0, omegas, [kappa] * len(omegas), 1e-10)
+        in_band = 0
+        for w, res in zip(omegas, got):
+            p = ModelParams(1.0, w, kappa)
+            cd = cubic_data(p)
+            in_band += abs(cd.delta) <= 1e-12 * max(abs(cd.p) ** 3, cd.q * cd.q)
+            if res is None:
+                continue
+            code, pair, delta = res
+            report = classify_point_spectrum(p, boundary_tol=1e-10)
+            assert (code, delta) == (report.region, cd.delta)
+            assert report.nonzero_values() == (() if pair is None else (pair, -pair))
+        assert in_band >= 380
+        assert sum(res is None for res in got) <= 2
+
     def test_open_where_a_power_overflows(self):
         # kappa**4 overflows, so the scalar pipeline raises OverflowError there
         with pytest.raises(OverflowError):

@@ -67,7 +67,6 @@ __all__ = [
     "SpectrumReport",
     "ClassificationError",
     "CubicOverflow",
-    "UnresolvableMass",
     "nu_pm",
     "D_eval",
     "residual_scale",
@@ -84,7 +83,6 @@ __all__ = [
     "classify_point_spectrum",
     "classify_cells",
     "axis_scan_roots",
-    "check_oracle_mass",
     "oracle_mismatches",
 ]
 
@@ -101,15 +99,9 @@ BOUNDARY_TOL = 1e-10
 #: ``max(m^2, |c|)``: a root closer to ``x = 0`` is not told from the one there.
 _X_FLOOR = 1e-13
 
-#: Mesh step of the axis-scan oracle, and the end of its real axis over ``m``.
+#: Mesh step of the axis-scan oracle, and the end of its real axis, over ``m``.
 _ORACLE_STEP = 1e-3
 _ORACLE_REAL_END = 3.0
-#: Masses whose roots that absolute step resolves.  Below 0.02 roots of the
-#: validate grids fall under the first mesh point (141 of 143 are compared at
-#: m = 0.01 on the 21 x 21 grid, 94 at m = 1e-3).  Above 3, points next to the
-#: origin that agree at m = 1 start to disagree, and from m = 7 the grids
-#: fail where D has a fourth-order zero at lambda = 0 (omega = kappa = 0).
-_ORACLE_MASS_RANGE = (0.02, 3.0)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -125,25 +117,11 @@ class ClassificationError(RuntimeError):
     """The cubic pipeline and the analytic region predicates disagree."""
 
 
-class UnresolvableMass(ValueError):
-    """The axis-scan oracle's mesh does not resolve the roots at this mass."""
-
-
-def check_oracle_mass(m: float) -> None:
-    """Raise :class:`UnresolvableMass` unless ``m`` lies in the oracle's mass range."""
-    lo, hi = _ORACLE_MASS_RANGE
-    if not lo <= m <= hi:
-        raise UnresolvableMass(
-            f"the axis-scan oracle resolves masses in [{lo:g}, {hi:g}] "
-            f"(mesh step {_ORACLE_STEP:g}), got m = {m:g}"
-        )
-
-
 class CubicOverflow(ValueError, OverflowError):
-    """The cubic's coefficients overflow float64 (from ``|kappa|`` about 4e25 at ``m = 1``).
+    """The cubic's coefficients overflow float64 (``|kappa|`` or ``m`` of order 1e25 or more).
 
     A ``ValueError``, so the command line exits 2 with ``error: ...``, and
-    still the ``OverflowError`` that Python's ``**`` raised.
+    an ``OverflowError``, which Python's ``**`` raises for some of them.
     """
 
 
@@ -289,11 +267,15 @@ def _cubic_terms(m, a, k, pw=pow):
 
 
 def cubic_data(params: ModelParams) -> CubicData:
-    k = params.kappa
+    m, k = params.m, params.kappa
     try:
-        return CubicData(*_cubic_terms(params.m, params.alpha, k))
+        terms = _cubic_terms(m, params.alpha, k)
+        # a product that overflows gives inf or NaN where ``**`` raises
+        if all(map(math.isfinite, terms)):
+            return CubicData(*terms)
     except OverflowError:
-        raise CubicOverflow(f"the cubic's coefficients overflow float64 at kappa = {k:g}") from None
+        pass
+    raise CubicOverflow(f"the cubic's coefficients overflow float64 at m = {m:g}, kappa = {k:g}")
 
 
 def _cbrt(x: float) -> float:
@@ -505,17 +487,22 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
     return out
 
 
-def _distinct(values: list[complex]) -> list[complex]:
+def _same_point(z: complex, r: complex, m: float) -> bool:
+    """Whether ``z`` is the spectral point ``r``, to ``1e-8`` in units of ``m``."""
+    return abs(z - r) <= 1e-8 * (m + abs(r))
+
+
+def _distinct(values: list[complex], m: float) -> list[complex]:
     roots: list[complex] = []
     for z in values:
-        if not any(abs(z - r) <= 1e-8 * (1.0 + abs(r)) for r in roots):
+        if not any(_same_point(z, r, m) for r in roots):
             roots.append(z)
     return roots
 
 
 def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline."""
-    return _distinct([c.lam for c in candidate_roots(params, data=data) if c.accepted])
+    return _distinct([c.lam for c in candidate_roots(params, data=data) if c.accepted], params.m)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +655,11 @@ class SpectrumReport:
         return json.dumps(self.to_dict(verbose=verbose), indent=2)
 
 
-def _check_symmetry(values: list[complex]) -> None:
+def _check_symmetry(values: list[complex], m: float) -> None:
     # point spectrum must be invariant under lam -> -lam and lam -> conj(lam)
     for v in values:
         for image in (-v, v.conjugate(), -v.conjugate()):
-            if not any(abs(image - u) <= 1e-8 * (1.0 + abs(v)) for u in values):
+            if not any(_same_point(u, image, m) for u in values):
                 raise ClassificationError(
                     f"accepted spectrum breaks +-/conjugation symmetry at {v}"
                 )
@@ -756,7 +743,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     jordan = zero_jordan_structure(p)
     verdict = stability_verdict(p)
     cands = candidate_roots(p)
-    accepted = _distinct([c.lam for c in cands if c.accepted])
+    accepted = _distinct([c.lam for c in cands if c.accepted], m)
     region = region_code(m, w, k, boundary_tol)
 
     entries: list[SpectralPoint] = [
@@ -787,7 +774,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
             # level; flag the coincidence instead
             flags.append("virtual-level-curve-at-kappa-zero")
 
-    _check_symmetry([e.value for e in entries])
+    _check_symmetry([e.value for e in entries], m)
     return SpectrumReport(
         params=p,
         ess=ess,
@@ -863,9 +850,9 @@ def classify_cells(
     membership compares the scalar bits, so it needs no margin.  A cell is
     decided here only when every other decision has a margin of
     ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
-    classifier: the boundary-band codes, a cubic with ``p = q = 0``, near
-    misses, decisions inside the margin, and accepted roots that do not fit
-    the region.
+    classifier: the boundary-band codes, a cubic with ``p = q = 0`` or with
+    coefficients that overflow, near misses, decisions inside the margin,
+    and accepted roots that do not fit the region.
     """
     n = len(omegas)
     codes = [region_code(m, w, k, band) for w, k in zip(omegas, kappas)]
@@ -877,8 +864,9 @@ def classify_cells(
 
         # cubic_roots: the double-root band, then the two generic branches
         cubic_scale = np.maximum(_each(pow, np.abs(p), 3), q * q)
-        in_band = (np.abs(delta) <= 1e-12 * cubic_scale) & (cubic_scale != 0.0)
-        split = np.abs(delta) > 1e-12 * cubic_scale
+        finite = np.isfinite(delta)  # elsewhere the scalar classifier raises CubicOverflow
+        in_band = (np.abs(delta) <= 1e-12 * cubic_scale) & (cubic_scale != 0.0) & finite
+        split = (np.abs(delta) > 1e-12 * cubic_scale) & finite
         yr = np.full((n, 3), math.nan)
         yi = np.zeros((n, 3))
         pb, qb = p[in_band], q[in_band]
@@ -940,12 +928,12 @@ def classify_cells(
         if is_open or code in boundary:
             out.append(None)
             continue
-        roots = _distinct([z for z, ok in zip(lams, oks) if ok])
+        roots = _distinct([z for z, ok in zip(lams, oks) if ok], m)
         try:
             pair, _ = _region_pair(code, roots, m, w_i, k_i)
             if pair is not None and pair.real and pair.imag:
                 # an exactly real or imaginary pair is symmetric as it stands
-                _check_symmetry([0j, pair, -pair])
+                _check_symmetry([0j, pair, -pair], m)
         except ClassificationError:
             out.append(None)
             continue
@@ -958,12 +946,12 @@ def classify_cells(
 # ---------------------------------------------------------------------------
 
 
-def _real_axis_exponents(m: float, omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _real_axis_exponents(omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # for real lambda = t the two exponents are complex conjugates, so D needs
     # only Re nu_+ and |nu_+|^2; plain principal square roots agree with the
     # sheet convention
     wplus = omega + 1j * ts
-    nup = np.sqrt(m * m - wplus * wplus)
+    nup = np.sqrt(1.0 - wplus * wplus)
     # copies, so that a cached mesh keeps no complex array alive
     return nup.real.copy(), (nup * np.conj(nup)).real.copy()
 
@@ -974,9 +962,9 @@ def _real_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) 
     return a * a * (1.0 + k) ** 2 - 4.0 * re * a * (1.0 + k) + 4.0 * sq - a * a * k * k
 
 
-def _gap_axis_exponents(m: float, omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lambda = i t with 0 < t < m - |omega|: both exponents real positive
-    return np.sqrt(m * m - (omega - ts) ** 2), np.sqrt(m * m - (omega + ts) ** 2)
+def _gap_axis_exponents(omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # lambda = i t with 0 < t < 1 - |omega|: both exponents real positive
+    return np.sqrt(1.0 - (omega - ts) ** 2), np.sqrt(1.0 - (omega + ts) ** 2)
 
 
 def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -986,24 +974,24 @@ def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -
 
 
 @functools.lru_cache(maxsize=1)
-def _axis_meshes(m: float, omega: float) -> tuple[tuple, tuple]:
-    """The real-axis and gap meshes at ``(m, omega)``, each with its exponents.
+def _axis_meshes(omega: float) -> tuple[tuple, tuple]:
+    """The real-axis and gap meshes at ``(1, omega)``, each with its exponents.
 
     Returns ``((real_mesh, real_exponents), (gap_mesh, gap_exponents))``, all
     arrays read-only.  None of it depends on ``kappa``, so a sweep over
-    ``kappa`` at one ``(m, omega)`` builds it once; the cache keeps the last
-    pair only (at most 96 KB at ``m = 1``, growing linearly with ``m``).
+    ``kappa`` at one ``omega/m`` builds it once; the cache keeps the last
+    pair only (at most 96 KB).
     """
-    step, t_max = _ORACLE_STEP, _ORACLE_REAL_END * m
+    step, t_max = _ORACLE_STEP, _ORACLE_REAL_END
     real_mesh = np.unique(np.concatenate([np.arange(step, t_max, step), [t_max]]))
-    real_ex = _real_axis_exponents(m, omega, real_mesh)
+    real_ex = _real_axis_exponents(omega, real_mesh)
 
-    gap = m - abs(omega)
+    gap = 1.0 - abs(omega)
     gcore = np.arange(step, gap, step)
     gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
     gap_mesh = np.unique(np.concatenate([gcore, gtop]))
     gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
-    gap_ex = _gap_axis_exponents(m, omega, gap_mesh)
+    gap_ex = _gap_axis_exponents(omega, gap_mesh)
 
     for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
         arr.flags.writeable = False
@@ -1018,7 +1006,7 @@ def _scan_segment(p: ModelParams, exponents, values, mesh: np.ndarray, mesh_expo
             roots.append(float(mesh[i]))
         else:
             roots.append(brentq(
-                lambda t: float(values(p, exponents(p.m, p.omega, np.array([t])))[0]),
+                lambda t: float(values(p, exponents(p.omega, np.array([t])))[0]),
                 mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16,
             ))
     if len(mesh) and sgn[-1] == 0.0:
@@ -1029,9 +1017,12 @@ def _scan_segment(p: ModelParams, exponents, values, mesh: np.ndarray, mesh_expo
 def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     """Roots of the determinant restrictions to the two spectral axes.
 
-    Scans ``D(t)`` for ``t in [1e-3, 3m]`` (real axis) and ``D(i t)`` for
-    ``t in [1e-3, m - |omega|)`` (inside the gap) for sign changes on a mesh
-    of step ``1e-3`` and refines each bracket by Brent's method
+    The determinant is homogeneous in the mass, ``D(m l; m, m w, kappa) =
+    m^2 D(l; 1, w, kappa)``, so the scan runs at ``(1, omega/m, kappa)`` and
+    returns its roots times ``m``.  There it scans ``D(t)`` for
+    ``t in [1e-3, 3]`` (real axis) and ``D(i t)`` for ``t in [1e-3, 1 -
+    |omega/m|)`` (inside the gap) for sign changes on a mesh of step ``1e-3``
+    and refines each bracket by Brent's method
     (:func:`~kgdelta.model.brentq`).  Both restrictions are real valued on
     the physical sheet, which is what makes this an oracle fully independent
     of the cubic reduction.  The mesh starts at one step rather than at zero:
@@ -1040,47 +1031,42 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     meaningless there.  Log-spaced fringe points are appended just below the
     gap threshold, where the square-root singularity keeps values well
     resolved and a virtual-level collision can push a root arbitrarily close
-    to the edge.  The exponents on both axes depend on ``(m, omega)`` only,
-    so the meshes and their exponents are built once per ``(m, omega)``
+    to the edge.  The exponents on both axes depend on ``omega/m`` only, so
+    the meshes and their exponents are built once per ``omega/m``
     (:func:`_axis_meshes`) and each point combines them with its ``kappa``.
     """
-    (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(p.m, p.omega)
-    real_roots = _scan_segment(p, _real_axis_exponents, _real_axis_values, real_mesh, real_ex)
-    gap_roots = _scan_segment(p, _gap_axis_exponents, _gap_axis_values, gap_mesh, gap_ex)
-    return real_roots, gap_roots
+    m = p.m
+    unit = ModelParams(1.0, p.omega / m, p.kappa)
+    (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(unit.omega)
+    real_roots = _scan_segment(unit, _real_axis_exponents, _real_axis_values, real_mesh, real_ex)
+    gap_roots = _scan_segment(unit, _gap_axis_exponents, _gap_axis_values, gap_mesh, gap_ex)
+    return [m * t for t in real_roots], [m * t for t in gap_roots]
 
 
 def oracle_mismatches(p: ModelParams, data: CubicData | None = None) -> list[str]:
     """Compare cubic-pipeline roots against the dense axis scan.
 
-    Both root sets are restricted to the scannable domains (real axis in
-    ``(1e-3, 3m)``, spectral gap in ``(1e-3, gap)`` on the imaginary
-    axis): embedded eigenvalues sit on the cuts outside the scan, values at
-    or beyond the mesh ends cannot be bracketed, and threshold-exact values
-    are boundary cases, so none of those are comparable here.  Returns one
-    message per root unmatched within ``1e-6``; an empty list means full
-    agreement.
+    Both root sets are restricted to one window per axis, in units of ``m``:
+    the real axis in ``(1e-3 m, 3m)`` and the spectral gap in ``(1e-3 m,
+    gap)`` on the imaginary axis.  Embedded eigenvalues sit on the cuts
+    outside the scan, values at or beyond the mesh ends cannot be bracketed,
+    and threshold-exact values are boundary cases, so none of those are
+    comparable here; a root on an edge of the window is left out of either
+    set.  Returns one message per root unmatched within ``1e-6 m``; an empty
+    list means full agreement.
     """
-    t_max = _ORACLE_REAL_END * p.m
-    gap = p.m - abs(p.omega)
-    margin = _ORACLE_STEP * (1.0 + 1e-9)
+    m = p.m
+    lo = _ORACLE_STEP * m * (1.0 + 1e-9)
+    tol = 1e-6 * m
     accepted = accepted_roots(p, data=data)
-    want_real = sorted(
-        z.real for z in accepted if abs(z.imag) <= 1e-8 * abs(z) and margin < z.real < t_max
-    )
-    want_gap = sorted(
-        z.imag
-        for z in accepted
-        if abs(z.real) <= 1e-8 * abs(z) and margin < z.imag < gap * (1.0 - 1e-12)
-    )
     got_real, got_gap = axis_scan_roots(p)
 
     issues: list[str] = []
 
-    def _match(wanted: list[float], got: list[float], axis: str) -> None:
-        got_left = list(got)
-        for t in wanted:
-            hit = next((g for g in got_left if abs(g - t) <= 1e-6), None)
+    def _match(wanted: list[float], got: list[float], hi: float, axis: str) -> None:
+        got_left = [g for g in got if lo < g < hi]
+        for t in sorted(t for t in wanted if lo < t < hi):
+            hit = next((g for g in got_left if abs(g - t) <= tol), None)
             if hit is None:
                 issues.append(f"{axis}: pipeline root {t:.9g} not found by scan")
             else:
@@ -1088,6 +1074,8 @@ def oracle_mismatches(p: ModelParams, data: CubicData | None = None) -> list[str
         for g in got_left:
             issues.append(f"{axis}: scan found extra root {g:.9g}")
 
-    _match(want_real, got_real, "real-axis")
-    _match(want_gap, got_gap, "gap-axis")
+    _match([z.real for z in accepted if abs(z.imag) <= 1e-8 * abs(z)],
+           got_real, _ORACLE_REAL_END * m, "real-axis")
+    _match([z.imag for z in accepted if abs(z.real) <= 1e-8 * abs(z)],
+           got_gap, (m - abs(p.omega)) * (1.0 - 1e-12), "gap-axis")
     return issues

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,21 @@ class TestCubic:
             cubic_data(p)
         with pytest.raises(CubicOverflow):
             classify_point_spectrum(p)
+
+    @pytest.mark.parametrize(
+        "m, kappa",
+        # delta is NaN, and no ** raises, at the three kappas; at the two
+        # masses ** raises, and the message names m
+        [(1.0, 2.878742363756005e25), (1.0, -2.878742363756005e25),
+         (1.0, 3.1622776601683795e25), (1e28, 0.25), (1.34e154, 0.25)],
+    )
+    def test_non_finite_coefficients_raise_a_typed_error(self, m, kappa):
+        p = ModelParams(m=m, omega=0.1 * m, kappa=kappa)
+        with pytest.raises(CubicOverflow, match=re.escape(f"at m = {m:g}, kappa = {kappa:g}")):
+            cubic_data(p)
+        with pytest.raises(CubicOverflow):
+            classify_point_spectrum(p)
+        assert classify_cells(m, [p.omega], [kappa], 1e-6) == [None]
 
     @pytest.mark.parametrize("kappa", [1e25, -1e25])
     def test_largest_kappa_below_the_overflow_is_answered(self, kappa):
@@ -619,6 +635,22 @@ class TestClassifyCells:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("m", [1e-9, 1.0, 1e6])
+    def test_pair_is_not_merged_at_small_mass(self, m):
+        # the same-point tolerance is 1e-8 in units of m
+        roots = accepted_roots(ModelParams(m, 0.0, 1.0))
+        assert sorted(z.real for z in roots) == pytest.approx(
+            [-2.0 * math.sqrt(2.0) * m, 2.0 * math.sqrt(2.0) * m], rel=1e-12
+        )
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_root_on_the_first_mesh_point_is_out_of_both_sets(self, m):
+        # the pair +-2i omega lies just under 1e-3 m, and the scan puts a root
+        # on that mesh point: neither is compared
+        p = ModelParams(m, 0.0005 * m, 0.0)
+        assert axis_scan_roots(p)[1][0] == pytest.approx(1e-3 * m, rel=1e-9)
+        assert oracle_mismatches(p) == []
+
     def test_axis_scan_finds_known_roots(self):
         real_roots, gap_roots = axis_scan_roots(ModelParams(1.0, 0.0, 1.0))
         assert len(real_roots) == 1
@@ -640,8 +672,8 @@ class TestOracle:
 def _validate_grid(m: float, n: int = 21) -> list[ModelParams]:
     """The points of ``validate --grid n`` at mass ``m``, omega-major."""
     return [
-        ModelParams(m=m, omega=round(float(w), 12), kappa=round(float(k), 12))
-        for w in np.linspace(-0.9 * m, 0.9 * m, n)
+        ModelParams(m=m, omega=m * round(float(w), 12), kappa=round(float(k), 12))
+        for w in np.linspace(-0.9, 0.9, n)
         for k in np.linspace(-1.9, 1.9, n)
     ]
 
@@ -657,21 +689,29 @@ class TestOracleMeshCache:
     The cache may change how often they are built, never a bit of a root.
     """
 
-    # SHA-256 of every root's float.hex over the validate grid at m = 1 and
-    # m = 2.5 (286 roots), as the oracle gave them when it rebuilt its meshes
-    # at every point
-    VALIDATE_GRID_SHA256 = "d1456d367e18c5a7b20561ca7c79d24c1f184615a37c028709671e17534db0bd"
+    # SHA-256 of every root's float.hex over the validate grid at m = 1 (143
+    # roots), as the oracle gave them when it rebuilt its meshes at every
+    # point and scanned in absolute units
+    VALIDATE_GRID_SHA256 = "c7c05fbddef185cbdacfb188f57256acfe50591696b826b8208e957c5a2a1753"
 
     def test_roots_are_pinned(self):
         h = hashlib.sha256()
         count = 0
-        for m in (1.0, 2.5):
-            for p in _validate_grid(m):
-                roots = axis_scan_roots(p)
-                count += len(roots[0]) + len(roots[1])
-                h.update((_root_bits(roots) + "\n").encode())
-        assert count == 286
+        for p in _validate_grid(1.0):
+            roots = axis_scan_roots(p)
+            count += len(roots[0]) + len(roots[1])
+            h.update((_root_bits(roots) + "\n").encode())
+        assert count == 143
         assert h.hexdigest() == self.VALIDATE_GRID_SHA256
+
+    @pytest.mark.parametrize("m", [2.5, 1e-9, 7e6])
+    def test_roots_scale_with_the_mass(self, m):
+        for p in _validate_grid(m):
+            unit = ModelParams(1.0, p.omega / m, p.kappa)
+            real, gap = axis_scan_roots(unit)
+            assert _root_bits(axis_scan_roots(p)) == _root_bits(
+                ([m * t for t in real], [m * t for t in gap])
+            )
 
     def test_visit_order_does_not_matter(self):
         points = _validate_grid(1.0)
@@ -697,7 +737,7 @@ class TestOracleMeshCache:
             assert a == b
 
     def test_cached_arrays_are_read_only(self):
-        (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(1.0, 0.3)
+        (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(0.3)
         for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
             with pytest.raises(ValueError):
                 arr[0] = 1.0

@@ -48,6 +48,7 @@ from .dispersion import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
+from .dispersion import _delta_at_mass, _unit
 from .lattice import DefectLattice, Grid
 from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
 from .spectra import Verdict
@@ -185,7 +186,8 @@ def _classify_scalar(
     report = classify_point_spectrum(p, boundary_tol=band)
     code = region_code_from_report(report)
     lam = _representative(report.nonzero_values(), report.virtual_levels)
-    return code, lam, cubic_data(p).delta
+    delta = _delta_at_mass(m, cubic_data(_unit(p)).delta)
+    return code, lam, delta if math.isfinite(delta) else cubic_data(p).delta  # CubicOverflow past float64
 
 
 def _scan_cell(m: float, omega: float, kappa: float, band: float) -> str:
@@ -281,7 +283,7 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
 def _perturbed_data(p: ModelParams, q_offset: float) -> CubicData | None:
     if q_offset == 0.0:
         return None
-    cd = cubic_data(p)
+    cd = cubic_data(_unit(p))
     q = cd.q + q_offset * (1.0 + abs(cd.q))
     return CubicData(c=cd.c, p=cd.p, q=q, delta=-4.0 * cd.p**3 - 27.0 * q * q)
 

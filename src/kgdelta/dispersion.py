@@ -30,7 +30,8 @@ pipeline as numpy arrays over many cells at once, the discriminant band
 of the cubic included, and leaves each cell it cannot decide with margin to
 the scalar classifier.  Both paths call the same helpers, each formula
 written once for numbers or arrays; the array path keeps the scalar bits of
-``c, p, q, delta``, the roots and ``lambda``.
+``c, p, q, delta``, the roots and ``lambda``.  ``D`` is homogeneous in ``m``,
+so both decide at ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ _NEAR_TOL = math.sqrt(ACCEPT_TOL)
 #: which the discontinuous classification is reported as a boundary case.
 BOUNDARY_TOL = 1e-10
 
-#: Resolution of the cubic pipeline in ``x = lambda^2``, relative to
-#: ``max(m^2, |c|)``: a root closer to ``x = 0`` is not told from the one there.
+#: Resolution of the cubic pipeline in ``x = lambda^2`` at ``m = 1``, relative
+#: to ``max(1, |c|)``: a root closer to ``x = 0`` is not told from the one there.
 _X_FLOOR = 1e-13
 
 #: Mesh step of the axis-scan oracle, and the end of its real axis, over ``m``.
@@ -118,7 +119,7 @@ class ClassificationError(RuntimeError):
 
 
 class CubicOverflow(ValueError, OverflowError):
-    """The cubic's coefficients overflow float64 (``|kappa|`` or ``m`` of order 1e25 or more).
+    """The cubic's coefficients overflow float64 (``|kappa|``, or ``m`` and so ``Delta``, of order 3e25).
 
     A ``ValueError``, so the command line exits 2 with ``error: ...``, and
     an ``OverflowError``, which Python's ``**`` raises for some of them.
@@ -278,6 +279,17 @@ def cubic_data(params: ModelParams) -> CubicData:
     raise CubicOverflow(f"the cubic's coefficients overflow float64 at m = {m:g}, kappa = {k:g}")
 
 
+def _unit(p: ModelParams) -> ModelParams:
+    """``p`` in units of its mass, ``(1, omega/m, kappa)``; ``p`` itself at ``m = 1``."""
+    return p if p.m == 1.0 else ModelParams(1.0, p.omega / p.m, p.kappa)
+
+
+def _delta_at_mass(m: float, delta):
+    """``m^12 delta``, the discriminant at mass ``m`` from ``delta`` at ``m = 1``; numbers or arrays."""
+    m4 = m * m * (m * m)  # inf past float64, where m**12 would raise
+    return m4 * m4 * m4 * delta
+
+
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
@@ -350,6 +362,17 @@ class RootCandidate:
             "x": [self.x.real, self.x.imag],
             "y": [self.y.real, self.y.imag],
         }
+
+
+def _times(m: float, z: complex) -> complex:
+    return z if m == 1.0 else complex(m * z.real, m * z.imag)  # m * z would lose a -0.0 part
+
+
+def _at_mass(cands: list[RootCandidate], m: float) -> list[RootCandidate]:
+    """Candidates found at ``m = 1``, at mass ``m``: ``lam`` times ``m``, the rest times ``m^2``."""
+    return cands if m == 1.0 else [RootCandidate(
+        _times(m, c.lam), c.sheet, m * m * c.residual, m * m * c.scale, c.accepted, c.source,
+        _times(m * m, c.x), _times(m * m, c.y)) for c in cands]
 
 
 def _presquare_sign_ok(
@@ -446,11 +469,12 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
     stay where the cubic put them and carry the label of whichever sheet fits
     them best (resonances), or ``None``.  The root at ``lambda = 0`` is never
     emitted: the cubic was derived after cancelling it, and its multiplicity
-    is the Jordan data's job.
+    is the Jordan data's job.  It runs at ``_unit(params)``, whose cubic ``data`` is.
     """
-    cd = cubic_data(params) if data is None else data
-    a, k = params.alpha, params.kappa
-    x_floor = _X_FLOOR * max(params.m * params.m, abs(cd.c))
+    unit = _unit(params)
+    cd = cubic_data(unit) if data is None else data
+    a, k = unit.alpha, unit.kappa
+    x_floor = _X_FLOOR * max(1.0, abs(cd.c))
     out: list[RootCandidate] = []
     for idx, y in enumerate(cubic_roots(cd)):
         x = y - 2.0 * cd.c / 3.0
@@ -458,12 +482,12 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
             continue
         principal = cmath.sqrt(x)
         for lam in (principal, -principal):
-            nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam)
+            nup, num, scale, res_phys, ok = _physical_fit(unit, cd, lam)
             if not ok and ACCEPT_TOL * scale < res_phys <= _NEAR_TOL * scale:
-                refined = _refine_near_miss(params, cd, lam, nup, num)
+                refined = _refine_near_miss(unit, cd, lam, nup, num)
                 if refined is not None:
                     lam = refined
-                    nup, num, scale, res_phys, ok = _physical_fit(params, cd, lam)
+                    nup, num, scale, res_phys, ok = _physical_fit(unit, cd, lam)
             if ok:
                 out.append(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
@@ -484,25 +508,26 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
             out.append(
                 RootCandidate(lam, best_sheet, best_res * scale, scale, False, idx, x, y)
             )
-    return out
+    return _at_mass(out, params.m)
 
 
-def _same_point(z: complex, r: complex, m: float) -> bool:
+def _same_point(z: complex, r: complex) -> bool:
     """Whether ``z`` is the spectral point ``r``, to ``1e-8`` in units of ``m``."""
-    return abs(z - r) <= 1e-8 * (m + abs(r))
+    return abs(z - r) <= 1e-8 * (1.0 + abs(r))
 
 
-def _distinct(values: list[complex], m: float) -> list[complex]:
+def _distinct(values: list[complex]) -> list[complex]:
     roots: list[complex] = []
     for z in values:
-        if not any(_same_point(z, r, m) for r in roots):
+        if not any(_same_point(z, r) for r in roots):
             roots.append(z)
     return roots
 
 
 def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
-    """Deduplicated physical-sheet roots from the cubic pipeline."""
-    return _distinct([c.lam for c in candidate_roots(params, data=data) if c.accepted], params.m)
+    """Deduplicated physical-sheet roots from the cubic pipeline, told apart at ``m = 1``."""
+    cands = candidate_roots(_unit(params), data=data)
+    return [_times(params.m, z) for z in _distinct([c.lam for c in cands if c.accepted])]
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +592,19 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
     explicit boundary codes.  ``|kappa| <= band`` is the line ``kappa = 0``,
     except where a point off the exact line also lies in another band.
     """
-    aw = abs(omega)
+    aw = abs(omega if m == 1.0 else _unit(ModelParams(m, omega, kappa)).omega)
     if kappa == 0.0:
         # the line meets the Kolokolov curve at the origin, where the band is
         # measured in omega/m (off the line the Kolokolov band covers it)
-        if aw <= band * m or 4.0 * omega * omega <= _X_FLOOR * m * m:
+        if aw <= band or 4.0 * aw * aw <= _X_FLOOR:
             return RegionCode.KOLOKOLOV_CRITICAL
     else:
-        kol_defect = kappa - (omega / m) ** 2
+        kol_defect = kappa - aw**2
         if abs(kol_defect) <= band:
             return RegionCode.KOLOKOLOV_CRITICAL
-        kv = virtual_level_exponent(m, omega)
+        kv = virtual_level_exponent(1.0, aw)
         if -0.5 - band <= kappa < _INV_SQRT2 and (
-            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(m, kappa)) <= band * m
+            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(1.0, kappa)) <= band
         ):
             return RegionCode.VIRTUAL_LEVEL_BOUNDARY
         if abs(kappa) > band:
@@ -587,7 +612,7 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
                 return RegionCode.REAL_PAIR
             return RegionCode.IMAGINARY_PAIR if kappa > kv else RegionCode.ZERO_ONLY
     # on the line the decoupled pair +-2i*omega is embedded from m - |omega| on
-    return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= m - aw else RegionCode.IMAGINARY_PAIR
+    return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= 1.0 - aw else RegionCode.IMAGINARY_PAIR
 
 
 @dataclass(frozen=True)
@@ -652,38 +677,42 @@ class SpectrumReport:
         return out
 
     def to_json(self, verbose: bool = False) -> str:
-        return json.dumps(self.to_dict(verbose=verbose), indent=2)
+        # JSON has no NaN or Infinity, which m^2 times the audit values reach from m of order 1e154
+        return json.dumps(self.to_dict(verbose=verbose), indent=2, allow_nan=False)
 
 
-def _check_symmetry(values: list[complex], m: float) -> None:
+def _check_symmetry(values: list[complex]) -> None:
     # point spectrum must be invariant under lam -> -lam and lam -> conj(lam)
     for v in values:
         for image in (-v, v.conjugate(), -v.conjugate()):
-            if not any(_same_point(u, image, m) for u in values):
+            if not any(_same_point(u, image) for u in values):
                 raise ClassificationError(
                     f"accepted spectrum breaks +-/conjugation symmetry at {v}"
                 )
 
 
 def _region_pair(
-    region: RegionCode, accepted: list[complex], m: float, w: float, k: float
+    region: RegionCode, accepted: list[complex], w: float, k: float
 ) -> tuple[complex | None, list[str]]:
-    """The upper value of the nonzero pair ``region`` calls for, and its flags.
+    """The upper value at ``(1, w, k)`` of the nonzero pair ``region`` calls for, and its flags.
 
     The value is ``None`` in ZeroOnly and on the boundary codes; the flags are
     ZeroOnly's grazing flags.  Raises :class:`ClassificationError` where the
     accepted roots do not fit the region.
     """
-    gap = m - abs(w)
+    gap = 1.0 - abs(w)
 
     def _pick(predicate, what: str) -> complex:
         sel = [z for z in accepted if predicate(z)]
         if not sel:
             raise ClassificationError(
-                f"no accepted {what} root at (m={m}, omega={w}, kappa={k}); "
-                f"accepted={accepted}"
+                f"no accepted {what} root at (omega/m={w}, kappa={k}); "
+                f"accepted={accepted} in units of m"
             )
-        return max(sel, key=abs)
+        z = max(sel, key=abs)
+        if z.real and z.imag:  # an exactly real or imaginary pair is symmetric as it stands
+            _check_symmetry([0j, z, -z])
+        return z
 
     if region is RegionCode.REAL_PAIR:
         return _pick(lambda z: abs(z.imag) <= 1e-8 * abs(z) and z.real > 0, "real"), []
@@ -702,7 +731,7 @@ def _region_pair(
             z for z in accepted if abs(abs(z.imag) - gap) <= 1e-6 * (1.0 + gap)
         ]
         zero_cluster = [
-            z for z in accepted if abs(z) <= 1e-4 * m and z not in near_threshold
+            z for z in accepted if abs(z) <= 1e-4 and z not in near_threshold
         ]
         others = [z for z in accepted if z not in near_threshold and z not in zero_cluster]
         on_cut = [z for z in others if abs(z.real) <= 1e-8 * abs(z) and abs(z.imag) > gap]
@@ -715,7 +744,7 @@ def _region_pair(
         stray = [z for z in others if z not in on_cut]
         if stray:
             raise ClassificationError(
-                f"unexpected accepted roots {stray} at (m={m}, omega={w}, kappa={k})"
+                f"unexpected accepted roots {stray} in units of m at (omega/m={w}, kappa={k})"
             )
         return None, flags
     if region in (RegionCode.IMAGINARY_PAIR, RegionCode.EMBEDDED_PAIR):
@@ -727,7 +756,7 @@ def _region_pair(
 
 
 def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectrumReport:
-    """Point spectrum, embedded eigenvalues and virtual levels at ``p``.
+    """Point spectrum, embedded eigenvalues and virtual levels at ``p``, decided at ``_unit(p)``.
 
     The region of the ``(omega, kappa)`` plane is decided by
     :func:`region_code` with band ``boundary_tol``, while the nonzero
@@ -737,44 +766,44 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     report (flags ``"kolokolov-critical"`` / ``"virtual-level"``), because
     silent tie-breaking would make parameter scans irreproducible.
     """
-    m, w, k = p.m, p.omega, p.kappa
-    gap = m - abs(w)
+    m, unit = p.m, _unit(p)
+    w, k = unit.omega, unit.kappa
     ess = sigma_ess_A(p)
     jordan = zero_jordan_structure(p)
     verdict = stability_verdict(p)
-    cands = candidate_roots(p)
-    accepted = _distinct([c.lam for c in cands if c.accepted], m)
-    region = region_code(m, w, k, boundary_tol)
+    cands = candidate_roots(unit)
+    accepted = _distinct([c.lam for c in cands if c.accepted])
+    region = region_code(1.0, w, k, boundary_tol)
 
     entries: list[SpectralPoint] = [
         SpectralPoint(0j, geometric_mult=jordan.geometric, algebraic_mult=jordan.algebraic)
     ]
     virtual: tuple[complex, ...] = ()
-    lam, flags = _region_pair(region, accepted, m, w, k)
+    lam, flags = _region_pair(region, accepted, w, k)
 
     if region is RegionCode.KOLOKOLOV_CRITICAL:
         flags.append("kolokolov-critical")
     elif region is RegionCode.VIRTUAL_LEVEL_BOUNDARY:
-        virtual = (complex(0.0, gap), complex(0.0, -gap))
+        virtual = (complex(0.0, m - abs(p.omega)), complex(0.0, abs(p.omega) - m))
         flags.append("virtual-level")
-        if abs(w) <= boundary_tol * m and abs(k + 0.5) <= boundary_tol:
+        if abs(w) <= boundary_tol and abs(k + 0.5) <= boundary_tol:
             # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
             flags.append("threshold-overlap")
     elif lam is not None:
         # a real pair, an in-gap imaginary pair, or the embedded pair of the
         # line kappa = 0 (a real pair has |kappa| > boundary_tol)
+        lam = _times(m, lam)
         embedded = region is RegionCode.EMBEDDED_PAIR
         entries.append(SpectralPoint(lam, embedded=embedded))
         entries.append(SpectralPoint(-lam, embedded=embedded))
         if embedded:
             flags.append("embedded")
-        if abs(k) <= boundary_tol and abs(abs(w) - m / 3.0) <= boundary_tol * m:
+        if abs(k) <= boundary_tol and abs(abs(w) - 1.0 / 3.0) <= boundary_tol:
             # threshold onset: the embedded pair sits exactly at +-i*gap but
             # keeps a square-integrable eigenfunction, so it is not a virtual
             # level; flag the coincidence instead
             flags.append("virtual-level-curve-at-kappa-zero")
 
-    _check_symmetry([e.value for e in entries], m)
     return SpectrumReport(
         params=p,
         ess=ess,
@@ -783,7 +812,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         verdict=verdict,
         virtual_levels=virtual,
         flags=tuple(flags),
-        candidates=tuple(cands),
+        candidates=tuple(_at_mass(cands, m)),
         region=region,
     )
 
@@ -813,16 +842,16 @@ def _each(fn, values: np.ndarray, *args) -> np.ndarray:
     return np.array(out, dtype=complex if values.dtype.kind == "c" else float).reshape(values.shape)
 
 
-def _nu_cells(m: float, w: np.ndarray, lr: np.ndarray, li: np.ndarray, plus: bool) -> np.ndarray:
-    """:func:`_nu_principal` of ``omega +- i*lam`` on arrays.
+def _nu_cells(w: np.ndarray, lr: np.ndarray, li: np.ndarray, plus: bool) -> np.ndarray:
+    """:func:`_nu_principal` of ``omega +- i*lam`` on arrays, at ``m = 1``.
 
-    ``z = m^2 - (omega +- i*lam)^2`` is formed with the real operations of
+    ``z = 1 - (omega +- i*lam)^2`` is formed with the real operations of
     Python's complex arithmetic, so the cut test and the cut values are
     exact; elsewhere only the square root may differ in the last bits.
     """
     tr, ti = 0.0 * lr - li, 0.0 * li + lr  # 1j * lam
     wr, wi = (w + tr, 0.0 + ti) if plus else (w - tr, 0.0 - ti)
-    zr = m * m - (wr * wr - wi * wi)
+    zr = 1.0 - (wr * wr - wi * wi)
     zi = 0.0 - (wr * wi + wi * wr)
     cut = (zi == 0.0) & (zr < 0.0)
     z = np.empty(zr.shape, dtype=complex)
@@ -852,15 +881,16 @@ def classify_cells(
     ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
     classifier: the boundary-band codes, a cubic with ``p = q = 0`` or with
     coefficients that overflow, near misses, decisions inside the margin,
-    and accepted roots that do not fit the region.
+    and accepted roots that do not fit the region (or whose ``delta`` overflows at ``m``).
     """
     n = len(omegas)
-    codes = [region_code(m, w, k, band) for w, k in zip(omegas, kappas)]
+    omegas = omegas if m == 1.0 else [_unit(ModelParams(m, w, k)).omega for w, k in zip(omegas, kappas)]
+    codes = [region_code(1.0, w, k, band) for w, k in zip(omegas, kappas)]
     w = np.array(omegas, dtype=float)
     k = np.array(kappas, dtype=float)
     with np.errstate(all="ignore"):
-        a = 2.0 * np.sqrt((m - w) * (m + w))  # ModelParams.alpha
-        c, p, q, delta = _cubic_terms(m, a, k, functools.partial(_each, pow))
+        a = 2.0 * np.sqrt((1.0 - w) * (1.0 + w))  # ModelParams.alpha
+        c, p, q, delta = _cubic_terms(1.0, a, k, functools.partial(_each, pow))
 
         # cubic_roots: the double-root band, then the two generic branches
         cubic_scale = np.maximum(_each(pow, np.abs(p), 3), q * q)
@@ -893,7 +923,7 @@ def classify_cells(
         # candidate_roots: +-sqrt(x) for x = y - 2c/3 off the root at zero
         x = np.empty((n, 3), dtype=complex)
         x.real, x.imag = yr - 2.0 * c[:, None] / 3.0, yi
-        x_floor = _X_FLOOR * np.maximum(m * m, np.abs(c))[:, None]
+        x_floor = _X_FLOOR * np.maximum(1.0, np.abs(c))[:, None]
         ax = np.abs(x)
         skip = np.repeat(ax <= x_floor, 2, axis=1)
         unsure_floor = np.abs(ax - x_floor) <= _GRID_MARGIN * x_floor
@@ -902,8 +932,8 @@ def classify_cells(
 
         # _physical_fit: |D| against its scale, and the pre-squaring identity
         a, c, k, w = a[:, None], c[:, None], k[:, None], w[:, None]
-        nup = _nu_cells(m, w, lam.real, lam.imag, True)
-        num = _nu_cells(m, w, lam.real, lam.imag, False)
+        nup = _nu_cells(w, lam.real, lam.imag, True)
+        num = _nu_cells(w, lam.real, lam.imag, False)
         res = abs(_D_from_nus(a, k, nup, num))
         scale = _scale_from_nus(a, k, nup, num)
         x2 = lam * lam
@@ -920,6 +950,8 @@ def classify_cells(
         far = res > (_NEAR_TOL + _GRID_MARGIN) * scale
         reject = skip | far | (small & ~unsure_sign & id_fails)
         open_cells = ~(split | in_band) | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
+        delta = _delta_at_mass(m, delta)
+        open_cells |= ~np.isfinite(delta)
 
     out: list[tuple[RegionCode, complex | None, float] | None] = []
     boundary = (RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY)
@@ -928,16 +960,13 @@ def classify_cells(
         if is_open or code in boundary:
             out.append(None)
             continue
-        roots = _distinct([z for z, ok in zip(lams, oks) if ok], m)
+        roots = _distinct([z for z, ok in zip(lams, oks) if ok])
         try:
-            pair, _ = _region_pair(code, roots, m, w_i, k_i)
-            if pair is not None and pair.real and pair.imag:
-                # an exactly real or imaginary pair is symmetric as it stands
-                _check_symmetry([0j, pair, -pair], m)
+            pair, _ = _region_pair(code, roots, w_i, k_i)
         except ClassificationError:
             out.append(None)
             continue
-        out.append((code, pair, delta_i))
+        out.append((code, None if pair is None else _times(m, pair), delta_i))
     return out
 
 
@@ -968,9 +997,7 @@ def _gap_axis_exponents(omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    nup, num = exponents
-    a, k = p.alpha, p.kappa
-    return a * a * (1.0 + k) ** 2 - 2.0 * (nup + num) * a * (1.0 + k) + 4.0 * nup * num - a * a * k * k
+    return _D_from_nus(p.alpha, p.kappa, *exponents)
 
 
 @functools.lru_cache(maxsize=1)
@@ -1035,8 +1062,7 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     the meshes and their exponents are built once per ``omega/m``
     (:func:`_axis_meshes`) and each point combines them with its ``kappa``.
     """
-    m = p.m
-    unit = ModelParams(1.0, p.omega / m, p.kappa)
+    m, unit = p.m, _unit(p)
     (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(unit.omega)
     real_roots = _scan_segment(unit, _real_axis_exponents, _real_axis_values, real_mesh, real_ex)
     gap_roots = _scan_segment(unit, _gap_axis_exponents, _gap_axis_values, gap_mesh, gap_ex)

@@ -260,10 +260,10 @@ def zero_jordan_structure(p: ModelParams) -> JordanBlock:
     The generic block is (1, 2), generated by the phase symmetry.  On the
     critical curve ``kappa = omega^2/m^2`` (frequency derivative of the charge
     vanishes) the chain extends to length 4; at ``kappa = 0`` the kernel
-    itself is two-dimensional.  Equalities are decided within ``EQUALITY_TOL``.
+    itself is two-dimensional.  Equalities are decided within ``EQUALITY_TOL`` (``omega`` over ``m``).
     """
     kappa_zero = abs(p.kappa) <= EQUALITY_TOL
-    omega_zero = abs(p.omega) <= EQUALITY_TOL
+    omega_zero = abs(p.omega) <= EQUALITY_TOL * p.m
     on_curve = abs(p.kappa - (p.omega / p.m) ** 2) <= EQUALITY_TOL
     if kappa_zero and omega_zero:
         return JordanBlock(2, 4)

@@ -98,6 +98,29 @@ class TestSpectrumCommand:
         assert captured.err.startswith("error: the cubic's coefficients overflow float64")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("m", ["1e-30", "1e28"])
+    def test_masses_far_from_one_are_classified_in_units_of_m(self, capsys, m):
+        # the physical cubic's discriminant underflows at 1e-30 and its
+        # coefficients overflow at 1e28; the pair is +-sqrt(5)/2 m
+        assert main(["spectrum", "-m", m, "-w", "0", "-k", "0.25", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        values = [e["value"] for e in data["point_spectrum"]]
+        want = math.sqrt(1.25) * float(m)
+        assert values[1][0] == pytest.approx(want, rel=1e-15) and values[2][0] == -values[1][0]
+        assert [v[1] for v in values] == [0.0, 0.0, 0.0]
+
+    def test_json_with_overflowing_audit_values_exits_2(self, capsys):
+        # m^2 times the residual and its scale leaves float64 from m of order 1e154,
+        # and JSON has no NaN or Infinity; the eigenvalues still fit
+        argv = ["spectrum", "-m", "1e200", "-w", "0", "-k", "0.25", "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
+        assert data["point_spectrum"][1]["value"] == [math.sqrt(1.25) * 1e200, 0.0]
+        assert main(argv + ["--verbose"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+
     def test_verbose_audit_trail(self, capsys):
         assert main(
             ["spectrum", "-m", "1", "-w", "0", "-k", "1", "--format", "json", "--verbose"]
@@ -284,6 +307,19 @@ class TestScan:
         assert "error: the cubic's coefficients overflow float64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_mass_overflowing_the_discriminant_exits_2(self, tmp_path, capsys):
+        # the cells are classified at m = 1, but Delta scales as m^12
+        argv = [
+            "scan", "-m", "1e28", "-o", str(tmp_path / "heavy.csv"),
+            "--omega-min=-5e27", "--omega-max=5e27", "--omega-step=2.5e27",
+            "--kappa-min=-1", "--kappa-max=1", "--kappa-step=0.5",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the cubic's coefficients overflow float64 at m = 1e+28")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_cell_cap_fails_before_building_the_grid(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_SCAN_CELLS"):
@@ -445,6 +481,16 @@ class TestArrayScan:
         rows = _cell_rows(1.0, cells, 1e-6)
         assert rows == [_scan_cell(1.0, w, k, 1e-6) for w, k in cells]
         assert rows[1].startswith("-0,0.5,") and rows[4].startswith("0.5,-0,")
+
+    @pytest.mark.parametrize("m", [1e-3, 7.0, 1e20])
+    def test_other_masses_row_for_row(self, m):
+        # both paths classify at m = 1 and form Delta as m^12 times its value there
+        cfg = ScanConfig(
+            m=m, omega_min=-0.96 * m, omega_max=0.96 * m, omega_step=0.02 * m,
+            kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
+        )
+        cells = [(w, k) for w in cfg.omegas() for k in cfg.kappas()][::7]
+        assert _cell_rows(m, cells, cfg.band) == [_scan_cell(m, w, k, cfg.band) for w, k in cells]
 
     def test_readme_grid_scalar_count(self):
         # the cells left to the scalar classifier: the boundary codes
@@ -654,7 +700,9 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "args",
         [["-m", "1e-9"], ["-m", "0.01", "--grid", "21"], ["-m", "0.01", "--grid", "3"],
-         ["-m", "0.16"], ["-m", "7"], ["-m", "1e6"]],
+         ["-m", "0.16"], ["-m", "7"], ["-m", "1e6"],
+         ["-m", "1e-300"], ["-m", "1e-100"], ["-m", "1e-30"], ["-m", "1e24"], ["-m", "1e30"],
+         ["-m", "1e70"]],
     )
     def test_suites_pass_at_any_mass(self, capsys, args):
         # the oracle and the suites work in units of m; at 0.01 with grid 3 the
@@ -662,26 +710,26 @@ class TestValidateCommand:
         assert main(["validate", *args]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
 
-    @pytest.mark.parametrize("at", ["1e-6,0,0.5", "1e-6,8e-7,0.5", "1,0.0005,0", "1e-300,0,0.5"])
+    @pytest.mark.parametrize(
+        "at", ["1e-6,0,0.5", "1e-6,8e-7,0.5", "1,0.0005,0", "1e-300,0,0.5", "1e200,0,0.5"]
+    )
     def test_single_points_at_any_mass(self, capsys, at):
+        # the cubic pipeline works in units of m, so neither m^2 underflowing
+        # nor the physical cubic overflowing stops it
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["validate", "--at", at])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if at == "1e-300,0,0.5":
-            # m^2 underflows: the cubic pipeline, not the oracle, gives up
-            assert rc == 2 and captured.err.startswith("error: no accepted real root")
-        else:
-            assert rc == 0 and captured.out.splitlines()[-1] == "PASS"
+        assert rc == 0 and captured.out.splitlines()[-1] == "PASS"
 
-    def test_mass_overflowing_the_cubic_exits_2(self, capsys):
-        assert main(["validate", "--at", "1e200,0,0.5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: the cubic's coefficients overflow float64 at m = 1e+200")
-        assert "Traceback" not in captured.err
+    @pytest.mark.parametrize("m", [1e-300, 1e70])
+    def test_extreme_masses_raise_no_runtime_warning(self, capsys, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_validation(m=m, grid=9) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
 
     @pytest.mark.parametrize("m", [0.02, 3.0])
     def test_oracle_mass_range_ends_are_admitted(self, capsys, m):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdelta import (
     PHYSICAL,
@@ -30,6 +32,7 @@ from kgdelta import (
 from kgdelta.dispersion import (
     ACCEPT_TOL,
     BOUNDARY_TOL,
+    ClassificationError,
     CubicOverflow,
     RegionCode,
     _axis_meshes,
@@ -211,10 +214,9 @@ class TestCubic:
 
     @pytest.mark.parametrize(
         "m, kappa",
-        # delta is NaN, and no ** raises, at the three kappas; at the two
-        # masses ** raises, and the message names m
+        # delta is NaN, and no ** raises, at the three kappas
         [(1.0, 2.878742363756005e25), (1.0, -2.878742363756005e25),
-         (1.0, 3.1622776601683795e25), (1e28, 0.25), (1.34e154, 0.25)],
+         (1.0, 3.1622776601683795e25)],
     )
     def test_non_finite_coefficients_raise_a_typed_error(self, m, kappa):
         p = ModelParams(m=m, omega=0.1 * m, kappa=kappa)
@@ -223,6 +225,21 @@ class TestCubic:
         with pytest.raises(CubicOverflow):
             classify_point_spectrum(p)
         assert classify_cells(m, [p.omega], [kappa], 1e-6) == [None]
+
+    @pytest.mark.parametrize("m", [1e28, 1.34e154])
+    def test_mass_overflowing_the_physical_cubic_is_classified(self, m):
+        # ** raises in the physical cubic, and the message names m; the
+        # classifier works at (1, omega/m, kappa) and answers
+        p = ModelParams(m=m, omega=0.1 * m, kappa=0.25)
+        with pytest.raises(CubicOverflow, match=re.escape(f"at m = {m:g}, kappa = 0.25")):
+            cubic_data(p)
+        unit = classify_point_spectrum(ModelParams(1.0, p.omega / m, 0.25))
+        report = classify_point_spectrum(p)
+        assert report.region is unit.region is RegionCode.REAL_PAIR
+        assert report.nonzero_values() == tuple(complex(m * z.real, m * z.imag) for z in unit.nonzero_values())
+        # the scan's Delta, m^12 times the one at m = 1, does not fit: the
+        # array path leaves the cell to the scalar one, which raises
+        assert classify_cells(m, [p.omega], [0.25], 1e-6) == [None]
 
     @pytest.mark.parametrize("kappa", [1e25, -1e25])
     def test_largest_kappa_below_the_overflow_is_answered(self, kappa):
@@ -542,6 +559,72 @@ class TestRegions:
         assert all(g >= -1e-12 for g in gaps)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4
+
+
+def _report_or_error(p: ModelParams):
+    try:
+        return classify_point_spectrum(p)
+    except ClassificationError as exc:
+        return str(exc)
+
+
+def _bits(report, m: float = 1.0) -> tuple:
+    """What a report says, its values times ``m`` and spelled out bit for bit."""
+    if isinstance(report, str):
+        return (report,)
+
+    def times(scale, z):
+        return ((scale * z.real).hex(), (scale * z.imag).hex())
+
+    m2 = m * m
+    return (
+        report.region, report.verdict, report.flags, report.jordan_at_zero,
+        [(times(m, e.value), e.geometric_mult, e.algebraic_mult, e.embedded)
+         for e in report.points.entries],
+        [(times(m, c.lam), c.sheet, (m2 * c.residual).hex(), (m2 * c.scale).hex(), c.accepted,
+          c.source, times(m2, c.x), times(m2, c.y)) for c in report.candidates],
+    )
+
+
+class TestHomogeneity:
+    """``D(m l; m, m w, kappa) = m^2 D(l; 1, w, kappa)``: the report at mass
+    ``m`` is the report at ``m = 1`` with its values times ``m``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.integers(-250, 250), w=st.floats(-0.99, 0.99), kappa=st.floats(-2.0, 2.0))
+    def test_powers_of_two_scale_bit_for_bit(self, j, w, kappa):
+        m = 2.0**j
+        want = _report_or_error(ModelParams(1.0, w, kappa))
+        got = _report_or_error(ModelParams(m, m * w, kappa))
+        assert _bits(got) == _bits(want, m)
+        if not isinstance(got, str):
+            assert got.ess.thresholds == tuple(m * t for t in want.ess.thresholds)
+            assert got.virtual_levels == tuple(complex(0.0, m * v.imag) for v in want.virtual_levels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(e=st.floats(-100.0, 100.0), w=st.floats(-0.99, 0.99), kappa=st.floats(-2.0, 2.0))
+    def test_any_mass_matches_its_unit_point(self, e, w, kappa):
+        m = 10.0**e
+        p = ModelParams(m, m * w, kappa)
+        want = _report_or_error(ModelParams(1.0, p.omega / m, kappa))
+        got = _report_or_error(p)
+        # region, verdict, flags and Jordan block are equal, and the values
+        # are the unit ones times m
+        assert _bits(got) == _bits(want, m)
+        if isinstance(got, str):
+            return
+        # the thresholds are formed from m and omega: a few ulps of m
+        ulps = 4.0 * np.finfo(float).eps * m
+        for a, b in zip(got.ess.thresholds, want.ess.thresholds, strict=True):
+            assert abs(a - m * b) <= ulps
+        for a, b in zip(got.virtual_levels, want.virtual_levels, strict=True):
+            assert abs(a - m * b) <= ulps
+
+    @pytest.mark.parametrize("m", [1e-6, 2.0, 1e6])
+    def test_overflowing_kappa_raises_at_any_mass(self, m):
+        # the cubic in units of m overflows from |kappa| alone
+        with pytest.raises(CubicOverflow, match=re.escape("kappa = 1e+80")):
+            classify_point_spectrum(ModelParams(m, 0.1 * m, 1e80))
 
 
 class TestLargeExponent:

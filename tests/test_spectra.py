@@ -199,6 +199,12 @@ class TestZeroJordan:
         j = zero_jordan_structure(ModelParams(1.0, omega, kappa))
         assert (j.geometric, j.algebraic) == want
 
+    def test_omega_zero_is_decided_in_units_of_m(self):
+        # omega = 0.1 m at m = 1e-12 is as far from omega = 0 as at m = 1
+        small = zero_jordan_structure(ModelParams(1e-12, 1e-13, 0.0))
+        unit = zero_jordan_structure(ModelParams(1.0, 0.1, 0.0))
+        assert (small.geometric, small.algebraic) == (unit.geometric, unit.algebraic) == (2, 2)
+
     def test_tolerance_band(self):
         j = zero_jordan_structure(ModelParams(1.0, 0.5, 0.25 + 1e-13))
         assert (j.geometric, j.algebraic) == (1, 4)

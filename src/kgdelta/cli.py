@@ -11,9 +11,11 @@ Four subcommands:
 Exit codes: 0 success, 1 validation failure, 2 invalid parameters,
 3 simulation aborted by the blow-up guard, 141 (128 + SIGPIPE) standard
 output closed by its reader.  Scans run serially: blocks of cells go
-through the array classifier ``classify_cells``, and the few cells it
-leaves open through the scalar one, so output files are byte-identical to a
-cell-by-cell scan.  ``--threads`` is accepted and ignored.
+through the array classifier, and the few cells it leaves open through the
+scalar one, so output files are byte-identical to a cell-by-cell scan.  What
+is left per cell is that scalar fallback and the three ``%.12g`` value
+columns; the axis columns are formatted once per value.  ``--threads`` is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .dispersion import (
     PHYSICAL,
     RegionCode,
     SpectrumReport,
-    classify_cells,
     classify_point_spectrum,
     collision_exponent_frequency,
     cubic_data,
@@ -48,7 +49,7 @@ from .dispersion import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from .dispersion import _delta_at_mass, _unit
+from .dispersion import _REGIONS, _classify_arrays, _delta_at_mass, _distinct_bits, _unit
 from .lattice import DefectLattice, Grid
 from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
 from .spectra import Verdict
@@ -152,30 +153,15 @@ def _omega_fields(m: float, omega: float) -> tuple[str, str]:
     return _fmt(omega), _fmt(virtual_level_exponent(m, omega))
 
 
-def _kappa_fields(m: float, kappa: float) -> tuple[str, str, str]:
-    """The columns that depend on ``kappa`` alone: ``kappa``, ``T_kappa``, ``Omega_kappa``."""
-    return (
-        _fmt(kappa),
-        _fmt(virtual_level_frequency(m, kappa)),
-        _fmt(collision_exponent_frequency(m, kappa)),
-    )
+def _kappa_fields(m: float, kappa: float) -> tuple[str, str]:
+    """The columns that depend on ``kappa`` alone: ``kappa``, and ``T_kappa,Omega_kappa``."""
+    t, omega = virtual_level_frequency(m, kappa), collision_exponent_frequency(m, kappa)
+    return _fmt(kappa), f"{t:.12g},{omega:.12g}"
 
 
-def _row(
-    omega_fields: tuple[str, str],
-    kappa_fields: tuple[str, str, str],
-    code: RegionCode,
-    lam: complex,
-    delta: float,
-) -> str:
-    """One CSV data line from its axis columns and its classification."""
-    omega, k_omega = omega_fields
-    kappa, t_kappa, omega_kappa = kappa_fields
-    fields = (
-        omega, kappa, code.value, _fmt(lam.real), _fmt(lam.imag), _fmt(delta),
-        k_omega, t_kappa, omega_kappa,
-    )
-    return ",".join(fields)
+def _row(w: tuple[str, str], k: tuple[str, str], code: str, re: float, im: float, delta: float) -> str:
+    """One CSV data line from its axis columns ``w`` and ``k`` and its classification."""
+    return f"{w[0]},{k[0]},{code},{re:.12g},{im:.12g},{delta:.12g},{w[1]},{k[1]}"
 
 
 def _classify_scalar(
@@ -193,17 +179,15 @@ def _classify_scalar(
 def _scan_cell(m: float, omega: float, kappa: float, band: float) -> str:
     """One CSV data line through the scalar classifier."""
     code, lam, delta = _classify_scalar(m, omega, kappa, band)
-    return _row(_omega_fields(m, omega), _kappa_fields(m, kappa), code, lam, delta)
+    return _row(_omega_fields(m, omega), _kappa_fields(m, kappa), code.value, lam.real, lam.imag, delta)
 
 
-def _axis_columns(cache: dict, fields, m: float, value: float) -> tuple[str, ...]:
-    """``fields(m, value)``, formed once per ``value`` in ``cache``."""
-    # -0.0 == 0.0, but %.12g writes the first as -0, so the sign is in the key
-    key = (value, math.copysign(1.0, value))
-    cols = cache.get(key)
-    if cols is None:
-        cols = cache[key] = fields(m, value)
-    return cols
+def _axis_fields(cache: dict, fields, m: float, values: np.ndarray) -> tuple[list, np.ndarray]:
+    """``fields(m, v)`` of each distinct value, formed once per bit pattern in ``cache``
+    (``%.12g`` writes ``-0.0`` as ``-0``), and where each value is among them."""
+    distinct, where = _distinct_bits(values)
+    bits = distinct.view(np.int64).tolist()
+    return [cache.get(b) or cache.setdefault(b, fields(m, v)) for b, v in zip(bits, distinct.tolist())], where
 
 
 #: Cells per array call of the scan, eight rows of the README grid.  Arrays
@@ -216,29 +200,33 @@ def _cell_rows(
 ) -> list[str]:
     """The CSV data lines of ``(omega, kappa)`` cells, in order.
 
-    Blocks of cells go through :func:`classify_cells`; a cell it leaves open
-    goes through the scalar classifier, and ``tally["scalar"]`` counts those.
-    ``tally`` also counts the cells of each :class:`RegionCode`.  The columns
-    that depend on one axis alone are formatted once per value of that axis.
+    Blocks of cells go through the array classifier, the cells it leaves open
+    through the scalar one; ``tally`` counts those (``"scalar"``) and the cells
+    of each :class:`RegionCode`.  The axis columns are formatted once per value.
     """
     lines: list[str] = []
     omega_cols: dict = {}
     kappa_cols: dict = {}
+    names = [code.value for code in _REGIONS]
     cells = iter(cells)
     while block := list(itertools.islice(cells, _BLOCK_CELLS)):
-        ws, ks = (list(axis) for axis in zip(*block))
-        for (w, k), res in zip(block, classify_cells(m, ws, ks, band)):
-            if res is None:
-                code, lam, delta = _classify_scalar(m, w, k, band)
-            else:
-                code, pair, delta = res
-                lam = 0j if pair is None else _representative((pair, -pair), ())
-            if tally is not None:
-                tally["scalar"] += res is None
-                tally[code] += 1
-            w_cols = _axis_columns(omega_cols, _omega_fields, m, w)
-            k_cols = _axis_columns(kappa_cols, _kappa_fields, m, k)
-            lines.append(_row(w_cols, k_cols, code, lam, delta))
+        ws, ks = (np.array(axis, dtype=float) for axis in zip(*block))
+        codes, pairs, deltas = _classify_arrays(m, ws, ks, band)
+        # _representative of +-pair: right half plane or upper imaginary axis; 0 in ZeroOnly
+        up = (pairs.real > 0.0) | ((pairs.real == 0.0) & (pairs.imag >= 0.0))
+        lams = np.where(up, pairs, -pairs)
+        scalar = np.flatnonzero(codes < 0).tolist()
+        for i in scalar:
+            code, lams[i], deltas[i] = _classify_scalar(m, *block[i], band)
+            codes[i] = _REGIONS.index(code)
+        if tally is not None:
+            tally["scalar"] += len(scalar)
+            tally.update(dict(zip(_REGIONS, np.bincount(codes, minlength=len(_REGIONS)).tolist())))
+        w_cols, wi = _axis_fields(omega_cols, _omega_fields, m, ws)
+        k_cols, ki = _axis_fields(kappa_cols, _kappa_fields, m, ks)
+        values = lams.real.tolist(), lams.imag.tolist(), deltas.tolist()
+        rows = zip(wi.tolist(), ki.tolist(), codes.tolist(), *values)
+        lines += [_row(w_cols[a], k_cols[b], names[c], re, im, d) for a, b, c, re, im, d in rows]
     return lines
 
 
@@ -331,14 +319,15 @@ def _suite_closed_forms(m: float, n: int, perturb_q: float) -> tuple[int, list[s
     return 2 * n, fails
 
 
-def _suite_identities(m: float, n: int) -> tuple[int, list[str]]:
+def _suite_identities(n: int) -> tuple[int, list[str]]:
+    # in units of m, as the other suites (the level relation overflows from m ~ 1e77)
     from .spectra import lambda_pm, scalar_eigenvalue
 
     fails: list[str] = []
     checks = 0
-    for w in np.linspace(-0.9 * m, 0.9 * m, n):
+    for w in np.linspace(-0.9, 0.9, n):
         for k in np.linspace(-0.45, 2.0, n):
-            p = ModelParams(m=m, omega=float(w), kappa=float(k))
+            p = ModelParams(m=1.0, omega=float(w), kappa=float(k))
             lam = lambda_pm(p)
             s = scalar_eigenvalue(p)
             checks += 1
@@ -348,18 +337,18 @@ def _suite_identities(m: float, n: int) -> tuple[int, list[str]]:
             vieta_prod = abs(lo * hi - s) / (1.0 + abs(s))
             vieta_sum = abs(lo + hi - (s + w * w + 1.0)) / (1.0 + abs(s))
             if vieta_prod > 1e-12 or vieta_sum > 1e-12:
-                fails.append(f"Vieta violated at omega={w:g}, kappa={k:g}")
+                fails.append(f"Vieta violated at omega/m={w:g}, kappa={k:g}")
             for z in (lo, hi):
                 if abs(z - 1.0) > 1e-6:
                     term = z * w * w / (1.0 - z)
                     # 8 ulps of z, magnified by d(term)/dz = w^2 / (1 - z)^2
                     slack = 8.0 * sys.float_info.epsilon * abs(term * z / (1.0 - z))
                     if abs(z + term - s) > 1e-10 * (1.0 + abs(s)) + slack:
-                        fails.append(f"level relation violated at omega={w:g}, kappa={k:g}")
+                        fails.append(f"level relation violated at omega/m={w:g}, kappa={k:g}")
     for i in range(n):
         k = -0.5 + (1.0 / math.sqrt(2.0) + 0.5) * i / n
-        t = virtual_level_frequency(m, k)
-        back = virtual_level_exponent(m, t)
+        t = virtual_level_frequency(1.0, k)
+        back = virtual_level_exponent(1.0, t)
         checks += 1
         if abs(back - k) > 1e-10:
             fails.append(f"curve inverse violated at kappa={k:g}: K(T)={back:.12g}")
@@ -407,7 +396,7 @@ def run_validation(
     suites = [
         ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
         ("closed-form-special-cases", lambda: _suite_closed_forms(m, sweep, perturb_q)),
-        ("algebraic-identities", lambda: _suite_identities(m, max(grid, 10))),
+        ("algebraic-identities", lambda: _suite_identities(max(grid, 10))),
         ("virtual-level-residuals", lambda: _suite_virtual_levels(20)),
     ]
     total_fail = 0

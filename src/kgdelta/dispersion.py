@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -252,17 +253,22 @@ class CubicData:
     delta: float
 
 
-def _cubic_terms(m, a, k, pw=pow):
-    """``(c, p, q, delta)`` at ``a = alpha``, on numbers or arrays.
+def _axis_powers(a, k, pw=pow):
+    """The cubic's powers of one axis: ``alpha^2, alpha^6`` at ``a = alpha``, ``(1+kappa)^2, kappa^4``."""
+    a2 = pw(a, 2)
+    return a2, pw(a2, 3), pw(1.0 + k, 2), pw(k, 4)
+
+
+def _cubic_terms(m, k, a2, a6, k1_2, k4, pw=pow):
+    """``(c, p, q, delta)`` from the :func:`_axis_powers`, on numbers or arrays.
 
     Every power is ``pw(base, exponent)``: Python's ``pow``, which raises
     ``OverflowError``, or on arrays that same ``pow`` per element.
     """
-    a2 = pw(a, 2)
     c = 4.0 * m * m - a2 * (1.0 + k + 0.5 * k * k)
     r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)  # alpha^4 kappa^2 (1 - kappa^2) / 4
     p = -c * c / 3.0 + r
-    q = -2.0 * pw(c, 3) / 27.0 + c * r / 3.0 - pw(a2, 3) * pw(1.0 + k, 2) * pw(k, 4) / 8.0
+    q = -2.0 * pw(c, 3) / 27.0 + c * r / 3.0 - a6 * k1_2 * k4 / 8.0
     delta = -4.0 * pw(p, 3) - 27.0 * q * q
     return c, p, q, delta
 
@@ -270,7 +276,7 @@ def _cubic_terms(m, a, k, pw=pow):
 def cubic_data(params: ModelParams) -> CubicData:
     m, k = params.m, params.kappa
     try:
-        terms = _cubic_terms(m, params.alpha, k)
+        terms = _cubic_terms(m, k, *_axis_powers(params.alpha, k))
         # a product that overflows gives inf or NaN where ``**`` raises
         if all(map(math.isfinite, terms)):
             return CubicData(*terms)
@@ -524,9 +530,18 @@ def _distinct(values: list[complex]) -> list[complex]:
     return roots
 
 
+def _unit_candidates(p: ModelParams, data: CubicData | None = None) -> list[RootCandidate]:
+    """:func:`candidate_roots` at ``_unit(p)``; a cubic that overflows is named with ``p``'s mass."""
+    try:
+        return candidate_roots(_unit(p), data=data)
+    except CubicOverflow:  # the unit cubic names m = 1
+        msg = f"the cubic's coefficients overflow float64 at m = {p.m:g}, kappa = {p.kappa:g}"
+        raise CubicOverflow(msg) from None
+
+
 def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline, told apart at ``m = 1``."""
-    cands = candidate_roots(_unit(params), data=data)
+    cands = _unit_candidates(params, data=data)
     return [_times(params.m, z) for z in _distinct([c.lam for c in cands if c.accepted])]
 
 
@@ -581,6 +596,32 @@ class RegionCode(enum.Enum):
     VIRTUAL_LEVEL_BOUNDARY = "VirtualLevelBoundary"
 
 
+#: The region codes in definition order; :func:`_region_index` indexes them.
+_REGIONS = tuple(RegionCode)
+_ZERO, _REAL, _IMAG, _EMB, _KOL, _VLB = range(len(_REGIONS))
+
+
+def _if(cond, a, b):
+    return a if cond else b
+
+
+def _region_index(aw, aw2, kv, k, t, band, where=_if):
+    """:func:`region_code`'s rules on numbers or arrays, as an index into ``_REGIONS``.
+
+    ``aw = |omega/m|``, ``aw2 = aw**2``, ``kv = K(aw)`` and ``t = T(k)`` (NaN
+    where it overflows) are at ``m = 1``.
+    """
+    kol_defect = k - aw2
+    # the line meets the Kolokolov curve at the origin, where the band is
+    # measured in omega/m (off the line the Kolokolov band covers it)
+    kol = where(k == 0.0, (aw <= band) | (4.0 * aw * aw <= _X_FLOOR), abs(kol_defect) <= band)
+    vlb = (k != 0.0) & (-0.5 - band <= k) & (k < _INV_SQRT2) & ((abs(k - kv) <= band) | (abs(aw - t) <= band))
+    off_line = where(kol_defect > 0.0, _REAL, where(k > kv, _IMAG, _ZERO))
+    # on the line the decoupled pair +-2i*omega is embedded from m - |omega| on
+    on_line = where(2.0 * aw >= 1.0 - aw, _EMB, _IMAG)
+    return where(kol, _KOL, where(vlb, _VLB, where((k != 0.0) & (abs(k) > band), off_line, on_line)))
+
+
 def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> RegionCode:
     """Analytic region predicate, straight from the curve inequalities.
 
@@ -593,26 +634,11 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
     except where a point off the exact line also lies in another band.
     """
     aw = abs(omega if m == 1.0 else _unit(ModelParams(m, omega, kappa)).omega)
-    if kappa == 0.0:
-        # the line meets the Kolokolov curve at the origin, where the band is
-        # measured in omega/m (off the line the Kolokolov band covers it)
-        if aw <= band or 4.0 * aw * aw <= _X_FLOOR:
-            return RegionCode.KOLOKOLOV_CRITICAL
-    else:
-        kol_defect = kappa - aw**2
-        if abs(kol_defect) <= band:
-            return RegionCode.KOLOKOLOV_CRITICAL
-        kv = virtual_level_exponent(1.0, aw)
-        if -0.5 - band <= kappa < _INV_SQRT2 and (
-            abs(kappa - kv) <= band or abs(aw - virtual_level_frequency(1.0, kappa)) <= band
-        ):
-            return RegionCode.VIRTUAL_LEVEL_BOUNDARY
-        if abs(kappa) > band:
-            if kol_defect > 0.0:
-                return RegionCode.REAL_PAIR
-            return RegionCode.IMAGINARY_PAIR if kappa > kv else RegionCode.ZERO_ONLY
-    # on the line the decoupled pair +-2i*omega is embedded from m - |omega| on
-    return RegionCode.EMBEDDED_PAIR if 2.0 * aw >= 1.0 - aw else RegionCode.IMAGINARY_PAIR
+    try:
+        t = virtual_level_frequency(1.0, kappa)
+    except OverflowError:  # (1 + 2 kappa)^2 past float64
+        t = math.nan
+    return _REGIONS[_region_index(aw, aw**2, virtual_level_exponent(1.0, aw), kappa, t, band)]
 
 
 @dataclass(frozen=True)
@@ -771,7 +797,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     ess = sigma_ess_A(p)
     jordan = zero_jordan_structure(p)
     verdict = stability_verdict(p)
-    cands = candidate_roots(unit)
+    cands = _unit_candidates(p)
     accepted = _distinct([c.lam for c in cands if c.accepted])
     region = region_code(1.0, w, k, boundary_tol)
 
@@ -793,6 +819,9 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         # a real pair, an in-gap imaginary pair, or the embedded pair of the
         # line kappa = 0 (a real pair has |kappa| > boundary_tol)
         lam = _times(m, lam)
+        if not cmath.isfinite(lam):
+            where = f"m = {m:g}, omega = {p.omega:g}, kappa = {k:g}"
+            raise ValueError(f"the eigenvalues overflow float64 at {where}")
         embedded = region is RegionCode.EMBEDDED_PAIR
         entries.append(SpectralPoint(lam, embedded=embedded))
         entries.append(SpectralPoint(-lam, embedded=embedded))
@@ -831,7 +860,7 @@ def _each(fn, values: np.ndarray, *args) -> np.ndarray:
     """
     vals = values.ravel().tolist()
     try:
-        out = [fn(v, *args) for v in vals]
+        out = list(map(fn, vals, *map(itertools.repeat, args)))
     except (ArithmeticError, ValueError):
         out = []
         for v in vals:
@@ -860,6 +889,19 @@ def _nu_cells(w: np.ndarray, lr: np.ndarray, li: np.ndarray, plus: bool) -> np.n
     return np.where(cut, on_cut, np.sqrt(z))
 
 
+def _distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of ``values`` (``-0.0`` apart from ``0.0``), and where each value is."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(float), inverse
+
+
+def _region_cells(aw: np.ndarray, wi: np.ndarray, k: np.ndarray, ki: np.ndarray, band: float):
+    """:func:`_region_index` at the cells ``(aw[wi], k[ki])``, from distinct ``aw = |omega/m|``, ``k``."""
+    kv = _each(functools.partial(virtual_level_exponent, 1.0), aw)
+    t = _each(functools.partial(virtual_level_frequency, 1.0), k)
+    return _region_index(aw[wi], _each(pow, aw, 2)[wi], kv[wi], k[ki], t[ki], band, np.where)
+
+
 def classify_cells(
     m: float, omegas: list[float], kappas: list[float], band: float
 ) -> list[tuple[RegionCode, complex | None, float] | None]:
@@ -869,31 +911,38 @@ def classify_cells(
     Its entry is the region code, the upper value of the nonzero pair the
     region calls for (``None`` in ZeroOnly) and the discriminant ``delta``,
     each to the bit what the scalar classifier and :func:`cubic_data` give.
-    The cubic pipeline, the ``+-sqrt(x)`` candidates, their physical-sheet
-    residuals and the pre-squaring identity run as arrays over all cells,
-    through the scalar helpers: ``c, p, q, delta`` (libm ``pow`` per element),
-    the roots and ``lambda`` keep the scalar bits, while ``|D|``, its scale
-    and the identity may be a few ulps off.  The discriminant band of
-    :func:`cubic_roots` (the whole line ``kappa = 0`` among others) is decided
-    here too: its double-root formulas use only ``*`` and ``/``, and band
-    membership compares the scalar bits, so it needs no margin.  A cell is
-    decided here only when every other decision has a margin of
-    ``_GRID_MARGIN`` of its scale; ``None`` leaves it to the scalar
-    classifier: the boundary-band codes, a cubic with ``p = q = 0`` or with
-    coefficients that overflow, near misses, decisions inside the margin,
-    and accepted roots that do not fit the region (or whose ``delta`` overflows at ``m``).
+    The scalar helpers run on arrays, with what depends on one axis alone
+    formed once per value: ``c, p, q, delta`` (libm ``pow``), the roots (in
+    the double-root band of :func:`cubic_roots` too) and ``lambda`` keep the
+    scalar bits, while ``|D|``, its scale and the pre-squaring identity may
+    be a few ulps off, so a cell is decided only where each of those tests
+    clears its threshold by ``_GRID_MARGIN`` of its scale.  ``None`` leaves
+    the boundary-band codes, a cubic with ``p = q = 0`` or that overflows,
+    near misses, decisions inside the margin and roots that do not fit the
+    region (or a ``delta`` that overflows at ``m``) to the scalar classifier.
     """
+    codes, pairs, deltas = _classify_arrays(m, np.array(omegas, float), np.array(kappas, float), band)
+    cells = zip(codes.tolist(), pairs.tolist(), deltas.tolist())
+    return [None if c < 0 else (_REGIONS[c], None if c == _ZERO else z, d) for c, z, d in cells]
+
+
+def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: float) -> tuple:
+    """:func:`classify_cells` on arrays: indices into ``_REGIONS`` (``-1`` where
+    open), the pairs (``0`` in ZeroOnly) and ``delta``.  :func:`_region_pair`
+    runs cell by cell only where its pick is not plain."""
     n = len(omegas)
-    omegas = omegas if m == 1.0 else [_unit(ModelParams(m, w, k)).omega for w, k in zip(omegas, kappas)]
-    codes = [region_code(1.0, w, k, band) for w, k in zip(omegas, kappas)]
-    w = np.array(omegas, dtype=float)
-    k = np.array(kappas, dtype=float)
+    each_pow = functools.partial(_each, pow)
+    (wu, wi), (ku, ki) = _distinct_bits(omegas), _distinct_bits(kappas)
     with np.errstate(all="ignore"):
-        a = 2.0 * np.sqrt((1.0 - w) * (1.0 + w))  # ModelParams.alpha
-        c, p, q, delta = _cubic_terms(1.0, a, k, functools.partial(_each, pow))
+        wu = wu / m  # _unit
+        codes = _region_cells(np.abs(wu), wi, ku, ki, band)
+        au = 2.0 * np.sqrt((1.0 - wu) * (1.0 + wu))  # ModelParams.alpha
+        a2, a6, k1_2, k4 = _axis_powers(au, ku, each_pow)
+        w, k, a = wu[wi], kappas, au[wi]
+        c, p, q, delta = _cubic_terms(1.0, k, a2[wi], a6[wi], k1_2[ki], k4[ki], each_pow)
 
         # cubic_roots: the double-root band, then the two generic branches
-        cubic_scale = np.maximum(_each(pow, np.abs(p), 3), q * q)
+        cubic_scale = np.maximum(each_pow(np.abs(p), 3), q * q)
         finite = np.isfinite(delta)  # elsewhere the scalar classifier raises CubicOverflow
         in_band = (np.abs(delta) <= 1e-12 * cubic_scale) & (cubic_scale != 0.0) & finite
         split = (np.abs(delta) > 1e-12 * cubic_scale) & finite
@@ -913,7 +962,7 @@ def classify_cells(
         d = np.sqrt(-delta[card] / 108.0)
         t = -0.5 * qc
         u3 = np.where(np.abs(t + d) >= np.abs(t - d), t + d, t - d)
-        u = np.copysign(_each(pow, np.abs(u3), 1.0 / 3.0), u3)
+        u = np.copysign(each_pow(np.abs(u3), 1.0 / 3.0), u3)
         v = -pc / (3.0 * u)
         y1 = u + v
         im = 0.5 * math.sqrt(3.0) * np.abs(u - v)
@@ -951,23 +1000,25 @@ def classify_cells(
         reject = skip | far | (small & ~unsure_sign & id_fails)
         open_cells = ~(split | in_band) | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
         delta = _delta_at_mass(m, delta)
-        open_cells |= ~np.isfinite(delta)
+        open_cells |= ~np.isfinite(delta) | (codes >= _KOL)
 
-    out: list[tuple[RegionCode, complex | None, float] | None] = []
-    boundary = (RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY)
-    cells = zip(codes, omegas, kappas, open_cells.tolist(), lam.tolist(), accept.tolist(), delta.tolist())
-    for code, w_i, k_i, is_open, lams, oks, delta_i in cells:
-        if is_open or code in boundary:
-            out.append(None)
-            continue
-        roots = _distinct([z for z, ok in zip(lams, oks) if ok])
+    # _region_pair's pick where it is plain: no accepted root in ZeroOnly, else
+    # only +-z of one cubic root, z on the axis the region names
+    z = lam[np.arange(n), np.argmax(accept, axis=1)]
+    along, across = np.where(codes == _REAL, z.real, z.imag), np.where(codes == _REAL, z.imag, z.real)
+    one_root = (accept.sum(axis=1) == 2) & accept.reshape(n, 3, 2).all(axis=2).any(axis=1)
+    plain = np.where(codes == _ZERO, ~accept.any(axis=1), one_root & (across == 0.0) & (abs(z) > 1e-6))
+    pairs = np.where(plain & (codes != _ZERO), np.where(along > 0.0, z, -z), 0.0)
+    codes = np.where(open_cells, -1, codes)
+    for i in np.flatnonzero(~plain & ~open_cells).tolist():
+        roots = _distinct([z for z, ok in zip(lam[i].tolist(), accept[i].tolist()) if ok])
         try:
-            pair, _ = _region_pair(code, roots, w_i, k_i)
+            got, _ = _region_pair(_REGIONS[codes[i]], roots, float(w[i, 0]), float(k[i, 0]))
+            pairs[i] = 0.0 if got is None else got
         except ClassificationError:
-            out.append(None)
-            continue
-        out.append((code, None if pair is None else _times(m, pair), delta_i))
-    return out
+            codes[i] = -1
+    pairs.real, pairs.imag = m * pairs.real, m * pairs.imag  # _times
+    return codes, pairs, delta
 
 
 # ---------------------------------------------------------------------------

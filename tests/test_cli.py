@@ -10,7 +10,10 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgdelta
 from kgdelta.cli import (
@@ -24,7 +27,14 @@ from kgdelta.cli import (
     write_scan_csv,
 )
 from kgdelta.cli import _cell_rows, _scan_cell
-from kgdelta.dispersion import ClassificationError, classify_cells
+from kgdelta.dispersion import (
+    _REGIONS,
+    ClassificationError,
+    _distinct_bits,
+    _region_cells,
+    classify_cells,
+    virtual_level_exponent,
+)
 
 
 class TestSpectrumCommand:
@@ -97,6 +107,22 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: the cubic's coefficients overflow float64")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum", "-m", "2", "-w", "0.1", "-k", "1e80"], ["validate", "--at", "2,0.1,1e80"]]
+    )
+    def test_kappa_overflow_names_the_mass(self, capsys, argv):
+        # the classifier works on the cubic at m = 1, but the message names the mass asked for
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the cubic's coefficients overflow float64 at m = 2, kappa = 1e+80\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_eigenvalues_overflowing_float64_exit_2(self, capsys, fmt):
+        # the pair is +-sqrt(5)/2 m, past float64 at m = 1.7e308
+        assert main(["spectrum", "-m", "1.7e308", "-w", "0", "-k", "0.25", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the eigenvalues overflow float64 at m = 1.7e+308, omega = 0, kappa = 0.25\n"
 
     @pytest.mark.parametrize("m", ["1e-30", "1e28"])
     def test_masses_far_from_one_are_classified_in_units_of_m(self, capsys, m):
@@ -504,6 +530,55 @@ class TestArrayScan:
         assert tally["scalar"] == 6
 
 
+@st.composite
+def _cells_near_the_curves(draw):
+    """A mass and up to 24 cells, many within 1e-9 of kappa = 0, omega^2/m^2 or K(omega)."""
+    m = draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    signed_zero = st.sampled_from([0.0, -0.0])
+    # a few omega/m values, shared by several cells as on a grid
+    us = draw(st.lists(st.floats(-0.999, 0.999) | signed_zero, min_size=1, max_size=4))
+    # offsets of every scale up to 1e-9, so that some land next to the band edges
+    scaled = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-12.0, -9.0))
+    cells = []
+    for _ in range(draw(st.integers(1, 24))):
+        u = draw(st.sampled_from(us))
+        off = draw(st.floats(-1e-9, 1e-9) | scaled | signed_zero)
+        near = draw(st.sampled_from(["free", "zero", "kolokolov", "virtual"]))
+        if near == "free":
+            kappa = draw(st.floats(-3.0, 3.0))
+        elif near == "zero":
+            kappa = off  # 0.0 + off would turn a -0.0 into 0.0
+        else:
+            kappa = (u * u if near == "kolokolov" else virtual_level_exponent(1.0, u)) + off
+        cells.append((m * u, kappa))
+    return m, cells
+
+
+class TestArrayPathProperty:
+    """Random cells next to the critical curves: the array path is the scalar one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_cells_near_the_curves(), band=st.sampled_from([1e-6, 1e-10]))
+    def test_rows_are_the_scalar_rows(self, case, band):
+        m, cells = case
+        want = [_scalar_row(m, w, k, band) for w, k in cells]
+        for cell, row in zip(cells, want):
+            if isinstance(row, type):
+                with pytest.raises(row):
+                    _cell_rows(m, [cell], band)
+        fine = [(cell, row) for cell, row in zip(cells, want) if isinstance(row, str)]
+        assert _cell_rows(m, [cell for cell, _ in fine], band) == [row for _, row in fine]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cells_near_the_curves(), band=st.sampled_from([1e-6, 1e-10]))
+    def test_region_rules_are_the_scalar_rules(self, case, band):
+        m, cells = case
+        wu, wi = _distinct_bits(np.array([w for w, _ in cells]))
+        ku, ki = _distinct_bits(np.array([k for _, k in cells]))
+        got = _region_cells(np.abs(wu / m), wi, ku, ki, band)
+        assert [_REGIONS[i] for i in got.tolist()] == [region_code(m, w, k, band) for w, k in cells]
+
+
 class TestSimulateCommand:
     def test_stationary_run(self, tmp_path, capsys):
         prefix = str(tmp_path / "run")
@@ -731,6 +806,14 @@ class TestValidateCommand:
             assert run_validation(m=m, grid=9) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
 
+    @pytest.mark.parametrize("m", ["1e80", "1e100"])
+    def test_identities_run_in_units_of_m(self, capsys, m):
+        # in physical units the level relation's z * w^2 overflowed from m of order 1e77
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", "-m", m, "--grid", "9"]) == 0
+        assert "algebraic-identities: PASS (110 checks, 0 failed)" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("m", [0.02, 3.0])
     def test_oracle_mass_range_ends_are_admitted(self, capsys, m):
         assert run_validation(at=(m, 0.3 * m, 0.5)) == 0
@@ -819,6 +902,29 @@ print(json.dumps({{"codes": codes, "before": before, "after": sorted(sys.modules
     assert got["before"] == []
     # the table a = tau/2 is interpolated, and its potential integrated
     assert {"scipy.interpolate", "scipy.integrate"} <= set(got["after"])
+
+
+def test_scan_loads_no_scipy_and_no_hashlib(tmp_path):
+    # a module a scan does not need costs every scan its import and its
+    # memory: hashlib alone adds about 3.8 MB to the peak RSS
+    script = f"""
+import json, sys
+from kgdelta.cli import main
+code = main(["scan", "--omega-min", "-0.96", "--omega-max", "0.96", "--omega-step", "0.24",
+             "--kappa-min", "-2", "--kappa-max", "2", "--kappa-step", "0.25", "-o", {str(tmp_path / "s.csv")!r}])
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert [m for m in got["modules"] if m.split(".")[0] in ("scipy", "hashlib", "_hashlib")] == []
 
 
 class TestGoldenContract:

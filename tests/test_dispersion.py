@@ -36,6 +36,7 @@ from kgdelta.dispersion import (
     CubicOverflow,
     RegionCode,
     _axis_meshes,
+    _distinct_bits,
     classify_cells,
 )
 
@@ -715,6 +716,14 @@ class TestClassifyCells:
             cubic_data(ModelParams(1.0, 0.1, 1e80))
         got = classify_cells(1.0, [0.1, 0.1], [1e80, 0.3], 1e-6)
         assert got[0] is None and got[1] is not None
+
+
+class TestArrayPathHelpers:
+    def test_axis_values_are_kept_apart_by_bit_pattern(self):
+        cells = np.array([0.5, -0.0, 0.0, 0.5, -0.0])
+        values, where = _distinct_bits(cells)
+        assert len(values) == 3
+        assert np.array_equal(values[where].view(np.int64), cells.view(np.int64))
 
 
 class TestOracle:

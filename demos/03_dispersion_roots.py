@@ -18,9 +18,9 @@ from kgdelta import (
     axis_scan_roots,
     candidate_roots,
     classify_point_spectrum,
-    critical_curves,
     cubic_data,
     oracle_mismatches,
+    virtual_level_frequency,
 )
 
 
@@ -49,8 +49,7 @@ show(ModelParams(1.0, 0.0, -0.25))
 print()
 
 # on the virtual-level curve: the pair sits exactly at the gap threshold
-cc = critical_curves(ModelParams(1.0, 0.0, 0.5))
-show(ModelParams(1.0, cc.virtual_omega, 0.5))
+show(ModelParams(1.0, virtual_level_frequency(1.0, 0.5), 0.5))
 print()
 
 # decoupled line kappa = 0: embedded pair at +-2i omega

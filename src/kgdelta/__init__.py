@@ -44,7 +44,6 @@ from .dispersion import (
     ALL_SHEETS,
     PHYSICAL,
     ClassificationError,
-    CriticalCurves,
     CubicData,
     CubicOverflow,
     D_eval,
@@ -57,7 +56,6 @@ from .dispersion import (
     candidate_roots,
     classify_point_spectrum,
     collision_exponent_frequency,
-    critical_curves,
     cubic_data,
     cubic_roots,
     nu_pm,

@@ -35,11 +35,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dispersion import (
-    CubicData,
     D_eval,
     PHYSICAL,
     RegionCode,
     SpectrumReport,
+    accepted_roots,
     classify_point_spectrum,
     collision_exponent_frequency,
     cubic_data,
@@ -52,7 +52,7 @@ from .dispersion import (
 from .dispersion import _REGIONS, _classify_arrays, _delta_at_mass, _distinct_bits, _unit
 from .lattice import DefectLattice, Grid
 from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
-from .spectra import Verdict
+from .spectra import Verdict, lambda_pm, scalar_eigenvalue
 
 __all__ = [
     "RegionCode",
@@ -268,14 +268,6 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-def _perturbed_data(p: ModelParams, q_offset: float) -> CubicData | None:
-    if q_offset == 0.0:
-        return None
-    cd = cubic_data(_unit(p))
-    q = cd.q + q_offset * (1.0 + abs(cd.q))
-    return CubicData(c=cd.c, p=cd.p, q=q, delta=-4.0 * cd.p**3 - 27.0 * q * q)
-
-
 def _suite_oracle(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
     fails: list[str] = []
     checks = 0
@@ -283,14 +275,12 @@ def _suite_oracle(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
         for k in np.linspace(-1.9, 1.9, n):
             p = ModelParams(m=m, omega=m * round(float(w), 12), kappa=round(float(k), 12))
             checks += 1
-            for msg in oracle_mismatches(p, data=_perturbed_data(p, perturb_q)):
+            for msg in oracle_mismatches(p, perturb_q):
                 fails.append(f"(omega={p.omega:g}, kappa={p.kappa:g}) {msg}")
     return checks, fails
 
 
 def _suite_closed_forms(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
-    from .dispersion import accepted_roots
-
     fails: list[str] = []
     tol = 1e-9 * m
     for i in range(1, n + 1):
@@ -299,7 +289,7 @@ def _suite_closed_forms(m: float, n: int, perturb_q: float) -> tuple[int, list[s
         want = 2.0 * m * (
             math.sqrt(k * (1.0 + k)) if k > 0 else 1j * math.sqrt(-k * (1.0 + k))
         )
-        got = accepted_roots(p, data=_perturbed_data(p, perturb_q))
+        got = accepted_roots(p, perturb_q)
         hit = [z for z in got if abs(z - want) <= tol or abs(z + want) <= tol]
         if len(got) != 2 or len(hit) != 2:
             fails.append(f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}")
@@ -321,8 +311,6 @@ def _suite_closed_forms(m: float, n: int, perturb_q: float) -> tuple[int, list[s
 
 def _suite_identities(n: int) -> tuple[int, list[str]]:
     # in units of m, as the other suites (the level relation overflows from m ~ 1e77)
-    from .spectra import lambda_pm, scalar_eigenvalue
-
     fails: list[str] = []
     checks = 0
     for w in np.linspace(-0.9, 0.9, n):
@@ -355,37 +343,32 @@ def _suite_identities(n: int) -> tuple[int, list[str]]:
     return checks, fails
 
 
+def _threshold_residual(p: ModelParams) -> tuple[float, float]:
+    """``|D|`` at the gap threshold ``i(m - |omega|)`` on the physical sheet, and its scale."""
+    lam = 1j * (p.m - abs(p.omega))
+    return abs(D_eval(p, lam, PHYSICAL)), residual_scale(p, lam)
+
+
 def _suite_virtual_levels(n: int) -> tuple[int, list[str]]:
     # D(m l; m, m w, kappa) = m^2 D(l; 1, w, kappa): the relative residual is
     # taken in units of m, at m = 1
     fails: list[str] = []
     for i in range(1, n + 1):
         k = -0.49 + (0.70 + 0.49) * i / n
-        t = virtual_level_frequency(1.0, k)
-        p = ModelParams(m=1.0, omega=t, kappa=k)
-        lam = 1j * (1.0 - t)
-        resid = abs(D_eval(p, lam, PHYSICAL))
-        scale = residual_scale(p, lam)
+        p = ModelParams(m=1.0, omega=virtual_level_frequency(1.0, k), kappa=k)
+        resid, scale = _threshold_residual(p)
         if resid > 1e-10 * scale:
             fails.append(f"kappa={k:g}: |D| = {resid:.3e} > 1e-10 * {scale:.3e}")
     return n, fails
 
 
-def run_validation(
-    m: float = 1.0,
-    grid: int = 9,
-    sweep: int = 50,
-    perturb_q: float = 0.0,
-    at: tuple[float, float, float] | None = None,
-) -> int:
+def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: float = 0.0) -> int:
     """Run the cross-validation suites; returns the process exit code.
 
     Arguments are checked before any suite runs: a bad one raises
     ``ValueError`` and prints nothing.  The last lines are the wall time of
     each suite and the overall verdict.
     """
-    if at is not None:
-        return _validate_at(at)
     if not (grid >= 1 and sweep >= 1):
         raise ValueError(f"grid and sweep must be at least 1, got grid={grid}, sweep={sweep}")
     if grid * grid > MAX_SCAN_CELLS:
@@ -417,18 +400,15 @@ def run_validation(
     return 0 if total_fail == 0 else 1
 
 
-def _validate_at(at: tuple[float, float, float]) -> int:
-    m, w, k = at
-    p = ModelParams(m=m, omega=w, kappa=k)
+def _validate_at(p: ModelParams) -> int:
+    """The oracle, and next to the virtual-level curve its residual, at one point."""
     failures = oracle_mismatches(p)
     for msg in failures:
         print(f"  {msg}")
-    t = virtual_level_frequency(m, k)
-    if not math.isnan(t) and abs(abs(w) - t) <= 1e-6 * m:
-        lam = 1j * (m - abs(w))
-        resid = abs(D_eval(p, lam, PHYSICAL))
-        scale = residual_scale(p, lam)
-        print(f"virtual-level residual |D({lam.imag:g}i)| = {resid:.3e} (scale {scale:.3e})")
+    t = virtual_level_frequency(p.m, p.kappa)
+    if not math.isnan(t) and abs(abs(p.omega) - t) <= 1e-6 * p.m:
+        resid, scale = _threshold_residual(p)
+        print(f"virtual-level residual |D({p.m - abs(p.omega):g}i)| = {resid:.3e} (scale {scale:.3e})")
         if resid > 1e-10 * scale:
             failures.append("virtual-level residual out of tolerance")
     report = classify_point_spectrum(p)
@@ -512,6 +492,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     else:
         nl = PowerLaw(g=args.coupling, kappa=args.kappa)
+    # classified first: a point the classifier cannot certify writes no files
+    spec = classify_point_spectrum(p)
+    predicted = spec.verdict
+    predicted_rate = max((z.real for z in spec.nonzero_values() if z.real > 0), default=None)
     grid = Grid.for_run(p, horizon=args.horizon, target_h=args.grid_h, half_length=args.half_length)
     sim = DefectLattice(nl, p, grid)
     report = sim.run_experiment(
@@ -525,11 +509,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     json_path = args.output + ".json"
     report.write_csv(csv_path)
 
-    spec = classify_point_spectrum(p)
-    predicted = spec.verdict
-    predicted_rate = max(
-        (z.real for z in spec.nonzero_values() if z.real > 0), default=None
-    )
     d = report.orbital_distance
     initial, peak = float(d[0]), float(np.max(d))
     if report.aborted:
@@ -565,15 +544,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    at = None
     if args.at is not None:
         parts = [float(s) for s in args.at.split(",")]
         if len(parts) != 3:
             raise ValueError("--at expects 'm,omega,kappa'")
-        at = (parts[0], parts[1], parts[2])
-    return run_validation(
-        m=args.mass, grid=args.grid, sweep=args.sweep, perturb_q=args.perturb_q, at=at
-    )
+        return _validate_at(ModelParams(*parts))
+    return run_validation(m=args.mass, grid=args.grid, sweep=args.sweep, perturb_q=args.perturb_q)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -64,7 +64,6 @@ __all__ = [
     "ALL_SHEETS",
     "RootCandidate",
     "CubicData",
-    "CriticalCurves",
     "RegionCode",
     "SpectrumReport",
     "ClassificationError",
@@ -77,7 +76,6 @@ __all__ = [
     "cubic_roots",
     "candidate_roots",
     "accepted_roots",
-    "critical_curves",
     "collision_exponent_frequency",
     "virtual_level_frequency",
     "virtual_level_exponent",
@@ -273,16 +271,20 @@ def _cubic_terms(m, k, a2, a6, k1_2, k4, pw=pow):
     return c, p, q, delta
 
 
+def _overflow(p: ModelParams) -> CubicOverflow:
+    return CubicOverflow(f"the cubic's coefficients overflow float64 at m = {p.m:g}, kappa = {p.kappa:g}")
+
+
 def cubic_data(params: ModelParams) -> CubicData:
-    m, k = params.m, params.kappa
+    k = params.kappa
     try:
-        terms = _cubic_terms(m, k, *_axis_powers(params.alpha, k))
+        terms = _cubic_terms(params.m, k, *_axis_powers(params.alpha, k))
         # a product that overflows gives inf or NaN where ``**`` raises
         if all(map(math.isfinite, terms)):
             return CubicData(*terms)
     except OverflowError:
         pass
-    raise CubicOverflow(f"the cubic's coefficients overflow float64 at m = {m:g}, kappa = {k:g}")
+    raise _overflow(params)
 
 
 def _unit(p: ModelParams) -> ModelParams:
@@ -462,7 +464,7 @@ def _refine_near_miss(
     return None
 
 
-def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[RootCandidate]:
+def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCandidate]:
     """All ``lambda`` candidates from the cubic reduction, assessed sheet by sheet.
 
     Every cubic root ``y`` gives ``x = y - 2c/3`` and, for ``x != 0``, the two
@@ -475,10 +477,18 @@ def candidate_roots(params: ModelParams, data: CubicData | None = None) -> list[
     stay where the cubic put them and carry the label of whichever sheet fits
     them best (resonances), or ``None``.  The root at ``lambda = 0`` is never
     emitted: the cubic was derived after cancelling it, and its multiplicity
-    is the Jordan data's job.  It runs at ``_unit(params)``, whose cubic ``data`` is.
+    is the Jordan data's job.  It runs at ``_unit(params)``; a nonzero
+    ``q_offset`` moves that cubic's ``q`` by ``q_offset (1 + |q|)``, a fault
+    injected for ``validate --perturb-q``.
     """
     unit = _unit(params)
-    cd = cubic_data(unit) if data is None else data
+    try:
+        cd = cubic_data(unit)
+    except CubicOverflow:  # the unit cubic names m = 1
+        raise _overflow(params) from None
+    if q_offset != 0.0:
+        q = cd.q + q_offset * (1.0 + abs(cd.q))
+        cd = CubicData(cd.c, cd.p, q, -4.0 * cd.p**3 - 27.0 * q * q)
     a, k = unit.alpha, unit.kappa
     x_floor = _X_FLOOR * max(1.0, abs(cd.c))
     out: list[RootCandidate] = []
@@ -530,18 +540,17 @@ def _distinct(values: list[complex]) -> list[complex]:
     return roots
 
 
-def _unit_candidates(p: ModelParams, data: CubicData | None = None) -> list[RootCandidate]:
+def _unit_candidates(p: ModelParams, q_offset: float = 0.0) -> list[RootCandidate]:
     """:func:`candidate_roots` at ``_unit(p)``; a cubic that overflows is named with ``p``'s mass."""
     try:
-        return candidate_roots(_unit(p), data=data)
+        return candidate_roots(_unit(p), q_offset)
     except CubicOverflow:  # the unit cubic names m = 1
-        msg = f"the cubic's coefficients overflow float64 at m = {p.m:g}, kappa = {p.kappa:g}"
-        raise CubicOverflow(msg) from None
+        raise _overflow(p) from None
 
 
-def accepted_roots(params: ModelParams, data: CubicData | None = None) -> list[complex]:
+def accepted_roots(params: ModelParams, q_offset: float = 0.0) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline, told apart at ``m = 1``."""
-    cands = _unit_candidates(params, data=data)
+    cands = _unit_candidates(params, q_offset)
     return [_times(params.m, z) for z in _distinct([c.lam for c in cands if c.accepted])]
 
 
@@ -639,29 +648,6 @@ def region_code(m: float, omega: float, kappa: float, band: float = 1e-6) -> Reg
     except OverflowError:  # (1 + 2 kappa)^2 past float64
         t = math.nan
     return _REGIONS[_region_index(aw, aw**2, virtual_level_exponent(1.0, aw), kappa, t, band)]
-
-
-@dataclass(frozen=True)
-class CriticalCurves:
-    """The three curve values through one parameter point.
-
-    ``collision_omega``: frequency where the pair collides at zero for this
-    ``kappa`` (NaN for ``kappa < 0``); ``virtual_omega``: frequency of the
-    virtual-level curve for this ``kappa`` (NaN at ``kappa=-3/4``);
-    ``virtual_kappa``: exponent placing a virtual level at this ``omega``.
-    """
-
-    collision_omega: float
-    virtual_omega: float
-    virtual_kappa: float
-
-
-def critical_curves(p: ModelParams) -> CriticalCurves:
-    return CriticalCurves(
-        collision_omega=collision_exponent_frequency(p.m, p.kappa),
-        virtual_omega=virtual_level_frequency(p.m, p.kappa),
-        virtual_kappa=virtual_level_exponent(p.m, p.omega),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1106,7 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     return [m * t for t in real_roots], [m * t for t in gap_roots]
 
 
-def oracle_mismatches(p: ModelParams, data: CubicData | None = None) -> list[str]:
+def oracle_mismatches(p: ModelParams, q_offset: float = 0.0) -> list[str]:
     """Compare cubic-pipeline roots against the dense axis scan.
 
     Both root sets are restricted to one window per axis, in units of ``m``:
@@ -1130,12 +1116,12 @@ def oracle_mismatches(p: ModelParams, data: CubicData | None = None) -> list[str
     and threshold-exact values are boundary cases, so none of those are
     comparable here; a root on an edge of the window is left out of either
     set.  Returns one message per root unmatched within ``1e-6 m``; an empty
-    list means full agreement.
+    list means full agreement.  ``q_offset`` is :func:`candidate_roots`'s.
     """
     m = p.m
     lo = _ORACLE_STEP * m * (1.0 + 1e-9)
     tol = 1e-6 * m
-    accepted = accepted_roots(p, data=data)
+    accepted = accepted_roots(p, q_offset)
     got_real, got_gap = axis_scan_roots(p)
 
     issues: list[str] = []

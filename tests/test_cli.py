@@ -662,6 +662,14 @@ class TestSimulateCommand:
         assert "needs more than MAX_LATTICE_NODES = 1000000 nodes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_point_the_classifier_cannot_certify_writes_nothing(self, tmp_path, capsys):
+        # kappa - K(0.9) = 3e-8: the in-gap root is too close to the threshold
+        prefix = str(tmp_path / "run")
+        argv = ["simulate", "-m", "1", "-w", "0.9", "-k", "0.603834871531", "-T", "2", "-o", prefix]
+        assert main(argv) == 2
+        assert "error: no accepted in-gap imaginary root" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
+
     def test_kappa_disagreeing_with_nonlinearity_exit_2(self, tmp_path, capsys):
         # the coupling g*tau has effective exponent 1, not the stated 0
         rc = main(
@@ -765,6 +773,14 @@ class TestValidateCommand:
         assert rc == 1
         assert "FAIL" in out
 
+    def test_fault_injection_detected_at_another_mass(self, capsys):
+        # the fault goes into the cubic in units of m, so it shows at any mass
+        assert main(["validate", "-m", "7", "--grid", "9", "--perturb-q", "1e-3"]) == 1
+        out = capsys.readouterr().out
+        assert "oracle-root-agreement: FAIL" in out
+        assert "closed-form-special-cases: FAIL" in out
+        assert out.splitlines()[-1] == "validation FAILED"
+
     def test_single_point_virtual_level(self, capsys):
         rc = main(["validate", "--at", "1,0.8,0.5"])
         out = capsys.readouterr().out
@@ -816,7 +832,7 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("m", [0.02, 3.0])
     def test_oracle_mass_range_ends_are_admitted(self, capsys, m):
-        assert run_validation(at=(m, 0.3 * m, 0.5)) == 0
+        assert main(["validate", "--at", f"{m!r},{0.3 * m!r},0.5"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 

@@ -20,7 +20,6 @@ from kgdelta import (
     candidate_roots,
     classify_point_spectrum,
     collision_exponent_frequency,
-    critical_curves,
     cubic_data,
     cubic_roots,
     nu_pm,
@@ -37,6 +36,7 @@ from kgdelta.dispersion import (
     RegionCode,
     _axis_meshes,
     _distinct_bits,
+    _region_pair,
     classify_cells,
 )
 
@@ -321,9 +321,8 @@ class TestCandidates:
 
 class TestCriticalCurves:
     def test_special_values(self):
-        cc = critical_curves(ModelParams(1.0, 1.0 / 3.0, 0.0))
-        assert cc.virtual_omega == pytest.approx(1.0 / 3.0)
-        assert cc.virtual_kappa == pytest.approx(0.0, abs=1e-14)
+        assert virtual_level_frequency(1.0, 0.0) == pytest.approx(1.0 / 3.0)
+        assert virtual_level_exponent(1.0, 1.0 / 3.0) == pytest.approx(0.0, abs=1e-14)
         assert virtual_level_frequency(1.0, 1.0 / math.sqrt(2.0)) == pytest.approx(1.0)
         assert virtual_level_exponent(1.0, 0.0) == -0.5
 
@@ -345,6 +344,29 @@ class TestCriticalCurves:
 
 
 class TestClassification:
+    def test_zero_cluster_flag(self):
+        # in a ~1e-7 shell around kappa = -1 a resonance crosses zero and is
+        # accepted at the double root there
+        rep = classify_point_spectrum(ModelParams(1.0, 0.3, -1.0 - 1e-10))
+        assert rep.region is RegionCode.ZERO_ONLY
+        assert rep.flags == ("zero-cluster",)
+        assert rep.nonzero_values() == ()
+
+    def test_virtual_level_curve_meets_the_line(self):
+        # at |omega| = m/3 on kappa = 0 the embedded pair +-2i omega sits at the threshold
+        rep = classify_point_spectrum(ModelParams(1.0, 0.3333333333333333, 0.0))
+        assert rep.region is RegionCode.IMAGINARY_PAIR
+        assert rep.flags == ("virtual-level-curve-at-kappa-zero",)
+        assert sorted(rep.nonzero_values(), key=lambda z: z.imag) == pytest.approx([-2j / 3, 2j / 3])
+
+    def test_region_pair_rejects_an_asymmetric_pick(self):
+        with pytest.raises(ClassificationError, match=re.escape("breaks +-/conjugation symmetry")):
+            _region_pair(RegionCode.REAL_PAIR, [4 + 3.5e-8j], 0.0, 1.0)
+
+    def test_region_pair_rejects_stray_roots_in_zero_only(self):
+        with pytest.raises(ClassificationError, match="unexpected accepted roots"):
+            _region_pair(RegionCode.ZERO_ONLY, [0.5 + 0j], 0.5, -0.2)
+
     def test_embedded_pair(self):
         rep = classify_point_spectrum(ModelParams(1.0, 0.5, 0.0))
         vals = sorted(rep.nonzero_values(), key=lambda z: z.imag)
@@ -626,6 +648,43 @@ class TestHomogeneity:
         # the cubic in units of m overflows from |kappa| alone
         with pytest.raises(CubicOverflow, match=re.escape("kappa = 1e+80")):
             classify_point_spectrum(ModelParams(m, 0.1 * m, 1e80))
+
+    @pytest.mark.parametrize(
+        "fn", [cubic_data, candidate_roots, accepted_roots, classify_point_spectrum, oracle_mismatches],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_overflow_names_the_callers_mass(self, fn):
+        # the unit cubic that overflows is at m = 1; the message names the caller's m
+        with pytest.raises(CubicOverflow, match=re.escape("at m = 2, kappa = 1e+80")):
+            fn(ModelParams(2.0, 0.1, 1e80))
+
+    @pytest.mark.parametrize("q_offset", [0.0, 1e-3])
+    @pytest.mark.parametrize("m", [1e-3, 2.0, 7.0])
+    @pytest.mark.parametrize("w, kappa", [(0.0, 1.0), (0.5, 0.2), (0.3, 0.8), (0.55, 0.28)])
+    def test_q_offset_acts_on_the_unit_cubic(self, m, q_offset, w, kappa):
+        # q_offset moves the q of the cubic in units of m, at every mass; the
+        # roots are the unit ones times m, bit for bit
+        p = ModelParams(m, m * w, kappa)
+        unit = ModelParams(1.0, p.omega / m, kappa)
+
+        def bits(zs, scale=1.0):
+            return [(scale * z.real).hex() + (scale * z.imag).hex() for z in zs]
+
+        want = accepted_roots(unit, q_offset)
+        assert bits(accepted_roots(p, q_offset)) == bits(want, m)
+        assert bool(want) == (q_offset == 0.0)  # the injected fault loses the pair
+        got = [c.lam for c in candidate_roots(p, q_offset)]
+        assert bits(got) == bits([c.lam for c in candidate_roots(unit, q_offset)], m)
+
+    def test_q_offset_moves_q_by_its_share_of_one_plus_q(self):
+        p = ModelParams(7.0, 2.1, 0.8)
+        cd = cubic_data(ModelParams(1.0, 0.3, 0.8))
+        q = cd.q + 1e-3 * (1.0 + abs(cd.q))
+        moved = CubicData(cd.c, cd.p, q, -4.0 * cd.p**3 - 27.0 * q * q)
+        ys = cubic_roots(moved)
+        cands = candidate_roots(p, 1e-3)
+        assert cands and all(c.y == 49.0 * ys[c.source] for c in cands)
+        assert all(c.x == 49.0 * (ys[c.source] - 2.0 * cd.c / 3.0) for c in cands)
 
 
 class TestLargeExponent:

@@ -1,0 +1,53 @@
+"""The benchmark's trace wraps kgdelta by name: those names must exist.
+
+``perfbench/traced.py`` patches ``(owner, attribute)`` pairs of ``kgdelta.cli``,
+``kgdelta.dispersion`` and ``kgdelta.lattice``.  A renamed or deleted one
+would otherwise surface only in the benchmark's own tests.  The module is
+loaded from its file without writing bytecode next to it, and the benchmark
+modules it imports are taken out of ``sys.modules`` again.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import kgdelta.cli as cli
+import kgdelta.dispersion as dispersion
+import kgdelta.lattice as lattice
+from kgdelta import ModelParams
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def traced(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("_perfbench_traced", PERFBENCH / "traced.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        for name in set(sys.modules) - before:
+            del sys.modules[name]
+
+
+def test_every_traced_target_exists(traced):
+    targets = traced.targets(cli, dispersion, lattice)
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert callable(owner.__dict__.get(attr)), f"{owner.__name__}.{attr}"
+
+
+def test_one_candidate_roots_span_per_classification(traced):
+    # the trace divides by the number of candidate_roots spans, so the
+    # classifier must reach candidate_roots through the module attribute
+    tracer = traced.Tracer()
+    with tracer.installed(traced.targets(cli, dispersion, lattice)):
+        for m in (1.0, 2.0):
+            dispersion.classify_point_spectrum(ModelParams(m, 0.5 * m, 0.2))
+    assert len(tracer.spans("dispersion.candidate_roots", "")) == 2

@@ -15,6 +15,7 @@ import numpy as np
 from kgdelta import (
     D_eval,
     ModelParams,
+    accepted_roots,
     axis_scan_roots,
     candidate_roots,
     classify_point_spectrum,
@@ -61,7 +62,7 @@ rng = np.random.default_rng(1)
 bad = 0
 for _ in range(21):
     p = ModelParams(1.0, rng.uniform(-0.9, 0.9), rng.uniform(-1.9, 1.9))
-    issues = oracle_mismatches(p)
+    issues = oracle_mismatches(p, accepted_roots(p))
     bad += bool(issues)
 print(f"  disagreements: {bad}/21")
 

@@ -39,6 +39,7 @@ from .dispersion import (
     PHYSICAL,
     RegionCode,
     SpectrumReport,
+    accepted_cells,
     accepted_roots,
     classify_point_spectrum,
     collision_exponent_frequency,
@@ -269,27 +270,28 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
 
 
 def _suite_oracle(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
+    # the pipeline roots of a block of points come from one array call, the
+    # scan's block size bounding its memory
     fails: list[str] = []
-    checks = 0
-    for w in np.linspace(-0.9, 0.9, n):
-        for k in np.linspace(-1.9, 1.9, n):
-            p = ModelParams(m=m, omega=m * round(float(w), 12), kappa=round(float(k), 12))
-            checks += 1
-            for msg in oracle_mismatches(p, perturb_q):
+    cells = ((m * round(float(w), 12), round(float(k), 12))
+             for w in np.linspace(-0.9, 0.9, n) for k in np.linspace(-1.9, 1.9, n))
+    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
+        ws, ks = zip(*block)
+        for w, k, roots in zip(ws, ks, accepted_cells(m, ws, ks, perturb_q)):
+            p = ModelParams(m=m, omega=w, kappa=k)
+            for msg in oracle_mismatches(p, roots):
                 fails.append(f"(omega={p.omega:g}, kappa={p.kappa:g}) {msg}")
-    return checks, fails
+    return n * n, fails
 
 
 def _suite_closed_forms(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
     fails: list[str] = []
     tol = 1e-9 * m
-    for i in range(1, n + 1):
-        k = -0.49 + (3.0 + 0.49) * i / n
-        p = ModelParams(m=m, omega=0.0, kappa=k)
+    ks = (-0.49 + (3.0 + 0.49) * np.arange(1, n + 1) / n).tolist()
+    for k, got in zip(ks, accepted_cells(m, [0.0] * n, ks, perturb_q)):
         want = 2.0 * m * (
             math.sqrt(k * (1.0 + k)) if k > 0 else 1j * math.sqrt(-k * (1.0 + k))
         )
-        got = accepted_roots(p, perturb_q)
         hit = [z for z in got if abs(z - want) <= tol or abs(z + want) <= tol]
         if len(got) != 2 or len(hit) != 2:
             fails.append(f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}")
@@ -400,9 +402,9 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
     return 0 if total_fail == 0 else 1
 
 
-def _validate_at(p: ModelParams) -> int:
+def _validate_at(p: ModelParams, perturb_q: float) -> int:
     """The oracle, and next to the virtual-level curve its residual, at one point."""
-    failures = oracle_mismatches(p)
+    failures = oracle_mismatches(p, accepted_roots(p, perturb_q))
     for msg in failures:
         print(f"  {msg}")
     t = virtual_level_frequency(p.m, p.kappa)
@@ -544,12 +546,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.perturb_q):
+        raise ValueError(f"perturb_q must be finite, got {args.perturb_q}")
     if args.at is not None:
+        for flag, value in (("-m", args.mass), ("--grid", args.grid), ("--sweep", args.sweep)):
+            if value is not None:
+                raise ValueError(f"--at runs no suite and takes m from its point: {flag} cannot go with it")
         parts = [float(s) for s in args.at.split(",")]
         if len(parts) != 3:
             raise ValueError("--at expects 'm,omega,kappa'")
-        return _validate_at(ModelParams(*parts))
-    return run_validation(m=args.mass, grid=args.grid, sweep=args.sweep, perturb_q=args.perturb_q)
+        return _validate_at(ModelParams(*parts), args.perturb_q)
+    return run_validation(
+        m=1.0 if args.mass is None else args.mass,
+        grid=9 if args.grid is None else args.grid,
+        sweep=50 if args.sweep is None else args.sweep,
+        perturb_q=args.perturb_q,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -600,9 +612,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sm.set_defaults(func=_cmd_simulate)
 
     va = sub.add_parser("validate", help="cross-oracle validation suites")
-    va.add_argument("-m", "--mass", type=float, default=1.0)
-    va.add_argument("--grid", type=int, default=9, help="oracle grid size per axis")
-    va.add_argument("--sweep", type=int, default=50, help="points per closed-form sweep")
+    # None marks a flag not given, which --at refuses
+    va.add_argument("-m", "--mass", type=float, default=None, help="mass of the suites (default 1)")
+    va.add_argument("--grid", type=int, default=None, help="oracle grid size per axis (default 9)")
+    va.add_argument("--sweep", type=int, default=None, help="points per closed-form sweep (default 50)")
     va.add_argument("--perturb-q", type=float, default=0.0, help="fault injection (negative control)")
     va.add_argument("--at", type=str, default=None, help="single point 'm,omega,kappa'")
     va.set_defaults(func=_cmd_validate)

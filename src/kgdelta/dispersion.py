@@ -28,7 +28,8 @@ levels at the gap thresholds, and the stability verdict into a
 :class:`SpectrumReport`.  For scans, :func:`classify_cells` runs the same
 pipeline as numpy arrays over many cells at once, the discriminant band
 of the cubic included, and leaves each cell it cannot decide with margin to
-the scalar classifier.  Both paths call the same helpers, each formula
+the scalar classifier; :func:`accepted_cells` gives the accepted roots of
+many cells the same way.  Both paths call the same helpers, each formula
 written once for numbers or arrays; the array path keeps the scalar bits of
 ``c, p, q, delta``, the roots and ``lambda``.  ``D`` is homogeneous in ``m``,
 so both decide at ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
@@ -82,6 +83,7 @@ __all__ = [
     "region_code",
     "classify_point_spectrum",
     "classify_cells",
+    "accepted_cells",
     "axis_scan_roots",
     "oracle_mismatches",
 ]
@@ -912,20 +914,50 @@ def classify_cells(
     return [None if c < 0 else (_REGIONS[c], None if c == _ZERO else z, d) for c, z, d in cells]
 
 
-def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: float) -> tuple:
-    """:func:`classify_cells` on arrays: indices into ``_REGIONS`` (``-1`` where
-    open), the pairs (``0`` in ZeroOnly) and ``delta``.  :func:`_region_pair`
-    runs cell by cell only where its pick is not plain."""
+def accepted_cells(m: float, omegas: list[float], kappas: list[float], q_offset: float = 0.0) -> list[list[complex]]:
+    """What :func:`accepted_roots` gives at many cells, each to the bit.
+
+    Cell ``i`` is ``(m, omegas[i], kappas[i])``, and ``q_offset`` is
+    :func:`candidate_roots`'s.  The candidates and their acceptance test run
+    on arrays, as in :func:`classify_cells`; a cell they leave open (a cubic
+    with ``p = q = 0`` or that overflows, a near miss, a decision inside the
+    margin) goes to :func:`accepted_roots`.
+    """
+    ws, ks = np.array(omegas, float), np.array(kappas, float)
+    if not (0.0 < m < math.inf and (np.abs(ws) < m).all() and np.isfinite(ks).all()):
+        raise ValueError(f"cells must have |omega| < m and a finite kappa at a positive, finite m = {m}")
+    _, _, lam, accept, open_cells, _ = _cell_candidates(m, ws, ks, q_offset)
+    out = []
+    for w, k, zs, oks, shut in zip(omegas, kappas, lam.tolist(), accept.tolist(), open_cells.tolist()):
+        if shut:
+            out.append(accepted_roots(ModelParams(m, w, k), q_offset))
+        else:
+            out.append([_times(m, z) for z in _distinct(list(itertools.compress(zs, oks)))])
+    return out
+
+
+def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset: float = 0.0) -> tuple:
+    """:func:`candidate_roots`'s candidates and acceptance test at many cells, on arrays.
+
+    Returns the distinct ``omega/m`` and ``kappa`` values, each with where
+    the cells' values are among them; the six ``lambda`` of each cell at
+    ``m = 1``, in :func:`candidate_roots`'s order; which of them are
+    accepted; the cells left open (a cubic with ``p = q = 0`` or that
+    overflows, near misses and decisions inside the margin); and ``delta``
+    at ``m = 1``.  ``q_offset`` moves ``q`` as :func:`candidate_roots` does.
+    """
     n = len(omegas)
     each_pow = functools.partial(_each, pow)
     (wu, wi), (ku, ki) = _distinct_bits(omegas), _distinct_bits(kappas)
     with np.errstate(all="ignore"):
         wu = wu / m  # _unit
-        codes = _region_cells(np.abs(wu), wi, ku, ki, band)
         au = 2.0 * np.sqrt((1.0 - wu) * (1.0 + wu))  # ModelParams.alpha
         a2, a6, k1_2, k4 = _axis_powers(au, ku, each_pow)
         w, k, a = wu[wi], kappas, au[wi]
         c, p, q, delta = _cubic_terms(1.0, k, a2[wi], a6[wi], k1_2[ki], k4[ki], each_pow)
+        if q_offset != 0.0:
+            q = q + q_offset * (1.0 + np.abs(q))
+            delta = -4.0 * each_pow(p, 3) - 27.0 * q * q
 
         # cubic_roots: the double-root band, then the two generic branches
         cubic_scale = np.maximum(each_pow(np.abs(p), 3), q * q)
@@ -974,6 +1006,8 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
         x2 = lam * lam
         disc = np.sqrt(a * a * (1.0 - k) ** 2 + 8.0 * x2)
         sigma = nup + num
+        # freed for the identity test's temporaries: they set the peak memory of every block
+        del nup, num, x, principal, ax, yr, yi
         d_plus, d_minus = _branch_distances(a, k, sigma, disc)
         span = np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
         unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * span
@@ -985,8 +1019,19 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
         far = res > (_NEAR_TOL + _GRID_MARGIN) * scale
         reject = skip | far | (small & ~unsure_sign & id_fails)
         open_cells = ~(split | in_band) | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
+    return (wu, wi), (ku, ki), lam, accept, open_cells, delta
+
+
+def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: float) -> tuple:
+    """:func:`classify_cells` on arrays: indices into ``_REGIONS`` (``-1`` where
+    open), the pairs (``0`` in ZeroOnly) and ``delta``.  :func:`_region_pair`
+    runs cell by cell only where its pick is not plain."""
+    n = len(omegas)
+    (wu, wi), (ku, ki), lam, accept, open_cells, delta = _cell_candidates(m, omegas, kappas)
+    with np.errstate(all="ignore"):
+        codes = _region_cells(np.abs(wu), wi, ku, ki, band)
         delta = _delta_at_mass(m, delta)
-        open_cells |= ~np.isfinite(delta) | (codes >= _KOL)
+    open_cells |= ~np.isfinite(delta) | (codes >= _KOL)
 
     # _region_pair's pick where it is plain: no accepted root in ZeroOnly, else
     # only +-z of one cubic root, z on the axis the region names
@@ -999,7 +1044,7 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
     for i in np.flatnonzero(~plain & ~open_cells).tolist():
         roots = _distinct([z for z, ok in zip(lam[i].tolist(), accept[i].tolist()) if ok])
         try:
-            got, _ = _region_pair(_REGIONS[codes[i]], roots, float(w[i, 0]), float(k[i, 0]))
+            got, _ = _region_pair(_REGIONS[codes[i]], roots, float(wu[wi[i]]), float(kappas[i]))
             pairs[i] = 0.0 if got is None else got
         except ClassificationError:
             codes[i] = -1
@@ -1037,6 +1082,12 @@ def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -
     return _D_from_nus(p.alpha, p.kappa, *exponents)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of NaN-free floats, without the ``numpy.ma`` import ``np.unique`` makes."""
+    values = np.sort(values)
+    return values[np.concatenate([[True], values[1:] != values[:-1]])]
+
+
 @functools.lru_cache(maxsize=1)
 def _axis_meshes(omega: float) -> tuple[tuple, tuple]:
     """The real-axis and gap meshes at ``(1, omega)``, each with its exponents.
@@ -1047,13 +1098,13 @@ def _axis_meshes(omega: float) -> tuple[tuple, tuple]:
     pair only (at most 96 KB).
     """
     step, t_max = _ORACLE_STEP, _ORACLE_REAL_END
-    real_mesh = np.unique(np.concatenate([np.arange(step, t_max, step), [t_max]]))
+    real_mesh = _sorted_distinct(np.concatenate([np.arange(step, t_max, step), [t_max]]))
     real_ex = _real_axis_exponents(omega, real_mesh)
 
     gap = 1.0 - abs(omega)
     gcore = np.arange(step, gap, step)
     gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
-    gap_mesh = np.unique(np.concatenate([gcore, gtop]))
+    gap_mesh = _sorted_distinct(np.concatenate([gcore, gtop]))
     gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
     gap_ex = _gap_axis_exponents(omega, gap_mesh)
 
@@ -1106,9 +1157,12 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     return [m * t for t in real_roots], [m * t for t in gap_roots]
 
 
-def oracle_mismatches(p: ModelParams, q_offset: float = 0.0) -> list[str]:
-    """Compare cubic-pipeline roots against the dense axis scan.
+def oracle_mismatches(p: ModelParams, roots: list[complex]) -> list[str]:
+    """Compare the cubic pipeline's roots at ``p`` against the dense axis scan.
 
+    ``roots`` are the pipeline's physical-sheet roots at ``p``: those of
+    :func:`accepted_roots`, or of :func:`accepted_cells` for many points,
+    with the ``q_offset`` of an injected fault if one is being checked for.
     Both root sets are restricted to one window per axis, in units of ``m``:
     the real axis in ``(1e-3 m, 3m)`` and the spectral gap in ``(1e-3 m,
     gap)`` on the imaginary axis.  Embedded eigenvalues sit on the cuts
@@ -1116,12 +1170,11 @@ def oracle_mismatches(p: ModelParams, q_offset: float = 0.0) -> list[str]:
     and threshold-exact values are boundary cases, so none of those are
     comparable here; a root on an edge of the window is left out of either
     set.  Returns one message per root unmatched within ``1e-6 m``; an empty
-    list means full agreement.  ``q_offset`` is :func:`candidate_roots`'s.
+    list means full agreement.
     """
     m = p.m
     lo = _ORACLE_STEP * m * (1.0 + 1e-9)
     tol = 1e-6 * m
-    accepted = accepted_roots(p, q_offset)
     got_real, got_gap = axis_scan_roots(p)
 
     issues: list[str] = []
@@ -1137,8 +1190,8 @@ def oracle_mismatches(p: ModelParams, q_offset: float = 0.0) -> list[str]:
         for g in got_left:
             issues.append(f"{axis}: scan found extra root {g:.9g}")
 
-    _match([z.real for z in accepted if abs(z.imag) <= 1e-8 * abs(z)],
+    _match([z.real for z in roots if abs(z.imag) <= 1e-8 * abs(z)],
            got_real, _ORACLE_REAL_END * m, "real-axis")
-    _match([z.imag for z in accepted if abs(z.real) <= 1e-8 * abs(z)],
+    _match([z.imag for z in roots if abs(z.real) <= 1e-8 * abs(z)],
            got_gap, (m - abs(p.omega)) * (1.0 - 1e-12), "gap-axis")
     return issues

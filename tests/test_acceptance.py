@@ -143,7 +143,7 @@ def test_criterion_5_oracle_root_equivalence():
     for w in np.linspace(-0.9, 0.9, 21):
         for k in np.linspace(-1.9, 1.9, 21):
             p = ModelParams(1.0, round(float(w), 12), round(float(k), 12))
-            issues = oracle_mismatches(p)
+            issues = oracle_mismatches(p, accepted_roots(p))
             if issues:
                 bad.append((p.omega, p.kappa, issues[0]))
     elapsed = time.time() - t0

@@ -753,7 +753,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "args",
         [["--grid", "0"], ["--sweep", "0"], ["--grid", "0", "--sweep", "-3"], ["--grid", "1415"],
-         ["-m", "inf"], ["-m", "0"], ["--perturb-q", "nan"]],
+         ["-m", "inf"], ["-m", "0"], ["--perturb-q", "nan"], ["--at", "1,0.5,0.2", "--perturb-q", "nan"]],
     )
     def test_bad_arguments_exit_2_before_any_suite(self, capsys, args):
         with warnings.catch_warnings(record=True) as caught:
@@ -834,6 +834,43 @@ class TestValidateCommand:
     def test_oracle_mass_range_ends_are_admitted(self, capsys, m):
         assert main(["validate", "--at", f"{m!r},{0.3 * m!r},0.5"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    def test_single_point_honors_fault_injection(self, capsys):
+        assert main(["validate", "--at", "1,0.5,0.2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        assert main(["validate", "--at", "1,0.5,0.2", "--perturb-q", "1e-3"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  gap-axis: scan found extra root 0.456173454" in out
+        assert out[-1] == "FAIL"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["-m", "5"], "-m"), (["--mass", "5"], "-m"), (["--grid", "0"], "--grid"),
+         (["--sweep", "10"], "--sweep"), (["--grid", "0", "-m", "5"], "-m")],
+    )
+    def test_single_point_refuses_suite_flags(self, capsys, flags, named):
+        assert main(["validate", "--at", "1,0.5,0.2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f": {named} cannot go with it" in captured.err
+
+    # exit code and SHA-256 of stdout without its "suite times:" line, as the
+    # oracle suite printed them when it ran the cubic pipeline point by point
+    OUTPUT_SHA256 = {
+        ("--grid", "21", "--sweep", "50"):
+            (0, "7729934fa0f60d69d40ac0edb79f6fa3a9bd363b391ca5ba0ffa2488c9a71540"),
+        ("--grid", "21", "--sweep", "50", "--perturb-q", "1e-3"):
+            (1, "a03bf1ee17c3b4e0fc75d61d570e77337d6603a15b919090b838fafc36dd47f3"),
+    }
+
+    @pytest.mark.parametrize("args", list(OUTPUT_SHA256), ids=" ".join)
+    def test_output_is_pinned(self, capsys, args):
+        code, want = self.OUTPUT_SHA256[args]
+        assert main(["validate", *args]) == code
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        body = "".join(line for line in lines if not line.startswith("suite times:"))
+        assert hashlib.sha256(body.encode()).hexdigest() == want
 
 
 def test_console_entry_point_runs():
@@ -941,6 +978,26 @@ print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["code"] == 0
     assert [m for m in got["modules"] if m.split(".")[0] in ("scipy", "hashlib", "_hashlib")] == []
+
+
+def test_validate_loads_no_numpy_ma():
+    # np.unique imports numpy.ma (through np.ma.is_masked), about 13 ms of
+    # every validate
+    script = """
+import json, sys
+from kgdelta.cli import main
+code = main(["validate", "--grid", "3", "--sweep", "10"])
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}
 
 
 class TestGoldenContract:

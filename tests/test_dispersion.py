@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgdelta.dispersion as dispersion
 from kgdelta import (
     PHYSICAL,
     CubicData,
@@ -37,6 +38,7 @@ from kgdelta.dispersion import (
     _axis_meshes,
     _distinct_bits,
     _region_pair,
+    accepted_cells,
     classify_cells,
 )
 
@@ -650,7 +652,9 @@ class TestHomogeneity:
             classify_point_spectrum(ModelParams(m, 0.1 * m, 1e80))
 
     @pytest.mark.parametrize(
-        "fn", [cubic_data, candidate_roots, accepted_roots, classify_point_spectrum, oracle_mismatches],
+        "fn",
+        [cubic_data, candidate_roots, accepted_roots, classify_point_spectrum,
+         pytest.param(lambda p: oracle_mismatches(p, accepted_roots(p)), id="oracle_mismatches")],
         ids=lambda fn: fn.__name__,
     )
     def test_overflow_names_the_callers_mass(self, fn):
@@ -777,6 +781,72 @@ class TestClassifyCells:
         assert got[0] is None and got[1] is not None
 
 
+def _root_hex(roots: list[complex]) -> list[tuple[str, str]]:
+    """Both parts of each root as ``float.hex``, which tells ``-0.0`` from ``0.0``."""
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+@st.composite
+def _cells_near_the_lines(draw):
+    """A mass, a ``q_offset`` and up to 24 valid cells, many within 1e-9 of
+    ``kappa = 0``, ``omega^2/m^2`` or ``K(omega)``."""
+    m = draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    signed_zero = st.sampled_from([0.0, -0.0])
+    # a few omega/m values, shared by several cells as on a grid
+    us = draw(st.lists(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True) | signed_zero, min_size=1, max_size=4))
+    # offsets of every scale up to 1e-9
+    scaled = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-16.0, -9.0))
+    cells = []
+    for _ in range(draw(st.integers(1, 24))):
+        u = draw(st.sampled_from(us))
+        off = draw(st.floats(-1e-9, 1e-9) | scaled | signed_zero)
+        near = draw(st.sampled_from(["free", "zero", "kolokolov", "virtual"]))
+        if near == "free":
+            kappa = draw(st.floats(-3.0, 3.0))
+        elif near == "zero":
+            kappa = off  # 0.0 + off would turn a -0.0 into 0.0
+        else:
+            kappa = (u * u if near == "kolokolov" else virtual_level_exponent(1.0, u)) + off
+        w = m * u  # may round onto |omega| = m, outside the domain
+        cells.append((w if abs(w) < m else math.copysign(math.nextafter(m, 0.0), w), kappa))
+    return m, draw(st.sampled_from([0.0, 1e-3])), cells
+
+
+class TestAcceptedCells:
+    """:func:`accepted_cells` gives :func:`accepted_roots` at each cell, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cells_near_the_lines())
+    def test_roots_are_the_scalar_roots(self, case):
+        m, q_offset, cells = case
+        got = accepted_cells(m, [w for w, _ in cells], [k for _, k in cells], q_offset)
+        want = [accepted_roots(ModelParams(m, w, k), q_offset) for w, k in cells]
+        assert [_root_hex(r) for r in got] == [_root_hex(r) for r in want]
+
+    @pytest.mark.parametrize("q_offset", [0.0, 1e-3])
+    @pytest.mark.parametrize("m", [1e-3, 1.0, 7.0])
+    def test_validate_grid(self, monkeypatch, m, q_offset):
+        # the oracle suite's grid, whose open cells go to accepted_roots
+        points = _validate_grid(m)
+        want = [accepted_roots(p, q_offset) for p in points]
+        scalar = []
+        monkeypatch.setattr(dispersion, "accepted_roots", lambda p, q: scalar.append(p) or want[points.index(p)])
+        got = accepted_cells(m, [p.omega for p in points], [p.kappa for p in points], q_offset)
+        assert [_root_hex(r) for r in got] == [_root_hex(r) for r in want]
+        # without a fault the arrays decide all but one cell; near misses of
+        # the faulty cubic need accepted_roots' Newton steps
+        assert len(scalar) == 1 if q_offset == 0.0 else 0 < len(scalar) < len(points) / 2
+
+    @pytest.mark.parametrize("m, omega, kappa", [(1.0, 1.0, 0.2), (2.0, -2.5, 0.2), (0.0, 0.0, 0.2),
+                                                  (1.0, 0.5, math.inf), (1.0, math.nan, 0.2)])
+    def test_cells_outside_the_domain_raise(self, m, omega, kappa):
+        with pytest.raises(ValueError):
+            ModelParams(m, omega, kappa)
+        with pytest.raises(ValueError):
+            accepted_cells(m, [0.1 * m, omega], [0.3, kappa])
+
+
 class TestArrayPathHelpers:
     def test_axis_values_are_kept_apart_by_bit_pattern(self):
         cells = np.array([0.5, -0.0, 0.0, 0.5, -0.0])
@@ -800,7 +870,7 @@ class TestOracle:
         # on that mesh point: neither is compared
         p = ModelParams(m, 0.0005 * m, 0.0)
         assert axis_scan_roots(p)[1][0] == pytest.approx(1e-3 * m, rel=1e-9)
-        assert oracle_mismatches(p) == []
+        assert oracle_mismatches(p, accepted_roots(p)) == []
 
     def test_axis_scan_finds_known_roots(self):
         real_roots, gap_roots = axis_scan_roots(ModelParams(1.0, 0.0, 1.0))
@@ -814,7 +884,7 @@ class TestOracle:
         for w in np.linspace(-0.94, 0.94, 41):
             for k in np.linspace(-1.95, 1.95, 41):
                 p = ModelParams(1.0, round(float(w), 12), round(float(k), 12))
-                issues = oracle_mismatches(p)
+                issues = oracle_mismatches(p, accepted_roots(p))
                 if issues:
                     bad.append((p.omega, p.kappa, issues))
         assert bad == []
@@ -886,6 +956,12 @@ class TestOracleMeshCache:
             b = _root_bits(axis_scan_roots(ModelParams(1.0, -first, k)))
             assert _axis_meshes.cache_info().hits >= 1
             assert a == b
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.95, 0.9995])
+    def test_meshes_strictly_increase(self, omega):
+        # past |omega| = 1 - 1e-3 the gap mesh is empty
+        for mesh, _ in _axis_meshes(omega):
+            assert (np.diff(mesh) > 0.0).all()
 
     def test_cached_arrays_are_read_only(self):
         (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(0.3)

@@ -51,3 +51,14 @@ def test_one_candidate_roots_span_per_classification(traced):
         for m in (1.0, 2.0):
             dispersion.classify_point_spectrum(ModelParams(m, 0.5 * m, 0.2))
     assert len(tracer.spans("dispersion.candidate_roots", "")) == 2
+
+
+def test_one_oracle_span_per_oracle_point(traced, capsys):
+    # the trace divides by the oracle_mismatches and axis_scan_roots spans, so
+    # the oracle suite must still make one of each per point, 3 x 3 here
+    tracer = traced.Tracer()
+    with tracer.installed(traced.targets(cli, dispersion, lattice)):
+        assert cli.main(["validate", "--grid", "3", "--sweep", "10"]) == 0
+    assert "oracle-root-agreement: PASS (9 checks, 0 failed)" in capsys.readouterr().out
+    for name in ("dispersion.oracle_mismatches", "dispersion.axis_scan_roots"):
+        assert len(tracer.spans(name, "")) == 9, name

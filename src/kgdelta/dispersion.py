@@ -25,14 +25,15 @@ against ``D`` itself on all four sheets: the pre-squaring radical identity
 picks the branch and a scale-aware residual decides acceptance.  The
 classifier then assembles the point spectrum, embedded eigenvalues, virtual
 levels at the gap thresholds, and the stability verdict into a
-:class:`SpectrumReport`.  For scans, :func:`classify_cells` runs the same
-pipeline as numpy arrays over many cells at once, the discriminant band
-of the cubic included, and leaves each cell it cannot decide with margin to
-the scalar classifier; :func:`accepted_cells` gives the accepted roots of
-many cells the same way.  Both paths call the same helpers, each formula
-written once for numbers or arrays; the array path keeps the scalar bits of
-``c, p, q, delta``, the roots and ``lambda``.  ``D`` is homogeneous in ``m``,
-so both decide at ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
+:class:`SpectrumReport`.  Many cells at once run the same pipeline as numpy
+arrays, the discriminant band of the cubic included, through one entry per
+result: :func:`_classify_arrays` gives the scan its region codes, pairs and
+discriminants, and :func:`accepted_cells` gives the accepted roots.  Each
+leaves a cell it cannot decide with margin to the scalar path.  Both paths
+call the same helpers, each formula written once for numbers or arrays; the
+array path keeps the scalar bits of ``c, p, q, delta``, the roots and
+``lambda``.  ``D`` is homogeneous in ``m``, so both decide at
+``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ __all__ = [
     "virtual_level_exponent",
     "region_code",
     "classify_point_spectrum",
-    "classify_cells",
     "accepted_cells",
     "axis_scan_roots",
     "oracle_mismatches",
@@ -107,9 +107,9 @@ _ORACLE_REAL_END = 3.0
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: Margin, relative to each test's own scale, that :func:`classify_cells`
-#: keeps from every acceptance threshold.  Its numpy evaluation of ``D`` and
-#: of the pre-squaring identity differs from the scalar one by a few ulps of
+#: Margin, relative to each test's own scale, that the array path keeps from
+#: every acceptance threshold.  Its numpy evaluation of ``D`` and of the
+#: pre-squaring identity differs from the scalar one by a few ulps of
 #: that scale; a cell with a decision inside the margin goes to the scalar
 #: classifier.
 _GRID_MARGIN = 1e-12
@@ -890,36 +890,12 @@ def _region_cells(aw: np.ndarray, wi: np.ndarray, k: np.ndarray, ki: np.ndarray,
     return _region_index(aw[wi], _each(pow, aw, 2)[wi], kv[wi], k[ki], t[ki], band, np.where)
 
 
-def classify_cells(
-    m: float, omegas: list[float], kappas: list[float], band: float
-) -> list[tuple[RegionCode, complex | None, float] | None]:
-    """What :func:`classify_point_spectrum` decides at many cells, or ``None``.
-
-    Cell ``i`` is ``(m, omegas[i], kappas[i])`` with boundary band ``band``.
-    Its entry is the region code, the upper value of the nonzero pair the
-    region calls for (``None`` in ZeroOnly) and the discriminant ``delta``,
-    each to the bit what the scalar classifier and :func:`cubic_data` give.
-    The scalar helpers run on arrays, with what depends on one axis alone
-    formed once per value: ``c, p, q, delta`` (libm ``pow``), the roots (in
-    the double-root band of :func:`cubic_roots` too) and ``lambda`` keep the
-    scalar bits, while ``|D|``, its scale and the pre-squaring identity may
-    be a few ulps off, so a cell is decided only where each of those tests
-    clears its threshold by ``_GRID_MARGIN`` of its scale.  ``None`` leaves
-    the boundary-band codes, a cubic with ``p = q = 0`` or that overflows,
-    near misses, decisions inside the margin and roots that do not fit the
-    region (or a ``delta`` that overflows at ``m``) to the scalar classifier.
-    """
-    codes, pairs, deltas = _classify_arrays(m, np.array(omegas, float), np.array(kappas, float), band)
-    cells = zip(codes.tolist(), pairs.tolist(), deltas.tolist())
-    return [None if c < 0 else (_REGIONS[c], None if c == _ZERO else z, d) for c, z, d in cells]
-
-
 def accepted_cells(m: float, omegas: list[float], kappas: list[float], q_offset: float = 0.0) -> list[list[complex]]:
     """What :func:`accepted_roots` gives at many cells, each to the bit.
 
     Cell ``i`` is ``(m, omegas[i], kappas[i])``, and ``q_offset`` is
     :func:`candidate_roots`'s.  The candidates and their acceptance test run
-    on arrays, as in :func:`classify_cells`; a cell they leave open (a cubic
+    on arrays, as in :func:`_classify_arrays`; a cell they leave open (a cubic
     with ``p = q = 0`` or that overflows, a near miss, a decision inside the
     margin) goes to :func:`accepted_roots`.
     """
@@ -1023,9 +999,22 @@ def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset:
 
 
 def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: float) -> tuple:
-    """:func:`classify_cells` on arrays: indices into ``_REGIONS`` (``-1`` where
-    open), the pairs (``0`` in ZeroOnly) and ``delta``.  :func:`_region_pair`
-    runs cell by cell only where its pick is not plain."""
+    """What :func:`classify_point_spectrum` decides at many cells, on arrays.
+
+    Cell ``i`` is ``(m, omegas[i], kappas[i])`` with boundary band ``band``,
+    inside the domain (the scan's ``ScanConfig`` checks its grid).  Returns
+    the region code as an index into ``_REGIONS`` (``-1`` where the cell is
+    left open), the upper value of the pair the region calls for (``0`` in
+    ZeroOnly) and ``delta``, each to the bit what the scalar classifier and
+    :func:`cubic_data` give.  ``c, p, q, delta``, the roots and ``lambda``
+    keep the scalar bits; ``|D|``, its scale and the pre-squaring identity
+    may be a few ulps off, so a cell is decided only where each test clears
+    its threshold by ``_GRID_MARGIN`` of its scale.  Open are the boundary
+    codes, a cubic with ``p = q = 0`` or that overflows, near misses,
+    decisions inside the margin, roots that do not fit the region and a
+    ``delta`` that overflows at ``m``.  :func:`_region_pair` runs cell by
+    cell only where its pick is not plain.
+    """
     n = len(omegas)
     (wu, wi), (ku, ki), lam, accept, open_cells, delta = _cell_candidates(m, omegas, kappas)
     with np.errstate(all="ignore"):
@@ -1048,7 +1037,8 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
             pairs[i] = 0.0 if got is None else got
         except ClassificationError:
             codes[i] = -1
-    pairs.real, pairs.imag = m * pairs.real, m * pairs.imag  # _times
+    with np.errstate(over="ignore"):  # _times; it overflows only where delta does, at open cells
+        pairs.real, pairs.imag = m * pairs.real, m * pairs.imag
     return codes, pairs, delta
 
 

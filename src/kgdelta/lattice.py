@@ -417,8 +417,9 @@ class DefectLattice:
         above it the nonlinearity saturates.  On the critical curve no rate is
         fitted (the expected growth there is polynomial).  Runs abort, keeping
         the partial series, when ``max|psi|`` exceeds ``1e3`` times the wave
-        amplitude or is not finite, or when the energy to be recorded is not
-        finite; that record is dropped, so every recorded value is finite.
+        amplitude or is not finite, when the energy to be recorded is not
+        finite, or when a step or a record overflows float64; that record is
+        dropped, so every recorded value is finite.
         ``meta`` gives the wall time of the steps with their guard
         (``step_s``), of the records (``diagnostics_s``), and ``steps_per_s``.
 
@@ -462,27 +463,35 @@ class DefectLattice:
         dists = [self.orbital_distance(state, reference)]
         step_s, diagnostics_s = 0.0, clock() - start
         aborted = False
-        for i in range(1, n_steps + 1):
-            start = clock()
-            state = self.step(state, dt)
-            hit_guard = _past_guard(state.psi, limit)
-            stepped = clock()
-            step_s += stepped - start
-            if i % record_every == 0 or i == n_steps or hit_guard:
-                energy = self.energy(state)
-                if not math.isfinite(energy):
-                    # the field overflowed since the last record: stop before
-                    # the charge and distance, which its sums bound, are taken
-                    aborted = True
-                    break
-                times.append(state.t)
-                energies.append(energy)
-                charges.append(self.charge(state))
-                dists.append(self.orbital_distance(state, reference))
-                diagnostics_s += clock() - stepped
-            if hit_guard:
-                aborted = True
-                break
+        try:
+            # a field that leaves float64 within one step, past the guard, stops
+            # the run where it first overflows, before inf or nan enters the state
+            with np.errstate(over="raise", invalid="raise"):
+                for i in range(1, n_steps + 1):
+                    start = clock()
+                    state = self.step(state, dt)
+                    hit_guard = _past_guard(state.psi, limit)
+                    stepped = clock()
+                    step_s += stepped - start
+                    if i % record_every == 0 or i == n_steps or hit_guard:
+                        energy = self.energy(state)
+                        if not math.isfinite(energy):
+                            # the field overflowed since the last record: stop before
+                            # the charge and distance, which its sums bound, are taken
+                            aborted = True
+                            break
+                        # taken before any append, so an overflow leaves the series of equal length
+                        charge, dist = self.charge(state), self.orbital_distance(state, reference)
+                        times.append(state.t)
+                        energies.append(energy)
+                        charges.append(charge)
+                        dists.append(dist)
+                        diagnostics_s += clock() - stepped
+                    if hit_guard:
+                        aborted = True
+                        break
+        except FloatingPointError:
+            aborted = True
 
         times_a = np.array(times)
         dists_a = np.array(dists)

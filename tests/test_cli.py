@@ -30,9 +30,9 @@ from kgdelta.cli import _cell_rows, _scan_cell
 from kgdelta.dispersion import (
     _REGIONS,
     ClassificationError,
+    _classify_arrays,
     _distinct_bits,
     _region_cells,
-    classify_cells,
     virtual_level_exponent,
 )
 
@@ -97,6 +97,11 @@ class TestSpectrumCommand:
             data = json.loads(capsys.readouterr().out)
             assert data["virtual_levels"] == []
             assert "virtual-level" not in data["flags"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the in-gap root 3e-8 above the virtual-level curve is not certified")
+    def test_point_just_above_the_virtual_level_curve(self):
+        assert main(["spectrum", "-m", "1", "-w", "0.9", "-k", "0.603834871531"]) == 0
 
     def test_invalid_parameters_exit_2(self, capsys):
         assert main(["spectrum", "-m", "1", "-w", "1.5", "-k", "0"]) == 2
@@ -310,6 +315,11 @@ class TestScan:
             ("--omega-min", "0.6", "omega_min must not exceed omega_max"),
             ("--kappa-max", "-0.6", "kappa_min must not exceed kappa_max"),
             ("--kappa-max", "1e300", "scan grid exceeds MAX_SCAN_CELLS = 2000000 cells"),
+            # refused before any cell is classified
+            ("--mass", "inf", "mass must be positive and finite, got inf"),
+            ("--mass", "nan", "mass must be positive and finite, got nan"),
+            ("--mass", "0", "mass must be positive and finite, got 0.0"),
+            ("--mass", "-1", "mass must be positive and finite, got -1.0"),
         ],
     )
     def test_inputs_outside_domain_exit_2(self, tmp_path, capsys, flag, value, message):
@@ -344,6 +354,21 @@ class TestScan:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: the cubic's coefficients overflow float64 at m = 1e+28")
         assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mass_overflowing_the_pairs_exits_2_without_a_warning(self, tmp_path, capsys):
+        # m times a pair overflows at cells whose Delta, m^12 times the unit one, does too
+        argv = [
+            "scan", "-m", "1e308", "-o", str(tmp_path / "heavy.csv"),
+            "--omega-min=-0.5", "--omega-max=0.5", "--omega-step=0.25",
+            "--kappa-min=-1", "--kappa-max=1", "--kappa-step=0.5",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the cubic's coefficients overflow float64 at m = 1e+308")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert list(tmp_path.iterdir()) == []
 
     def test_cell_cap_fails_before_building_the_grid(self):
@@ -442,17 +467,17 @@ class TestArrayScan:
         assert 0 < tally["scalar"] <= 0.05 * len(rows)
 
     def test_boundary_cells_reach_the_scalar_classifier(self):
-        assert classify_cells(1.0, [5e-4], [8e-7], 1e-6) == [None]
+        assert _classify_arrays(1.0, np.array([5e-4]), np.array([8e-7]), 1e-6)[0].tolist() == [-1]
         cfg = ScanConfig(
             m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
             kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
         )
         cells = [(w, k) for w in cfg.omegas() for k in cfg.kappas()]
-        got = classify_cells(cfg.m, [w for w, _ in cells], [k for _, k in cells], cfg.band)
+        codes, _, _ = _classify_arrays(cfg.m, *map(np.array, zip(*cells)), cfg.band)
         boundary = {RegionCode.KOLOKOLOV_CRITICAL, RegionCode.VIRTUAL_LEVEL_BOUNDARY}
         on_curves = [i for i, (w, k) in enumerate(cells) if region_code(cfg.m, w, k, cfg.band) in boundary]
         assert (0.0, 0.0) in [cells[i] for i in on_curves]
-        assert [got[i] for i in on_curves] == [None] * len(on_curves)
+        assert codes[on_curves].tolist() == [-1] * len(on_curves)
 
     @pytest.mark.parametrize("band", [1e-6, 1e-10])
     def test_dense_zooms_onto_the_critical_curves(self, band):
@@ -498,8 +523,8 @@ class TestArrayScan:
         fine = [(cell, row) for cell, row in zip(cells, want) if isinstance(row, str)]
         assert len(fine) >= 0.99 * len(cells)
         assert _cell_rows(1.0, [cell for cell, _ in fine], band) == [row for _, row in fine]
-        got = classify_cells(1.0, [w for w, _ in cells], [k for _, k in cells], band)
-        assert sum(res is None for res in got) <= 0.01 * len(cells)
+        codes, _, _ = _classify_arrays(1.0, *map(np.array, zip(*cells)), band)
+        assert np.count_nonzero(codes < 0) <= 0.01 * len(cells)
 
     def test_signed_zero_cells_keep_their_own_bytes(self):
         # the axis columns are formatted once per value, and -0.0 == 0.0
@@ -613,10 +638,15 @@ class TestSimulateCommand:
         assert summary["verdict_predicted"] == "unstable"
 
     def test_overflow_stops_as_growing(self, tmp_path, capsys):
-        # kappa = 10: pi overflows while max|psi| is still below the guard
+        # kappa = 10: the coupling overflows while max|psi| is still below the
+        # guard, and the run stops there, before inf enters the state
         prefix = str(tmp_path / "over")
-        assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "10", "-T", "2", "-o", prefix]) == 3
-        assert "observed: growing; agreement: True" in capsys.readouterr().out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "10", "-T", "2", "-o", prefix]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "predicted: unstable; observed: growing; agreement: True"
+        assert captured.err == ""
         text = (tmp_path / "over.json").read_text()
         summary = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
         assert summary["aborted"] is True and summary["observed"] == "growing"
@@ -834,6 +864,12 @@ class TestValidateCommand:
     def test_oracle_mass_range_ends_are_admitted(self, capsys, m):
         assert main(["validate", "--at", f"{m!r},{0.3 * m!r},0.5"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="accepted_roots also returns a spurious 0.0019899495040i there")
+    def test_single_point_next_to_the_origin(self):
+        # mpmath (60 digits) has the one in-gap root 0.0019899748841631143i
+        assert main(["validate", "--at", "1,0.001,1e-8"]) == 0
 
     def test_single_point_honors_fault_injection(self, capsys):
         assert main(["validate", "--at", "1,0.5,0.2"]) == 0

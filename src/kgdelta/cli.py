@@ -367,8 +367,9 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
     """Run the cross-validation suites; returns the process exit code.
 
     Arguments are checked before any suite runs: a bad one raises
-    ``ValueError`` and prints nothing.  The last lines are the wall time of
-    each suite and the overall verdict.
+    ``ValueError`` and prints nothing.  ``m`` must be a normal float64,
+    finite and at least ``sys.float_info.min``.  The last lines are the
+    wall time of each suite and the overall verdict.
     """
     if not (grid >= 1 and sweep >= 1):
         raise ValueError(f"grid and sweep must be at least 1, got grid={grid}, sweep={sweep}")
@@ -377,6 +378,10 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
     if not math.isfinite(perturb_q):
         raise ValueError(f"perturb_q must be finite, got {perturb_q}")
     ModelParams(m=m, omega=0.0)  # raises unless m is positive and finite
+    if m < sys.float_info.min:
+        # the suites place their frequencies at fractions of m, which a
+        # subnormal m rounds away (0.9 * 5e-324 is 5e-324)
+        raise ValueError(f"validate needs a normal mass, at least {sys.float_info.min!r}: got m = {m!r}")
     suites = [
         ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
         ("closed-form-special-cases", lambda: _suite_closed_forms(sweep, perturb_q)),

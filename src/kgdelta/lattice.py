@@ -10,9 +10,13 @@ weight ``1/h``, and time stepping by the kick-drift-kick Verlet scheme for
 The scheme is symplectic, time reversible, exactly phase equivariant, and
 commutes with the reflection x -> -x, so energy/charge drift and parity are
 honest diagnostics of the dynamics rather than artifacts.  Each step
-evaluates the force once: the force at the end of a step is the one the
-next step starts with, so it travels on the returned state, whose ``psi`` is
-read-only for that reason.  The diagnostics take their sums as dot products.
+evaluates the force once and kicks once: the force at the end of a step is
+the one the next step starts with, and the closing half kick of a step and
+the opening one of the next add that same force.  So the force and the
+half-step momentum travel on the returned state, and its ``pi`` is formed
+only when it is read; its ``psi``, and ``pi`` once formed, are read-only for
+that reason.  The diagnostics take their sums as dot products, and form a
+gradient once per read-only ``psi``.
 No complex array is divided by a real scalar, numpy's slowest elementwise
 loop here: the energy and the inner product divide the dot product of
 undivided differences by ``h^2``, and the force and the energy norm multiply
@@ -126,23 +130,52 @@ class Grid:
         return cls(half_length=half_length, n_points=max(n, 3))
 
 
-@dataclass
 class FieldState:
-    """Lattice samples of the field and its velocity at one time."""
+    """Lattice samples of the field and its velocity at one time.
 
-    psi: np.ndarray
-    pi: np.ndarray
-    t: float
-    grid: Grid
-    # (lattice, psi, force on psi) as left by DefectLattice.step
-    _carried: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    A state returned by ``DefectLattice.step`` holds the half-step momentum
+    instead of ``pi``: ``pi`` is formed from it the first time it is read,
+    and is read-only from then on, as the stepped ``psi`` is.  Rebinding
+    ``pi`` drops the half-step momentum.
+    """
 
-    def __post_init__(self) -> None:
-        self.psi = np.asarray(self.psi, dtype=np.complex128)
-        self.pi = np.asarray(self.pi, dtype=np.complex128)
-        n = self.grid.n_points
-        if self.psi.shape != (n,) or self.pi.shape != (n,):
+    __slots__ = ("psi", "_pi", "t", "grid", "_carried", "_half", "_grad")
+
+    def __init__(self, psi: np.ndarray, pi: np.ndarray, t: float, grid: Grid):
+        self.psi = np.asarray(psi, dtype=np.complex128)
+        self._pi = np.asarray(pi, dtype=np.complex128)
+        self.t = t
+        self.grid = grid
+        # (lattice, psi, force on psi) and (dt, pi_half, array for pi) as
+        # left by DefectLattice.step; (psi, psi[1:] - psi[:-1]) for a
+        # read-only psi
+        self._carried = self._half = self._grad = None
+        n = grid.n_points
+        if self.psi.shape != (n,) or self._pi.shape != (n,):
             raise ValueError("field arrays must match the grid size")
+
+    @classmethod
+    def _stepped(cls, psi: np.ndarray, t: float, grid: Grid, carried: tuple, half: tuple) -> "FieldState":
+        out = cls.__new__(cls)
+        out.psi, out._pi, out.t, out.grid = psi, None, t, grid
+        out._carried, out._half, out._grad = carried, half, None
+        return out
+
+    @property
+    def pi(self) -> np.ndarray:
+        if self._pi is None:
+            # pi_half + (dt/2) f: the closing half kick of the step
+            dt, pi_half, pi = self._half
+            np.multiply(0.5 * dt, self._carried[2], out=pi)
+            np.add(pi_half, pi, out=pi)
+            pi.flags.writeable = False
+            self._pi = pi
+        return self._pi
+
+    @pi.setter
+    def pi(self, value: np.ndarray) -> None:
+        self._pi = np.asarray(value, dtype=np.complex128)
+        self._half = None
 
     def copy(self) -> "FieldState":
         return FieldState(self.psi.copy(), self.pi.copy(), self.t, self.grid)
@@ -210,12 +243,12 @@ class DefectLattice:
             raise ValueError(
                 f"grid spacing {h:g} too coarse to resolve decay rate {p.decay_rate:g}"
             )
+        self._cfl = 0.9 * h / math.sqrt(1.0 + (p.m * h) ** 2 / 4.0)
 
     # -- basic numbers -----------------------------------------------------
 
     def cfl_limit(self) -> float:
-        h = self.grid.h
-        return 0.9 * h / math.sqrt(1.0 + (self.params.m * h) ** 2 / 4.0)
+        return self._cfl
 
     def default_dt(self) -> float:
         return 0.4 * self.grid.h
@@ -288,37 +321,63 @@ class DefectLattice:
         """One Verlet step (kick-drift-kick).  Negative ``dt`` steps backward.
 
         The force at the end of a step is the one the next step starts
-        with, so it travels on the returned state, together with the lattice
-        and the ``psi`` array it was computed from; that ``psi`` is read-only.
-        A state built by hand, copied, or with ``psi`` rebound carries no
-        force, and the step computes it afresh.
+        with, and the closing half kick of a step and the opening one of the
+        next add that same force.  So the returned state carries the lattice,
+        its ``psi`` (read-only), the force on it, ``dt`` and the half-step
+        momentum ``pi_half``, and its ``pi = pi_half + (dt/2) f`` is formed
+        only when it is read.  A step from it by this lattice with the same
+        ``dt`` takes the one kick ``pi_half + dt f``.  A state built by hand,
+        copied, with ``psi`` or ``pi`` rebound, or stepped with another
+        ``dt`` starts with the half kick from its own ``pi``; with ``psi``
+        rebound, or from another lattice, the force is computed afresh.
         """
-        if abs(dt) > self.cfl_limit() * (1.0 + 1e-12):
-            raise ValueError(f"dt={dt:g} violates the CFL bound {self.cfl_limit():g}")
+        if abs(dt) > self._cfl * (1.0 + 1e-12):
+            raise ValueError(f"dt={dt:g} violates the CFL bound {self._cfl:g}")
         carried = state._carried
         if carried is not None and carried[0] is self and carried[1] is state.psi:
-            f = carried[2]
+            f, half = carried[2], state._half
         else:
-            f = self._force(state.psi)
-        # pi + (dt/2) f, psi + dt pi_half, pi_half + (dt/2) f_new
-        pi_half = np.multiply(0.5 * dt, f)
-        np.add(state.pi, pi_half, out=pi_half)
+            f, half = self._force(state.psi), None
+        if half is not None and half[0] == dt:
+            pi_half = np.multiply(dt, f)
+            np.add(half[1], pi_half, out=pi_half)
+        else:
+            pi_half = np.multiply(0.5 * dt, f)
+            np.add(state.pi, pi_half, out=pi_half)
+        # psi + dt pi_half
         psi_new = np.multiply(dt, pi_half)
         np.add(state.psi, psi_new, out=psi_new)
         psi_new.flags.writeable = False
         f_new = self._force(psi_new)
-        pi_new = np.multiply(0.5 * dt, f_new)
-        np.add(pi_half, pi_new, out=pi_new)
-        out = FieldState(psi=psi_new, pi=pi_new, t=state.t + dt, grid=self.grid)
-        out._carried = (self, psi_new, f_new)
-        return out
+        # pi's array is allocated here with the others: allocated at a
+        # record, it and the gradient grew the heap past malloc's trim
+        # threshold, freeing them a step later gave those pages back to the
+        # system, and every record paid about 77 page faults at 6,251 nodes
+        half = (dt, pi_half, np.empty_like(psi_new))
+        return FieldState._stepped(psi_new, state.t + dt, self.grid, (self, psi_new, f_new), half)
 
     # -- functionals ----------------------------------------------------------
+
+    def _gradient(self, state: FieldState) -> np.ndarray:
+        """``psi[1:] - psi[:-1]``, formed once per read-only ``psi``.
+
+        It is kept on the state for as long as ``state.psi`` is that same
+        read-only array, as a stepped ``psi`` and the run's reference are;
+        a writable ``psi`` gets it formed afresh on every call.
+        """
+        psi, kept = state.psi, state._grad
+        if kept is not None and kept[0] is psi:
+            return kept[1]
+        d = psi[1:] - psi[:-1]
+        if not psi.flags.writeable:
+            d.flags.writeable = False
+            state._grad = (psi, d)
+        return d
 
     def energy(self, state: FieldState) -> float:
         h = self.grid.h
         psi, pi = state.psi, state.pi
-        d = psi[1:] - psi[:-1]
+        d = self._gradient(state)
         quad = np.vdot(pi, pi).real + np.vdot(d, d).real / (h * h)
         quad += self.params.m**2 * np.vdot(psi, psi).real
         c = psi[self.grid.center]
@@ -330,8 +389,7 @@ class DefectLattice:
     def e_inner(self, a: FieldState, b: FieldState) -> complex:
         """Lattice H1 (+) L2 inner product, conjugate-linear in ``a``."""
         h = self.grid.h
-        da = a.psi[1:] - a.psi[:-1]
-        db = b.psi[1:] - b.psi[:-1]
+        da, db = self._gradient(a), self._gradient(b)
         val = np.vdot(da, db) / (h * h) + np.vdot(a.psi, b.psi) + np.vdot(a.pi, b.pi)
         return h * complex(val)
 
@@ -358,6 +416,9 @@ class DefectLattice:
         inner products: the expansion would cancel two O(|ref|^2) terms and
         floor the resolvable distance at |ref|*sqrt(eps).  A state whose
         inner product with ``reference`` is not finite is at distance ``nan``.
+        The gradients of ``reference`` and ``state`` are formed once for
+        each read-only ``psi`` and kept on that state while its ``psi`` is
+        that array (see ``_gradient``), so a run's records share them.
         """
         z = self.e_inner(reference, state)
         if not cmath.isfinite(z):
@@ -421,7 +482,9 @@ class DefectLattice:
         finite, or when a step or a record overflows float64; that record is
         dropped, so every recorded value is finite.
         ``meta`` gives the wall time of the steps with their guard
-        (``step_s``), of the records (``diagnostics_s``), and ``steps_per_s``.
+        (``step_s``), of the records (``diagnostics_s``, which includes
+        forming each recorded state's ``pi``), and ``steps_per_s``.  The
+        reference state is read-only, so its gradient is formed once.
 
         ``epsilon`` must be finite and ``>= 0``, ``horizon`` and ``dt`` finite
         and ``> 0``, and ``record_every >= 1``; anything else raises
@@ -438,6 +501,9 @@ class DefectLattice:
         if record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {record_every}")
         reference = self.discrete_stationary()
+        # read-only, so every record takes its gradient from the first
+        reference.psi.flags.writeable = False
+        reference.pi.flags.writeable = False
         ref_norm = self.e_norm(reference)
         amp = float(np.max(np.abs(reference.psi)))
 

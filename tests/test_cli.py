@@ -796,6 +796,19 @@ class TestValidateCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in captured.err
 
+    @pytest.mark.parametrize("m", ["5e-324", "1e-320"])
+    def test_subnormal_mass_exits_2_before_any_suite(self, capsys, m):
+        # the suites place their frequencies at fractions of m, which a
+        # subnormal m rounds away; 1e-320 used to pass, 5e-324 blamed a cell
+        assert main(["validate", "-m", m, "--grid", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: validate needs a normal mass, at least 2.2250738585072014e-308: got m = {m}\n"
+
+    def test_smallest_normal_mass_passes(self, capsys):
+        assert main(["validate", "-m", "2.2250738585072014e-308", "--grid", "9"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "validation passed"
+
     @pytest.mark.parametrize("grid, sweep", [(5, 10), (3, 4), (5, 4)])
     def test_fault_injection_detected(self, capsys, grid, sweep):
         rc = run_validation(m=1.0, grid=grid, sweep=sweep, perturb_q=1e-3)

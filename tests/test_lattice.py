@@ -472,21 +472,41 @@ class TestBlowupGuard:
         assert np.max(np.abs(psi)) < limit and not _past_guard(psi, limit)
 
 
+def plain_force(sim, psi):
+    h, j0 = sim.grid.h, sim.grid.center
+    f = np.zeros_like(psi)
+    f[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h) - sim.params.m**2 * psi[1:-1]
+    c = psi[j0]
+    f[j0] += sim.nl.a(abs(c) ** 2) * c / h
+    return f
+
+
 def two_force_step(sim, state, dt):
     """The kick-drift-kick step written out, both forces computed afresh."""
-
-    def force(psi):
-        h, j0 = sim.grid.h, sim.grid.center
-        f = np.zeros_like(psi)
-        f[1:-1] = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / (h * h) - sim.params.m**2 * psi[1:-1]
-        c = psi[j0]
-        f[j0] += sim.nl.a(abs(c) ** 2) * c / h
-        return f
-
-    pi_half = state.pi + (0.5 * dt) * force(state.psi)
+    pi_half = state.pi + (0.5 * dt) * plain_force(sim, state.psi)
     psi_new = state.psi + dt * pi_half
-    pi_new = pi_half + (0.5 * dt) * force(psi_new)
+    pi_new = pi_half + (0.5 * dt) * plain_force(sim, psi_new)
     return FieldState(psi_new, pi_new, state.t + dt, sim.grid)
+
+
+def merged_kick_steps(sim, state, dt, n):
+    """``n`` kick-drift-kick steps from ``state`` written out, regrouped.
+
+    The first step opens with the half kick from the state's own ``pi``;
+    after it the closing half kick of one step and the opening one of the
+    next are the one kick ``pi_half + dt f``, and each ``pi`` is formed from
+    the half-step momentum as ``pi_half + (dt/2) f``.
+    """
+    psi, t = state.psi, state.t
+    f = plain_force(sim, psi)
+    pi_half = state.pi + (0.5 * dt) * f
+    for i in range(n):
+        if i:
+            pi_half = pi_half + dt * f
+        psi = psi + dt * pi_half
+        f = plain_force(sim, psi)
+        t += dt
+        yield FieldState(psi, pi_half + (0.5 * dt) * f, t, sim.grid)
 
 
 def same_bits(a, b):
@@ -507,20 +527,47 @@ def perturbed_stationary(sim, seed, size):
 
 class TestCarriedForce:
     @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
-    def test_trajectory_matches_two_force_step_bit_for_bit(self, omega, kappa, horizon, eps):
+    def test_trajectory_matches_the_merged_kick_scheme_bit_for_bit(self, omega, kappa, horizon, eps):
+        # reading pi at every step must not move the trajectory either
         sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
         a = b = perturbed_stationary(sim, seed=7, size=eps)
         dt = sim.default_dt()
         for signed in (dt, -dt):
-            for i in range(400):
-                a, b = sim.step(a, signed), two_force_step(sim, b, signed)
+            for i, b in enumerate(merged_kick_steps(sim, b, signed, 400)):
+                a = sim.step(a, signed)
                 assert same_bits(a, b), f"dt={signed:g}, step {i}"
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_merged_and_two_force_trajectories_agree_to_roundoff(self, omega, kappa, horizon, eps):
+        # the same scheme with its kicks regrouped: each step rounds its
+        # half-step momentum differently, by a few ulps, and on these
+        # finite horizons the differences add up no faster than linearly
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        ref_norm = sim.e_norm(sim.discrete_stationary())
+        a = b = perturbed_stationary(sim, seed=7, size=eps)
+        dt = sim.default_dt()
+        steps = 0
+        for signed in (dt, -dt):
+            for _ in range(400):
+                a, b = sim.step(a, signed), two_force_step(sim, b, signed)
+            steps += 400
+            gap = sim.e_norm(FieldState(a.psi - b.psi, a.pi - b.pi, 0.0, sim.grid))
+            assert gap <= 4.0 * steps * np.finfo(float).eps * ref_norm, f"dt={signed:g}"
 
     def test_rebinding_psi_drops_the_carried_force(self):
         sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
         dt = sim.default_dt()
         s = sim.step(perturbed_stationary(sim, seed=1, size=1e-2), dt)
         s.psi = 1.001 * s.psi
+        assert same_bits(sim.step(s, dt), two_force_step(sim, s, dt))
+
+    def test_rebinding_pi_or_another_dt_takes_the_half_kick(self):
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        dt = sim.default_dt()
+        s = sim.step(perturbed_stationary(sim, seed=1, size=1e-2), dt)
+        for other in (0.5 * dt, -dt):
+            assert same_bits(sim.step(s, other), two_force_step(sim, s, other))
+        s.pi = s.pi.copy()
         assert same_bits(sim.step(s, dt), two_force_step(sim, s, dt))
 
     def test_stepped_psi_is_read_only(self):
@@ -530,14 +577,21 @@ class TestCarriedForce:
             s.psi[sim.grid.center] += 1.0
         with pytest.raises(ValueError, match="read-only"):
             s.psi *= 2.0
-        assert s.copy().psi.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.pi[sim.grid.center] += 1.0
+        assert s.copy().psi.flags.writeable and s.copy().pi.flags.writeable
 
     def test_copied_and_hand_built_states_step_as_the_reference(self):
+        # the first step of a state that carries nothing is the two-force
+        # step; a stepped state steps on as the merged-kick scheme
         sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
         dt = sim.default_dt()
-        s = sim.step(perturbed_stationary(sim, seed=2, size=1e-2), dt)
+        start = perturbed_stationary(sim, seed=2, size=1e-2)
+        first, second = merged_kick_steps(sim, start, dt, 2)
+        s = sim.step(start, dt)
+        assert same_bits(s, two_force_step(sim, start, dt)) and same_bits(s, first)
+        assert same_bits(sim.step(s, dt), second)
         want = two_force_step(sim, s, dt)
-        assert same_bits(sim.step(s, dt), want)
         assert same_bits(sim.step(s.copy(), dt), want)
         assert same_bits(sim.step(FieldState(s.psi, s.pi, s.t, sim.grid), dt), want)
 
@@ -557,11 +611,35 @@ class TestCarriedForce:
         a = b = sim.discrete_stationary()
         dt = sim.default_dt()
         for signed in (dt, -dt):
-            for i in range(400):
-                a, b = sim.step(a, signed), two_force_step(sim, b, signed)
+            for i, b in enumerate(merged_kick_steps(sim, b, signed, 400)):
+                a = sim.step(a, signed)
                 assert a.psi.tobytes() == b.psi.tobytes(), f"dt={signed:g}, step {i}"
                 assert a.pi.tobytes() == b.pi.tobytes(), f"dt={signed:g}, step {i}"
         assert not a.psi.imag.any() and not a.pi.imag.any()
+
+    def test_gradient_is_kept_only_for_a_read_only_psi(self):
+        # a writable psi can change in place, so its gradient is never kept
+        sim = make_sim(omega=0.5, kappa=0.3, g=1.0)
+        ref = sim.discrete_stationary()
+        s = perturbed_stationary(sim, seed=4, size=1e-2)
+        before = sim.energy(s), sim.orbital_distance(s, ref)
+        s.psi *= 2.0
+        ref.psi *= 1.5
+        fresh = FieldState(s.psi.copy(), s.pi.copy(), 0.0, sim.grid)
+        fresh_ref = FieldState(ref.psi.copy(), ref.pi.copy(), 0.0, sim.grid)
+        after = sim.energy(s), sim.orbital_distance(s, ref)
+        assert after == (sim.energy(fresh), sim.orbital_distance(fresh, fresh_ref)) != before
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_records_do_not_depend_on_how_often_pi_is_read(self, omega, kappa, horizon, eps):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        every = sim.run_experiment(epsilon=eps, horizon=2.0, seed=7, record_every=1)
+        seventh = sim.run_experiment(epsilon=eps, horizon=2.0, seed=7, record_every=7)
+        n_steps = len(every.times) - 1
+        kept = [i for i in range(n_steps + 1) if i % 7 == 0 or i == n_steps]
+        assert n_steps % 7 != 0 and len(seventh.times) == len(kept)
+        for name in ("times", "energy", "charge", "orbital_distance"):
+            assert getattr(seventh, name).tobytes() == getattr(every, name)[kept].tobytes(), name
 
 
 class TestDiagnosticsAgainstPlainSums:

@@ -8,6 +8,7 @@ modules it imports are taken out of ``sys.modules`` again.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -62,3 +63,21 @@ def test_one_oracle_span_per_oracle_point(traced, capsys):
     assert "oracle-root-agreement: PASS (9 checks, 0 failed)" in capsys.readouterr().out
     for name in ("dispersion.oracle_mismatches", "dispersion.axis_scan_roots"):
         assert len(tracer.spans(name, "")) == 9, name
+
+
+def test_one_lattice_span_per_step_and_per_record(traced, tmp_path):
+    # the trace divides by the step spans and by the energy, charge and
+    # orbital_distance spans, so a simulate must make one per step and one
+    # of each per record
+    tracer = traced.Tracer()
+    argv = ["simulate", "-m", "1", "-w", "0.5", "-k", "0.3", "-T", "1", "--record-every", "7",
+            "-o", str(tmp_path / "run")]
+    with tracer.installed(traced.targets(cli, dispersion, lattice)):
+        assert cli.main(argv) == 0
+    dt = json.loads((tmp_path / "run.json").read_text())["dt"]
+    n_steps = int(round(1.0 / dt))
+    records = 1 + len([i for i in range(1, n_steps + 1) if i % 7 == 0 or i == n_steps])
+    assert n_steps % 7 != 0
+    assert len(tracer.spans("lattice.step", "")) == n_steps
+    for name in ("lattice.energy", "lattice.charge", "lattice.orbital_distance"):
+        assert len(tracer.spans(name, "")) == records, name

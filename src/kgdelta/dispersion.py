@@ -1047,29 +1047,22 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
 # ---------------------------------------------------------------------------
 
 
-def _real_axis_exponents(omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # for real lambda = t the two exponents are complex conjugates, so D needs
-    # only Re nu_+ and |nu_+|^2; plain principal square roots agree with the
-    # sheet convention
-    wplus = omega + 1j * ts
-    nup = np.sqrt(1.0 - wplus * wplus)
-    # copies, so that a cached mesh keeps no complex array alive
-    return nup.real.copy(), (nup * np.conj(nup)).real.copy()
+def _real_axis_terms(omega: float, t: float) -> tuple[float, float]:
+    # D's two t-dependent terms at lambda = t: x = 4 Re nu_+ and y = 4|nu_+|^2
+    # (the exponents are complex conjugates, and plain principal square roots
+    # agree with the sheet convention).  The square and the modulus stay numpy
+    # one-element ufuncs: numpy fuses their multiply and add, Python's complex
+    # does not, and Brent must see the mesh's bits.
+    wplus = np.array([complex(omega, t)])
+    nup = np.array([cmath.sqrt(1.0 - (wplus * wplus)[0])])
+    return 4.0 * nup.real[0], 4.0 * (nup * nup.conj()).real[0]
 
 
-def _real_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    re, sq = exponents
-    a, k = p.alpha, p.kappa
-    return a * a * (1.0 + k) ** 2 - 4.0 * re * a * (1.0 + k) + 4.0 * sq - a * a * k * k
-
-
-def _gap_axis_exponents(omega: float, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # lambda = i t with 0 < t < 1 - |omega|: both exponents real positive
-    return np.sqrt(1.0 - (omega - ts) ** 2), np.sqrt(1.0 - (omega + ts) ** 2)
-
-
-def _gap_axis_values(p: ModelParams, exponents: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    return _D_from_nus(p.alpha, p.kappa, *exponents)
+def _gap_axis_terms(omega: float, t: float) -> tuple[float, float]:
+    # at lambda = i t with 0 < t < 1 - |omega| both exponents are real positive:
+    # x = 2(nu_+ + nu_-) and y = 4 nu_+ nu_-; x*x is numpy's square, pow is not
+    nup, num = math.sqrt(1.0 - (omega - t) * (omega - t)), math.sqrt(1.0 - (omega + t) * (omega + t))
+    return 2.0 * (nup + num), 4.0 * nup * num
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -1079,44 +1072,36 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _axis_meshes(omega: float) -> tuple[tuple, tuple]:
-    """The real-axis and gap meshes at ``(1, omega)``, each with its exponents.
+def _axis_meshes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Both axis meshes at ``(1, omega)`` end to end, with ``D``'s terms there.
 
-    Returns ``((real_mesh, real_exponents), (gap_mesh, gap_exponents))``, all
-    arrays read-only.  None of it depends on ``kappa``, so a sweep over
-    ``kappa`` at one ``omega/m`` builds it once; the cache keeps the last
-    pair only (at most 96 KB).
+    On either axis ``D = A - alpha (1+kappa) x(t) + y(t) - B`` with
+    ``A = alpha^2 (1+kappa)^2`` and ``B = alpha^2 kappa^2``
+    (:func:`_real_axis_terms`, :func:`_gap_axis_terms`).  Returns
+    ``(mesh, x, y, n_real)``: the real-axis mesh then the gap mesh, the two
+    terms at each point, and the length of the real-axis part, all arrays
+    read-only.  None of it depends on ``kappa``, so a sweep over ``kappa``
+    at one ``omega/m`` builds it once; the cache keeps the last entry only
+    (at most 96 KB, at ``omega = 0``).
     """
     step, t_max = _ORACLE_STEP, _ORACLE_REAL_END
     real_mesh = _sorted_distinct(np.concatenate([np.arange(step, t_max, step), [t_max]]))
-    real_ex = _real_axis_exponents(omega, real_mesh)
+    wplus = omega + 1j * real_mesh
+    nup = np.sqrt(1.0 - wplus * wplus)
+    real_x, real_y = 4.0 * nup.real, 4.0 * (nup * np.conj(nup)).real
 
     gap = 1.0 - abs(omega)
     gcore = np.arange(step, gap, step)
     gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
     gap_mesh = _sorted_distinct(np.concatenate([gcore, gtop]))
     gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
-    gap_ex = _gap_axis_exponents(omega, gap_mesh)
+    nup, num = np.sqrt(1.0 - (omega - gap_mesh) ** 2), np.sqrt(1.0 - (omega + gap_mesh) ** 2)
 
-    for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
+    arrays = (np.concatenate([real_mesh, gap_mesh]), np.concatenate([real_x, 2.0 * (nup + num)]),
+              np.concatenate([real_y, 4.0 * nup * num]))
+    for arr in arrays:
         arr.flags.writeable = False
-    return (real_mesh, real_ex), (gap_mesh, gap_ex)
-
-
-def _scan_segment(p: ModelParams, exponents, values, mesh: np.ndarray, mesh_exponents) -> list[float]:
-    sgn = np.sign(values(p, mesh_exponents))
-    roots: list[float] = []
-    for i in np.flatnonzero((sgn[:-1] == 0.0) | (sgn[:-1] * sgn[1:] < 0.0)):
-        if sgn[i] == 0.0:
-            roots.append(float(mesh[i]))
-        else:
-            roots.append(brentq(
-                lambda t: float(values(p, exponents(p.omega, np.array([t])))[0]),
-                mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16,
-            ))
-    if len(mesh) and sgn[-1] == 0.0:
-        roots.append(float(mesh[-1]))
-    return roots
+    return (*arrays, len(real_mesh))
 
 
 def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
@@ -1136,15 +1121,41 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     meaningless there.  Log-spaced fringe points are appended just below the
     gap threshold, where the square-root singularity keeps values well
     resolved and a virtual-level collision can push a root arbitrarily close
-    to the edge.  The exponents on both axes depend on ``omega/m`` only, so
-    the meshes and their exponents are built once per ``omega/m``
-    (:func:`_axis_meshes`) and each point combines them with its ``kappa``.
+    to the edge.  ``D`` is affine in two terms that depend on ``omega/m``
+    only, so both meshes and their terms are built once per ``omega/m``
+    (:func:`_axis_meshes`); each point forms ``D`` on both axes in one pass
+    and scans it once, leaving out the pair that straddles the junction.
+    Brent evaluates the same terms on plain floats, bit for bit.
     """
     m, unit = p.m, _unit(p)
-    (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(unit.omega)
-    real_roots = _scan_segment(unit, _real_axis_exponents, _real_axis_values, real_mesh, real_ex)
-    gap_roots = _scan_segment(unit, _gap_axis_exponents, _gap_axis_values, gap_mesh, gap_ex)
-    return [m * t for t in real_roots], [m * t for t in gap_roots]
+    mesh, x, y, n_real = _axis_meshes(unit.omega)
+    w, a, k = unit.omega, unit.alpha, unit.kappa
+    big, k1, small = a * a * (1.0 + k) ** 2, 1.0 + k, a * a * k * k
+    d = np.multiply(x, a)
+    d *= k1
+    np.subtract(big, d, out=d)
+    d += y
+    d -= small
+    sgn = np.sign(d, out=d)
+
+    roots: tuple[list[float], list[float]] = ([], [])
+    for i in np.flatnonzero(sgn[:-1] * sgn[1:] <= 0.0).tolist():
+        if sgn[i] == 0.0:
+            t = float(mesh[i])
+        elif sgn[i + 1] == 0.0 or i == n_real - 1:
+            continue  # a root on the next point, or across the junction
+        else:
+            terms = _real_axis_terms if i < n_real else _gap_axis_terms
+
+            def f(t: float) -> float:
+                xt, yt = terms(w, t)
+                return big - xt * a * k1 + yt - small
+
+            t = brentq(f, mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)
+        roots[i >= n_real].append(m * t)
+    if sgn[-1] == 0.0:
+        roots[len(mesh) > n_real].append(m * float(mesh[-1]))
+    return roots
 
 
 def oracle_mismatches(p: ModelParams, roots: list[complex]) -> list[str]:

@@ -39,9 +39,12 @@ from kgdelta.dispersion import (
     _axis_meshes,
     _classify_arrays,
     _distinct_bits,
+    _gap_axis_terms,
+    _real_axis_terms,
     _region_pair,
     accepted_cells,
 )
+from kgdelta.model import brentq
 
 
 def _cells(m, omegas, kappas, band):
@@ -993,11 +996,52 @@ class TestOracleMeshCache:
     @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.95, 0.9995])
     def test_meshes_strictly_increase(self, omega):
         # past |omega| = 1 - 1e-3 the gap mesh is empty
-        for mesh, _ in _axis_meshes(omega):
-            assert (np.diff(mesh) > 0.0).all()
+        mesh, _, _, n_real = _axis_meshes(omega)
+        for axis in (mesh[:n_real], mesh[n_real:]):
+            assert (np.diff(axis) > 0.0).all()
 
     def test_cached_arrays_are_read_only(self):
-        (real_mesh, real_ex), (gap_mesh, gap_ex) = _axis_meshes(0.3)
-        for arr in (real_mesh, *real_ex, gap_mesh, *gap_ex):
+        mesh, x, y, _ = _axis_meshes(0.3)
+        for arr in (mesh, x, y):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+class TestOracleBrentSeesTheMesh:
+    """Brent evaluates ``D`` point by point on plain floats; the scan on the
+    cached arrays.  Where the two differ in sign at a bracket end, Brent
+    raises or returns the wrong end, so they must agree to the bit."""
+
+    OMEGAS = [0.0, -0.0, 0.9995, -0.5] + [random.Random(11).uniform(-0.999, 0.999) for _ in range(296)]
+
+    @staticmethod
+    def _bits(pairs):
+        return np.array(pairs, dtype=float).view(np.int64)
+
+    def test_terms_are_the_cached_terms_at_every_mesh_point(self):
+        # the real-axis evaluator costs a few numpy calls a point, so it is
+        # checked at the first 60 frequencies, the plain-float gap one at all
+        for i, w in enumerate(self.OMEGAS):
+            mesh, x, y, n_real = _axis_meshes(w)
+            cached = self._bits(np.stack([x, y], axis=1))
+            got = [_gap_axis_terms(w, t) for t in mesh[n_real:].tolist()]
+            assert np.array_equal(self._bits(got).reshape(-1, 2), cached[n_real:]), w
+            if i < 60:
+                got = [_real_axis_terms(w, t) for t in mesh[:n_real].tolist()]
+                assert np.array_equal(self._bits(got), cached[:n_real]), w
+
+    def test_every_bracket_keeps_its_signs(self, monkeypatch):
+        brackets = []
+
+        def checked(f, a, b, xtol, rtol):
+            fa, fb = f(a), f(b)
+            assert fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0), (a, b, fa, fb)
+            brackets.append((a, b))
+            return brentq(f, a, b, xtol, rtol)
+
+        monkeypatch.setattr(dispersion, "brentq", checked)
+        rng = random.Random(12)
+        for w in self.OMEGAS:
+            for _ in range(5):
+                axis_scan_roots(ModelParams(1.0, w, rng.uniform(-3.0, 3.0)))
+        assert len(brackets) > 200

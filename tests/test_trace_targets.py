@@ -56,13 +56,16 @@ def test_one_candidate_roots_span_per_classification(traced):
 
 def test_one_oracle_span_per_oracle_point(traced, capsys):
     # the trace divides by the oracle_mismatches and axis_scan_roots spans, so
-    # the oracle suite must still make one of each per point, 3 x 3 here
+    # the oracle suite must still make one of each per point, 3 x 3 here; its
+    # brackets per point count the brentq spans, one per bracket, and the
+    # oracle must reach brentq through the module attribute
     tracer = traced.Tracer()
     with tracer.installed(traced.targets(cli, dispersion, lattice)):
         assert cli.main(["validate", "--grid", "3", "--sweep", "10"]) == 0
     assert "oracle-root-agreement: PASS (9 checks, 0 failed)" in capsys.readouterr().out
     for name in ("dispersion.oracle_mismatches", "dispersion.axis_scan_roots"):
         assert len(tracer.spans(name, "")) == 9, name
+    assert len(tracer.spans("scipy.brentq", "")) == 2
 
 
 def test_one_lattice_span_per_step_and_per_record(traced, tmp_path):

@@ -1048,19 +1048,15 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
 
 
 def _real_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # D's two t-dependent terms at lambda = t: x = 4 Re nu_+ and y = 4|nu_+|^2
-    # (the exponents are complex conjugates, and plain principal square roots
-    # agree with the sheet convention).  The square and the modulus stay numpy
-    # one-element ufuncs: numpy fuses their multiply and add, Python's complex
-    # does not, and Brent must see the mesh's bits.
+    # x = 4 Re nu_+ and y = 4|nu_+|^2 at lambda = t.  numpy's loops fuse the square's and
+    # the modulus' multiply and add, Python's complex does not, so those stay numpy's
     wplus = np.array([complex(omega, t)])
     nup = np.array([cmath.sqrt(1.0 - (wplus * wplus)[0])])
     return 4.0 * nup.real[0], 4.0 * (nup * nup.conj()).real[0]
 
 
 def _gap_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # at lambda = i t with 0 < t < 1 - |omega| both exponents are real positive:
-    # x = 2(nu_+ + nu_-) and y = 4 nu_+ nu_-; x*x is numpy's square, pow is not
+    # x = 2(nu_+ + nu_-) and y = 4 nu_+ nu_- at lambda = i t in the gap; x*x is numpy's square
     nup, num = math.sqrt(1.0 - (omega - t) * (omega - t)), math.sqrt(1.0 - (omega + t) * (omega + t))
     return 2.0 * (nup + num), 4.0 * nup * num
 
@@ -1073,16 +1069,12 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _axis_meshes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Both axis meshes at ``(1, omega)`` end to end, with ``D``'s terms there.
+    """``(mesh, x, y, n_real)`` at ``(1, omega)``, the arrays read-only.
 
-    On either axis ``D = A - alpha (1+kappa) x(t) + y(t) - B`` with
-    ``A = alpha^2 (1+kappa)^2`` and ``B = alpha^2 kappa^2``
-    (:func:`_real_axis_terms`, :func:`_gap_axis_terms`).  Returns
-    ``(mesh, x, y, n_real)``: the real-axis mesh then the gap mesh, the two
-    terms at each point, and the length of the real-axis part, all arrays
-    read-only.  None of it depends on ``kappa``, so a sweep over ``kappa``
-    at one ``omega/m`` builds it once; the cache keeps the last entry only
-    (at most 96 KB, at ``omega = 0``).
+    The first ``n_real`` points of ``mesh`` are the real axis', the rest the
+    gap's; ``x, y`` are :func:`_real_axis_terms` and :func:`_gap_axis_terms`
+    there.  None of it depends on ``kappa``, so a ``kappa`` sweep builds it
+    once; the cache keeps the last entry (at most 96 KB, at ``omega = 0``).
     """
     step, t_max = _ORACLE_STEP, _ORACLE_REAL_END
     real_mesh = _sorted_distinct(np.concatenate([np.arange(step, t_max, step), [t_max]]))
@@ -1091,9 +1083,8 @@ def _axis_meshes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     real_x, real_y = 4.0 * nup.real, 4.0 * (nup * np.conj(nup)).real
 
     gap = 1.0 - abs(omega)
-    gcore = np.arange(step, gap, step)
     gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
-    gap_mesh = _sorted_distinct(np.concatenate([gcore, gtop]))
+    gap_mesh = _sorted_distinct(np.concatenate([np.arange(step, gap, step), gtop]))
     gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
     nup, num = np.sqrt(1.0 - (omega - gap_mesh) ** 2), np.sqrt(1.0 - (omega + gap_mesh) ** 2)
 
@@ -1107,30 +1098,29 @@ def _axis_meshes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
 def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     """Roots of the determinant restrictions to the two spectral axes.
 
-    The determinant is homogeneous in the mass, ``D(m l; m, m w, kappa) =
-    m^2 D(l; 1, w, kappa)``, so the scan runs at ``(1, omega/m, kappa)`` and
-    returns its roots times ``m``.  There it scans ``D(t)`` for
-    ``t in [1e-3, 3]`` (real axis) and ``D(i t)`` for ``t in [1e-3, 1 -
-    |omega/m|)`` (inside the gap) for sign changes on a mesh of step ``1e-3``
-    and refines each bracket by Brent's method
-    (:func:`~kgdelta.model.brentq`).  Both restrictions are real valued on
-    the physical sheet, which is what makes this an oracle fully independent
-    of the cubic reduction.  The mesh starts at one step rather than at zero:
-    the determinant always has a double root at the origin, so below
-    ``t ~ 1e-8`` its values drown in evaluation roundoff and sign scanning is
-    meaningless there.  Log-spaced fringe points are appended just below the
-    gap threshold, where the square-root singularity keeps values well
-    resolved and a virtual-level collision can push a root arbitrarily close
-    to the edge.  ``D`` is affine in two terms that depend on ``omega/m``
-    only, so both meshes and their terms are built once per ``omega/m``
-    (:func:`_axis_meshes`); each point forms ``D`` on both axes in one pass
-    and scans it once, leaving out the pair that straddles the junction.
-    Brent evaluates the same terms on plain floats, bit for bit.
+    ``D`` is homogeneous in the mass, ``D(m l; m, m w, kappa) = m^2 D(l; 1,
+    w, kappa)``, so the scan runs at ``(1, omega/m, kappa)`` and returns its
+    roots times ``m``.  There it scans ``D(t)`` for ``t in [1e-3, 3]`` (real
+    axis) and ``D(i t)`` for ``t in [1e-3, 1 - |omega/m|)`` (inside the gap)
+    for sign changes on a mesh of step ``1e-3`` and refines each bracket by
+    Brent's method (:func:`~kgdelta.model.brentq`).  Both restrictions are
+    real valued on the physical sheet, which makes this oracle independent of
+    the cubic reduction.  The mesh starts one step from zero, where ``D``'s
+    double root drowns its values in roundoff below ``t ~ 1e-8``; log-spaced
+    fringe points just below the gap threshold catch a root that a
+    virtual-level collision pushes to the edge.  On both axes ``D =
+    alpha^2 (1+kappa)^2 - alpha (1+kappa) x + y - alpha^2 kappa^2`` with
+    terms ``x, y`` of ``omega/m`` only (:func:`_axis_meshes`), so each point
+    forms ``D`` on both meshes in one pass and scans it once; Brent takes the
+    terms on plain floats, bit for bit.  Raises :class:`CubicOverflow` where
+    a term overflows float64.
     """
     m, unit = p.m, _unit(p)
     mesh, x, y, n_real = _axis_meshes(unit.omega)
-    w, a, k = unit.omega, unit.alpha, unit.kappa
-    big, k1, small = a * a * (1.0 + k) ** 2, 1.0 + k, a * a * k * k
+    w, a, k, k1 = unit.omega, unit.alpha, unit.kappa, 1.0 + unit.kappa
+    if not math.isfinite(a * a * (k1 * k1) + a * a * k * k):  # then no term of D overflows
+        raise CubicOverflow(f"the axis scan's determinant overflows float64 at m = {p.m:g}, kappa = {p.kappa:g}")
+    big, small = a * a * k1 ** 2, a * a * k * k
     d = np.multiply(x, a)
     d *= k1
     np.subtract(big, d, out=d)
@@ -1138,20 +1128,19 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     d -= small
     sgn = np.sign(d, out=d)
 
+    def value(t: float, terms) -> float:
+        xt, yt = terms(w, t)
+        return big - xt * a * k1 + yt - small
+
     roots: tuple[list[float], list[float]] = ([], [])
     for i in np.flatnonzero(sgn[:-1] * sgn[1:] <= 0.0).tolist():
         if sgn[i] == 0.0:
             t = float(mesh[i])
         elif sgn[i + 1] == 0.0 or i == n_real - 1:
-            continue  # a root on the next point, or across the junction
+            continue  # a root on the next point, or a pair across the junction
         else:
             terms = _real_axis_terms if i < n_real else _gap_axis_terms
-
-            def f(t: float) -> float:
-                xt, yt = terms(w, t)
-                return big - xt * a * k1 + yt - small
-
-            t = brentq(f, mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)
+            t = brentq(lambda t: value(t, terms), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)
         roots[i >= n_real].append(m * t)
     if sgn[-1] == 0.0:
         roots[len(mesh) > n_real].append(m * float(mesh[-1]))

@@ -884,6 +884,13 @@ class TestValidateCommand:
         # mpmath (60 digits) has the one in-gap root 0.0019899748841631143i
         assert main(["validate", "--at", "1,0.001,1e-8"]) == 0
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="alpha^2 (1+kappa)^2 and alpha^2 kappa^2 cancel in the oracle's D")
+    @pytest.mark.parametrize("kappa", ["1e12", "1e17"])
+    def test_single_point_at_large_kappa(self, kappa):
+        # the pipeline's +-sqrt(3) kappa are right; the scan finds extra roots
+        assert main(["validate", "--at", f"1,0.5,{kappa}"]) == 0
+
     def test_single_point_honors_fault_injection(self, capsys):
         assert main(["validate", "--at", "1,0.5,0.2"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "PASS"

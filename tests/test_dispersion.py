@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -913,6 +914,21 @@ class TestOracle:
         assert len(real_roots) == 1
         assert real_roots[0] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
         assert gap_roots == []
+
+    @pytest.mark.parametrize("kappa", [1e154, 1e155, 1e200, -1e200, 1.7e308, -1.7e308])
+    def test_overflowing_kappa_raises_the_typed_error(self, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CubicOverflow, match=re.escape(f"m = 1, kappa = {kappa:g}") + "$"):
+                axis_scan_roots(ModelParams(1.0, 0.5, kappa))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="alpha^2 (1+kappa)^2 and alpha^2 kappa^2 cancel in the oracle's D")
+    @pytest.mark.parametrize("kappa", [1e10, 1e12, 1e14, 1e17, 1e100])
+    def test_no_spurious_root_at_large_kappa(self, kappa):
+        # the only roots are the pipeline's +-sqrt(3) kappa, far beyond the
+        # real-axis window; the scan finds 1, 13, 69, then every mesh point
+        assert axis_scan_roots(ModelParams(1.0, 0.5, kappa)) == ([], [])
 
     def test_full_grid_equivalence(self):
         # module invariant: 41x41 over the parameter plane, no disagreements

@@ -1048,15 +1048,15 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
 
 
 def _real_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # x = 4 Re nu_+ and y = 4|nu_+|^2 at lambda = t.  numpy's loops fuse the square's and
-    # the modulus' multiply and add, Python's complex does not, so those stay numpy's
+    # x = 4 Re nu_+, y = 4|nu_+|^2 at lambda = t (conjugate exponents, principal roots on the
+    # sheet).  numpy's loops fuse the square's and modulus' multiply-add, Python's complex does not
     wplus = np.array([complex(omega, t)])
     nup = np.array([cmath.sqrt(1.0 - (wplus * wplus)[0])])
     return 4.0 * nup.real[0], 4.0 * (nup * nup.conj()).real[0]
 
 
 def _gap_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # x = 2(nu_+ + nu_-) and y = 4 nu_+ nu_- at lambda = i t in the gap; x*x is numpy's square
+    # x = 2(nu_+ + nu_-), y = 4 nu_+ nu_- at lambda = i t in the gap; x*x is numpy's x**2, pow is not
     nup, num = math.sqrt(1.0 - (omega - t) * (omega - t)), math.sqrt(1.0 - (omega + t) * (omega + t))
     return 2.0 * (nup + num), 4.0 * nup * num
 

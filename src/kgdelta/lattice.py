@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -54,6 +56,29 @@ __all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODE
 #: lattice, 89 times the largest test lattice (11,251).  At the cap each
 #: complex field array takes 16 MB.
 MAX_LATTICE_NODES = 1_000_000
+
+
+def _seed(seed) -> int:
+    """``seed`` as a Python int, refused unless it is an integer ``>= 0``.
+
+    ``random.Random`` would seed a negative ``n`` as ``abs(n)``, so ``-1``
+    and ``1`` would give one stream.
+    """
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    return n
+
+
+def _slope(t: np.ndarray, y: np.ndarray) -> float:
+    """The least-squares slope of ``y`` against ``t``, on centred data.
+
+    ``sum(t' y') / sum(t' t')`` with ``t' = t - mean(t)`` and ``y' = y -
+    mean(y)``; ``np.polyfit(t, y, 1)[0]`` gives the same line through LAPACK
+    ``lstsq``, which one straight line does not need.
+    """
+    t = t - t.mean()
+    return float(np.dot(t, y - y.mean()) / np.dot(t, t))
 
 
 def _past_guard(psi: np.ndarray, limit: float) -> bool:
@@ -437,16 +462,25 @@ class DefectLattice:
         independently for the field and velocity components, then explicitly
         symmetrized and normalized.  Even data couples to the unstable mode
         (which is itself even) and keeps the run in the symmetric sector.
+        The coefficients are standard normal draws from Python's
+        ``random.Random(seed)`` (Mersenne Twister), eight real parts then
+        eight imaginary parts for each component; ``seed`` must be an
+        integer ``>= 0``.  Earlier versions drew from numpy's
+        ``default_rng``, so series written by them differ at the same seed.
         """
         g = self.grid
-        rng = np.random.default_rng(seed)
+        # the stdlib generator: numpy.random would load hashlib and OpenSSL,
+        # about 6 MB of peak memory for 32 numbers
+        rng = random.Random(_seed(seed))
         width = min(0.5 * g.half_length, 10.0 / self.params.decay_rate)
         xs = g.xs()
         env = np.where(np.abs(xs) < width, np.cos(0.5 * np.pi * xs / width) ** 2, 0.0)
         n_modes = 8
 
         def even_noise() -> np.ndarray:
-            coef = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+            real = [rng.gauss(0.0, 1.0) for _ in range(n_modes)]
+            imag = [rng.gauss(0.0, 1.0) for _ in range(n_modes)]
+            coef = np.array(real) + 1j * np.array(imag)
             out = np.zeros(g.n_points, dtype=np.complex128)
             for k, ck in enumerate(coef, start=1):
                 out += ck * np.cos(k * np.pi * xs / width)
@@ -487,8 +521,9 @@ class DefectLattice:
         reference state is read-only, so its gradient is formed once.
 
         ``epsilon`` must be finite and ``>= 0``, ``horizon`` and ``dt`` finite
-        and ``> 0``, and ``record_every >= 1``; anything else raises
-        ``ValueError`` before the stationary solve.
+        and ``> 0``, ``record_every >= 1`` and ``seed`` an integer ``>= 0``;
+        anything else raises ``ValueError`` (``TypeError`` for a seed that is
+        not an integer) before the stationary solve.
         """
         if not (epsilon >= 0.0 and math.isfinite(epsilon)):
             raise ValueError(f"perturbation size must be finite and >= 0, got {epsilon}")
@@ -500,6 +535,7 @@ class DefectLattice:
             raise ValueError(f"time step must be finite and > 0, got {dt}")
         if record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {record_every}")
+        seed = _seed(seed)
         reference = self.discrete_stationary()
         # read-only, so every record takes its gradient from the first
         reference.psi.flags.writeable = False
@@ -567,7 +603,7 @@ class DefectLattice:
             lo, hi = 10.0 * epsilon, 0.1 * ref_norm
             mask = (dists_a >= lo) & (dists_a <= hi)
             if np.count_nonzero(mask) >= 8:
-                rate = float(np.polyfit(times_a[mask], np.log(dists_a[mask]), 1)[0])
+                rate = _slope(times_a[mask], np.log(dists_a[mask]))
 
         meta = {
             "m": self.params.m,

@@ -625,10 +625,12 @@ class TestSimulateCommand:
         assert csv_lines[0] == "t,energy,charge,orbital_distance"
 
     def test_blowup_exit_code(self, tmp_path):
+        # seed 2 puts the perturbation on the blow-up side of the unstable
+        # manifold; at seed 0 this run reaches the horizon
         prefix = str(tmp_path / "blow")
         rc = main(
             [
-                "simulate", "-m", "1", "-w", "0", "-k", "1", "-g", "2",
+                "simulate", "-m", "1", "-w", "0", "-k", "1", "-g", "2", "--seed", "2",
                 "--eps", "1e-2", "-T", "30", "-o", prefix, "--record-every", "10",
             ]
         )
@@ -639,11 +641,14 @@ class TestSimulateCommand:
 
     def test_overflow_stops_as_growing(self, tmp_path, capsys):
         # kappa = 10: the coupling overflows while max|psi| is still below the
-        # guard, and the run stops there, before inf enters the state
+        # guard, and the run stops there, before inf enters the state; seed 4
+        # puts the perturbation on the blow-up side of the unstable manifold,
+        # and there the overflow comes before the guard
         prefix = str(tmp_path / "over")
+        argv = ["simulate", "-m", "1", "-w", "0.6", "-k", "10", "-T", "2", "--seed", "4", "-o", prefix]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["simulate", "-m", "1", "-w", "0.6", "-k", "10", "-T", "2", "-o", prefix]) == 3
+            assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "predicted: unstable; observed: growing; agreement: True"
         assert captured.err == ""
@@ -677,6 +682,7 @@ class TestSimulateCommand:
             (["-T", "1", "--eps", "inf"], "perturbation size must be finite and >= 0"),
             (["-T", "1", "--grid-h", "0"], "grid spacing must be finite and > 0"),
             (["-T", "1", "--grid-h", "nan"], "grid spacing must be finite and > 0"),
+            (["-T", "1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_run_inputs_outside_domain_exit_2(self, tmp_path, capsys, flags, message):
@@ -1034,6 +1040,32 @@ print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["code"] == 0
     assert [m for m in got["modules"] if m.split(".")[0] in ("scipy", "hashlib", "_hashlib")] == []
+
+
+def test_simulate_loads_no_numpy_random_and_no_hashlib(tmp_path):
+    # numpy.random loads secrets, hmac and hashlib with OpenSSL, about 6 MB
+    # of every simulate's peak RSS for the perturbation's 32 numbers; an
+    # unstable run with --eps > 0 draws the perturbation and fits the rate
+    script = f"""
+import json, sys
+from kgdelta.cli import main
+code = main(["simulate", "-m", "1", "-w", "0", "-k", "1", "-g", "2", "--eps", "1e-6", "-T", "10",
+             "-o", {str(tmp_path / "u")!r}])
+print(json.dumps({{"code": code, "modules": sorted(sys.modules)}}))
+"""
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0
+    assert json.loads((tmp_path / "u.json").read_text())["fitted_rate"] is not None
+    unwanted = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+    assert [m for m in got["modules"] if m in unwanted or m.startswith("numpy.random.")] == []
 
 
 def test_validate_loads_no_numpy_ma():

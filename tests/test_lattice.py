@@ -11,7 +11,7 @@ from kgdelta import (
     nonlinearity_from_config,
     solve_amplitude,
 )
-from kgdelta.lattice import DefectLattice, FieldState, Grid, _past_guard
+from kgdelta.lattice import DefectLattice, FieldState, Grid, _past_guard, _slope
 
 
 def make_sim(m=1.0, omega=0.0, kappa=1.0, g=2.0, half_length=None, target_h=None, horizon=0.0):
@@ -254,6 +254,21 @@ class TestExperiments:
         assert np.array_equal(a.psi, a.psi[::-1])
         assert sim.e_norm(a) == pytest.approx(1e-3, rel=1e-12)
         assert abs(a.psi[0]) == 0.0  # compact support
+        c = sim.perturbation(seed=13, size=1e-3)
+        assert not np.array_equal(a.psi, c.psi) and not np.array_equal(a.pi, c.pi)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # random.Random(-1) would seed as abs(-1), the stream of seed 1
+        sim = make_sim(omega=0.5, kappa=0.1, g=1.0)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sim.perturbation(seed=-1, size=1e-3)
+        # refused by run_experiment too, also where no perturbation is drawn
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            sim.run_experiment(epsilon=0.0, horizon=1.0, seed=-1)
+        # a numpy integer draws the stream of the equal Python int
+        a = sim.perturbation(seed=np.int64(12), size=1e-3)
+        b = sim.perturbation(seed=12, size=1e-3)
+        assert np.array_equal(a.psi, b.psi) and np.array_equal(a.pi, b.pi)
 
     def test_stationary_run_stays_put(self):
         sim = make_sim(omega=0.0, kappa=-0.25, g=1.0)
@@ -293,7 +308,9 @@ class TestExperiments:
 
     def test_blowup_guard_aborts_with_partial_series(self):
         sim = make_sim()  # strongly unstable point
-        rep = sim.run_experiment(epsilon=1e-3, horizon=50.0, seed=0, record_every=5)
+        # seed 2 puts the perturbation on the blow-up side of the unstable
+        # manifold; at seed 0 this run reaches the horizon
+        rep = sim.run_experiment(epsilon=1e-3, horizon=50.0, seed=2, record_every=5)
         assert rep.aborted
         assert rep.times[-1] < 50.0
         assert len(rep.times) == len(rep.energy) == len(rep.orbital_distance)
@@ -324,6 +341,36 @@ class TestExperiments:
         assert summary["schema"] == 1
         assert summary["verdict"] == "stable"
         assert 0 <= summary["energy_drift"] < 1e-8
+
+
+class TestClosedFormSlope:
+    """The growth-rate fit against ``np.polyfit(t, y, 1)[0]``, which runs LAPACK."""
+
+    @pytest.mark.parametrize(
+        "kappa, g, eps, horizon, grid_horizon, every",
+        [
+            # the benchmark's lattice_unstable run, on the CLI's grid
+            (0.25, 1.0, 1e-6, 15.0, 15.0, 1),
+            # test_unstable_rate_matches_prediction's run
+            (1.0, 2.0, 1e-6, 20.0, 0.0, 5),
+        ],
+        ids=["lattice_unstable", "unstable_rate"],
+    )
+    def test_fit_windows_of_unstable_runs(self, kappa, g, eps, horizon, grid_horizon, every):
+        sim = make_sim(omega=0.0, kappa=kappa, g=g, horizon=grid_horizon)
+        rep = sim.run_experiment(epsilon=eps, horizon=horizon, seed=0, record_every=every)
+        d = rep.orbital_distance
+        mask = (d >= 10.0 * eps) & (d <= 0.1 * rep.meta["reference_e_norm"])
+        t, y = rep.times[mask], np.log(d[mask])
+        assert len(t) >= 8
+        assert rep.fitted_rate == _slope(t, y)
+        assert rep.fitted_rate == pytest.approx(np.polyfit(t, y, 1)[0], rel=1e-12, abs=0.0)
+
+    def test_noisy_line(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.3, 17.0, 400)
+        y = -13.8 + 1.118 * t + 0.05 * rng.standard_normal(t.size)
+        assert _slope(t, y) == pytest.approx(np.polyfit(t, y, 1)[0], rel=1e-12, abs=0.0)
 
 
 def banded_newton(sim):
@@ -426,9 +473,11 @@ class TestThomasSolve:
 
 def test_overflow_is_never_recorded():
     # kappa = 10: the defect force overflows pi while max|psi| is still
-    # below the 1e3-amplitude guard, and the next step turns the field to NaN
+    # below the 1e3-amplitude guard, and the next step turns the field to NaN;
+    # seed 4 puts the perturbation on the blow-up side of the unstable
+    # manifold, and there the overflow comes before the guard
     sim = make_sim(omega=0.6, kappa=10.0, g=1.0, horizon=2.0)
-    rep = sim.run_experiment(epsilon=1e-6, horizon=2.0)
+    rep = sim.run_experiment(epsilon=1e-6, horizon=2.0, seed=4)
     assert rep.aborted
     for series in (rep.times, rep.energy, rep.charge, rep.orbital_distance):
         assert np.all(np.isfinite(series))

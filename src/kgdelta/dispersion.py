@@ -104,6 +104,10 @@ _X_FLOOR = 1e-13
 #: Mesh step of the axis-scan oracle, and the end of its real axis, over ``m``.
 _ORACLE_STEP = 1e-3
 _ORACLE_REAL_END = 3.0
+#: Above this ``|kappa|`` the axis scan writes ``alpha^2 ((1+kappa)^2 -
+#: kappa^2)`` as ``alpha^2 (1 + 2 kappa)``, whose terms do not cancel; below
+#: it the squares stay, which keeps the bits of every pinned root.
+_ORACLE_FOLD_KAPPA = 2.0 ** 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -1110,7 +1114,8 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     fringe points just below the gap threshold catch a root that a
     virtual-level collision pushes to the edge.  On both axes ``D =
     alpha^2 (1+kappa)^2 - alpha (1+kappa) x + y - alpha^2 kappa^2`` with
-    terms ``x, y`` of ``omega/m`` only (:func:`_axis_meshes`), so each point
+    terms ``x, y`` of ``omega/m`` only (:func:`_axis_meshes`), folded
+    beyond ``|kappa| = 2^20`` (:data:`_ORACLE_FOLD_KAPPA`), so each point
     forms ``D`` on both meshes in one pass and scans it once; Brent takes the
     terms on plain floats, bit for bit.  Raises :class:`CubicOverflow` where
     a term overflows float64.
@@ -1120,7 +1125,10 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     w, a, k, k1 = unit.omega, unit.alpha, unit.kappa, 1.0 + unit.kappa
     if not math.isfinite(a * a * (k1 * k1) + a * a * k * k):  # then no term of D overflows
         raise CubicOverflow(f"the axis scan's determinant overflows float64 at m = {p.m:g}, kappa = {p.kappa:g}")
-    big, small = a * a * k1 ** 2, a * a * k * k
+    if abs(k) > _ORACLE_FOLD_KAPPA:
+        big, small = a * a * (1.0 + 2.0 * k), 0.0
+    else:
+        big, small = a * a * k1 ** 2, a * a * k * k
     d = np.multiply(x, a)
     d *= k1
     np.subtract(big, d, out=d)

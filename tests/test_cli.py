@@ -1,8 +1,11 @@
+import ast
 import hashlib
+import importlib
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -890,11 +893,10 @@ class TestValidateCommand:
         # mpmath (60 digits) has the one in-gap root 0.0019899748841631143i
         assert main(["validate", "--at", "1,0.001,1e-8"]) == 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="alpha^2 (1+kappa)^2 and alpha^2 kappa^2 cancel in the oracle's D")
     @pytest.mark.parametrize("kappa", ["1e12", "1e17"])
     def test_single_point_at_large_kappa(self, kappa):
-        # the pipeline's +-sqrt(3) kappa are right; the scan finds extra roots
+        # the pipeline's +-sqrt(3) kappa lie beyond the scan's window, and the
+        # scan finds no other root
         assert main(["validate", "--at", f"1,0.5,{kappa}"]) == 0
 
     def test_single_point_honors_fault_injection(self, capsys):
@@ -981,6 +983,78 @@ def test_closed_stdout_at_start_is_not_an_error():
         preexec_fn=lambda: os.close(1),
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# The child runs the package as ``python -m kgdelta`` does, and reports at
+# exit whether the collector was frozen.
+_RUN_AS_MAIN = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"collector frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+runpy.run_module("kgdelta", run_name="__main__")
+"""
+
+
+def _untimed(out: str) -> str:
+    """``out`` without the lines and figures that hold wall times."""
+    lines = [line for line in out.splitlines(keepends=True) if not line.startswith("suite times:")]
+    return re.sub(r"; [0-9]+ cells/s$", "", "".join(lines), flags=re.M)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "-m", "1", "-w", "0.5", "-k", "0.1"], 0),
+    (["validate", "--grid", "3", "--sweep", "10", "--perturb-q", "1e-3"], 1),
+    (["spectrum", "-m", "-1", "-w", "0", "-k", "0.1"], 2),
+    (["--help"], 0),
+    (["no-such-command"], 2),
+    (["scan", "--omega-min", "-0.4", "--omega-max", "0.4", "--omega-step", "0.2",
+      "--kappa-min", "-0.5", "--kappa-max", "0.5", "--kappa-step", "0.25", "-o", "cells.csv"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_module_run_freezes_the_collector_on_every_exit(tmp_path, monkeypatch, capsys, argv, code):
+    # the same exit code and output as main in-process, argparse's SystemExit
+    # included, and the collector frozen before the interpreter's teardown
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    (tmp_path / "child").mkdir()
+    (tmp_path / "in-process").mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path / "child",
+        env={**os.environ, "PYTHONPATH": str(package_root), "COLUMNS": "80"},
+    )
+    monkeypatch.chdir(tmp_path / "in-process")
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        want_code = main(argv)
+    except SystemExit as exc:
+        want_code = exc.code
+    want = capsys.readouterr()
+    assert (proc.returncode, want_code) == (code, code)
+    assert _untimed(proc.stdout) == _untimed(want.out)
+    err = proc.stderr.splitlines()
+    assert err[-1] == "collector frozen: True"
+    assert err[:-1] == want.err.splitlines()
+    if argv[0] == "spectrum" and code == 2:
+        assert err[0] == "error: mass must be positive and finite, got -1.0"
+    if argv[0] == "scan":
+        assert (tmp_path / "child" / "cells.csv").read_bytes() == (tmp_path / "in-process" / "cells.csv").read_bytes()
+
+
+def test_console_script_is_the_module_entry():
+    # the kgdelta script and python -m kgdelta run the same function
+    tomllib = pytest.importorskip("tomllib")
+    import kgdelta.__main__ as entry
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["kgdelta"]
+    assert target == "kgdelta.__main__:run"
+    module, _, name = target.partition(":")
+    script_entry = getattr(importlib.import_module(module), name)
+    tree = ast.parse(Path(entry.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert [ast.unparse(node) for node in guard.body] == ["sys.exit(run())"]
+    assert script_entry is entry.run
 
 
 def test_power_coupling_commands_load_no_scipy(tmp_path):

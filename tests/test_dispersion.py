@@ -922,13 +922,29 @@ class TestOracle:
             with pytest.raises(CubicOverflow, match=re.escape(f"m = 1, kappa = {kappa:g}") + "$"):
                 axis_scan_roots(ModelParams(1.0, 0.5, kappa))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="alpha^2 (1+kappa)^2 and alpha^2 kappa^2 cancel in the oracle's D")
     @pytest.mark.parametrize("kappa", [1e10, 1e12, 1e14, 1e17, 1e100])
     def test_no_spurious_root_at_large_kappa(self, kappa):
         # the only roots are the pipeline's +-sqrt(3) kappa, far beyond the
-        # real-axis window; the scan finds 1, 13, 69, then every mesh point
+        # real-axis window; unfolded, alpha^2 (1+kappa)^2 - alpha^2 kappa^2
+        # cancels and the scan finds 1, 13, 69, then every mesh point
         assert axis_scan_roots(ModelParams(1.0, 0.5, kappa)) == ([], [])
+
+    @pytest.mark.parametrize("kappa", [2.0**20, -2.0**20, 2.0**21, -2.0**21, 1e8])
+    def test_folded_determinant_keeps_the_roots_at_the_gate(self, monkeypatch, kappa):
+        # on both sides of |kappa| = 2^20 the squared and the folded form of
+        # D agree; next to omega = m the pair lambda ~ alpha kappa enters the
+        # real-axis window when kappa > 0
+        found = 0
+        for omega in [0.5, 1.0 - 1e-13, math.nextafter(1.0, 0.0)]:
+            p = ModelParams(1.0, omega, kappa)
+            monkeypatch.setattr(dispersion, "_ORACLE_FOLD_KAPPA", math.inf)
+            squared = axis_scan_roots(p)
+            monkeypatch.setattr(dispersion, "_ORACLE_FOLD_KAPPA", 0.0)
+            folded = axis_scan_roots(p)
+            for want, got in zip(squared, folded):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+            found += len(squared[0]) + len(squared[1])
+        assert found == (1 if kappa > 0 else 0)
 
     def test_full_grid_equivalence(self):
         # module invariant: 41x41 over the parameter plane, no disagreements

@@ -315,6 +315,28 @@ class TestExperiments:
         assert rep.times[-1] < 50.0
         assert len(rep.times) == len(rep.energy) == len(rep.orbital_distance)
 
+    def test_blowup_guard_stops_at_the_first_step_past_it(self):
+        # replay the run's initial state step by step to the first step past
+        # 1e3 times the wave amplitude: the run records that step and stops
+        # there, before the overflow stop could end it a few steps later
+        sim = make_sim()
+        state = sim.discrete_stationary()
+        limit = 1e3 * float(np.max(np.abs(state.psi)))
+        pert = sim.perturbation(2, 1e-3)
+        state.psi = state.psi + pert.psi
+        state.pi = state.pi + pert.pi
+        dt = sim.default_dt()
+        n_steps = round(50.0 / dt)
+        i = 0
+        while i < n_steps and not np.max(np.abs(state.psi)) > limit:
+            state = sim.step(state, dt)
+            i += 1
+        assert i < n_steps
+        rep = sim.run_experiment(epsilon=1e-3, horizon=50.0, seed=2, record_every=1)
+        assert rep.aborted
+        assert len(rep.times) == i + 1
+        assert rep.times[-1] == state.t
+
     def test_jump_condition_first_order_in_h(self):
         p = ModelParams(1.0, 0.5, 0.3)
         nl = PowerLaw(1.0, 0.3)

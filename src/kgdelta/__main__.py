@@ -5,7 +5,7 @@ from .cli import main
 
 
 def run() -> int:
-    """Process entry point of the ``kgdelta`` command and of ``python -m kgdelta``.
+    """Process entry point of the ``kgdelta`` command, ``python -m kgdelta`` and ``python -m kgdelta.cli``.
 
     Returns :func:`kgdelta.cli.main`'s exit code.  On every way out, argparse's
     ``SystemExit`` included, it then freezes the collector: the interpreter's

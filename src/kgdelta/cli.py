@@ -645,4 +645,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    from kgdelta.__main__ import run
+
+    sys.exit(run())

@@ -104,10 +104,6 @@ _X_FLOOR = 1e-13
 #: Mesh step of the axis-scan oracle, and the end of its real axis, over ``m``.
 _ORACLE_STEP = 1e-3
 _ORACLE_REAL_END = 3.0
-#: Above this ``|kappa|`` the axis scan writes ``alpha^2 ((1+kappa)^2 -
-#: kappa^2)`` as ``alpha^2 (1 + 2 kappa)``, whose terms do not cancel; below
-#: it the squares stay, which keeps the bits of every pinned root.
-_ORACLE_FOLD_KAPPA = 2.0 ** 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -257,6 +253,10 @@ class CubicData:
     delta: float
 
 
+def _if(cond, a, b):
+    return a if cond else b
+
+
 def _axis_powers(a, k, pw=pow):
     """The cubic's powers of one axis: ``alpha^2, alpha^6`` at ``a = alpha``, ``(1+kappa)^2, kappa^4``."""
     a2 = pw(a, 2)
@@ -273,8 +273,18 @@ def _cubic_terms(m, k, a2, a6, k1_2, k4, pw=pow):
     r = 0.25 * a2 * a2 * k * k * (1.0 - k * k)  # alpha^4 kappa^2 (1 - kappa^2) / 4
     p = -c * c / 3.0 + r
     q = -2.0 * pw(c, 3) / 27.0 + c * r / 3.0 - a6 * k1_2 * k4 / 8.0
-    delta = -4.0 * pw(p, 3) - 27.0 * q * q
-    return c, p, q, delta
+    return c, p, q, _discriminant(p, q, pw)
+
+
+def _discriminant(p, q, pw=pow):
+    """``delta = -4p^3 - 27q^2`` of ``y^3 + p y + q``; numbers or arrays."""
+    return -4.0 * pw(p, 3) - 27.0 * q * q
+
+
+def _q_fault(p, q, q_offset, pw=pow):
+    """``q`` moved by ``q_offset (1 + |q|)``, the fault ``validate --perturb-q`` injects, and its ``delta``."""
+    q = q + q_offset * (1.0 + abs(q))
+    return q, _discriminant(p, q, pw)
 
 
 def _overflow(p: ModelParams) -> CubicOverflow:
@@ -304,8 +314,42 @@ def _delta_at_mass(m: float, delta):
     return m4 * m4 * m4 * delta
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+def _band(p, q, delta, pw=pow, maximum=max):
+    """``max(|p|^3, q^2)`` and whether ``delta`` lies in the relative band around zero; numbers or arrays."""
+    scale = maximum(pw(abs(p), 3), q * q)
+    return scale, abs(delta) <= 1e-12 * scale
+
+
+def _band_roots(p, q):
+    """The roots inside the band: simple at ``3q/p``, double at ``-3q/(2p)``; numbers or arrays."""
+    yd = -1.5 * q / p
+    return 3.0 * q / p, yd, yd
+
+
+def _acos(v: float) -> float:
+    """``acos`` of ``v`` clipped to ``[-1, 1]``, which roundoff may leave."""
+    return math.acos(min(1.0, max(-1.0, v)))
+
+
+def _trig_roots(p, q, sqrt=math.sqrt, acos=_acos, cos=math.cos):
+    """The three real roots for ``delta > 0``, in trigonometric form; numbers or arrays."""
+    amp = 2.0 * sqrt(-p / 3.0)
+    theta = acos(3.0 * q / (p * amp)) / 3.0
+    return tuple(amp * cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3))
+
+
+def _cardano_roots(p, q, delta, sqrt=math.sqrt, pw=pow, copysign=math.copysign, where=_if):
+    """For ``delta < 0``, Cardano's real root ``y1`` and its pair ``re +- i im``; numbers or arrays.
+
+    The cube root is taken of the larger of ``t +- d``, which does not cancel.
+    """
+    d = sqrt(-delta / 108.0)
+    t = -0.5 * q
+    u3 = where(abs(t + d) >= abs(t - d), t + d, t - d)
+    u = copysign(pw(abs(u3), 1.0 / 3.0), u3)
+    v = -p / (3.0 * u)
+    y1 = u + v
+    return y1, -0.5 * y1, 0.5 * math.sqrt(3.0) * abs(u - v)
 
 
 def cubic_roots(cd: CubicData) -> tuple[complex, complex, complex]:
@@ -318,30 +362,14 @@ def cubic_roots(cd: CubicData) -> tuple[complex, complex, complex]:
     The eigenvalue collisions of interest sit exactly in that band.
     """
     p, q = cd.p, cd.q
-    scale = max(abs(p) ** 3, q * q)
+    scale, in_band = _band(p, q, cd.delta)
     if scale == 0.0:
         return (0j, 0j, 0j)
-    if abs(cd.delta) <= 1e-12 * scale:
-        # double root at -3q/(2p), simple at 3q/p (p = 0 forces q = 0 here)
-        yd = -1.5 * q / p
-        ys = 3.0 * q / p
-        return (complex(ys), complex(yd), complex(yd))
+    if in_band:  # p = 0 forces q = 0 here
+        return tuple(map(complex, _band_roots(p, q)))  # type: ignore[return-value]
     if cd.delta > 0.0:
-        amp = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * amp)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        return tuple(
-            complex(amp * math.cos(theta - 2.0 * math.pi * j / 3.0)) for j in range(3)
-        )  # type: ignore[return-value]
-    d = math.sqrt(-cd.delta / 108.0)
-    t = -0.5 * q
-    u3 = t + d if abs(t + d) >= abs(t - d) else t - d
-    u = _cbrt(u3)
-    v = -p / (3.0 * u)
-    y1 = u + v
-    re = -0.5 * y1
-    im = 0.5 * math.sqrt(3.0) * abs(u - v)
+        return tuple(map(complex, _trig_roots(p, q)))  # type: ignore[return-value]
+    y1, re, im = _cardano_roots(p, q, cd.delta)
     return (complex(y1), complex(re, im), complex(re, -im))
 
 
@@ -493,8 +521,7 @@ def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCand
     except CubicOverflow:  # the unit cubic names m = 1
         raise _overflow(params) from None
     if q_offset != 0.0:
-        q = cd.q + q_offset * (1.0 + abs(cd.q))
-        cd = CubicData(cd.c, cd.p, q, -4.0 * cd.p**3 - 27.0 * q * q)
+        cd = CubicData(cd.c, cd.p, *_q_fault(cd.p, cd.q, q_offset))
     a, k = unit.alpha, unit.kappa
     x_floor = _X_FLOOR * max(1.0, abs(cd.c))
     out: list[RootCandidate] = []
@@ -614,10 +641,6 @@ class RegionCode(enum.Enum):
 #: The region codes in definition order; :func:`_region_index` indexes them.
 _REGIONS = tuple(RegionCode)
 _ZERO, _REAL, _IMAG, _EMB, _KOL, _VLB = range(len(_REGIONS))
-
-
-def _if(cond, a, b):
-    return a if cond else b
 
 
 def _region_index(aw, aw2, kv, k, t, band, where=_if):
@@ -936,35 +959,22 @@ def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset:
         w, k, a = wu[wi], kappas, au[wi]
         c, p, q, delta = _cubic_terms(1.0, k, a2[wi], a6[wi], k1_2[ki], k4[ki], each_pow)
         if q_offset != 0.0:
-            q = q + q_offset * (1.0 + np.abs(q))
-            delta = -4.0 * each_pow(p, 3) - 27.0 * q * q
+            q, delta = _q_fault(p, q, q_offset, each_pow)
 
         # cubic_roots: the double-root band, then the two generic branches
-        cubic_scale = np.maximum(each_pow(np.abs(p), 3), q * q)
+        cubic_scale, band = _band(p, q, delta, each_pow, np.maximum)
         finite = np.isfinite(delta)  # elsewhere the scalar classifier raises CubicOverflow
-        in_band = (np.abs(delta) <= 1e-12 * cubic_scale) & (cubic_scale != 0.0) & finite
-        split = (np.abs(delta) > 1e-12 * cubic_scale) & finite
+        in_band = band & (cubic_scale != 0.0) & finite
+        split = ~band & finite
         yr = np.full((n, 3), math.nan)
         yi = np.zeros((n, 3))
-        pb, qb = p[in_band], q[in_band]
-        yd = -1.5 * qb / pb
-        yr[in_band] = np.stack([3.0 * qb / pb, yd, yd], axis=1)
+        yr[in_band] = np.stack(_band_roots(p[in_band], q[in_band]), axis=1)
         trig = split & (delta > 0.0)
-        pt, qt = p[trig], q[trig]
-        amp = 2.0 * np.sqrt(-pt / 3.0)
-        theta = _each(math.acos, np.clip(3.0 * qt / (pt * amp), -1.0, 1.0)) / 3.0
-        for j in range(3):
-            yr[trig, j] = amp * _each(math.cos, theta - 2.0 * math.pi * j / 3.0)
+        acos, cos = functools.partial(_each, _acos), functools.partial(_each, math.cos)
+        yr[trig] = np.stack(_trig_roots(p[trig], q[trig], np.sqrt, acos, cos), axis=1)
         card = split & (delta < 0.0)
-        pc, qc = p[card], q[card]
-        d = np.sqrt(-delta[card] / 108.0)
-        t = -0.5 * qc
-        u3 = np.where(np.abs(t + d) >= np.abs(t - d), t + d, t - d)
-        u = np.copysign(each_pow(np.abs(u3), 1.0 / 3.0), u3)
-        v = -pc / (3.0 * u)
-        y1 = u + v
-        im = 0.5 * math.sqrt(3.0) * np.abs(u - v)
-        yr[card] = np.stack([y1, -0.5 * y1, -0.5 * y1], axis=1)
+        y1, re, im = _cardano_roots(p[card], q[card], delta[card], np.sqrt, each_pow, np.copysign, np.where)
+        yr[card] = np.stack([y1, re, re], axis=1)
         yi[card] = np.stack([np.zeros_like(im), im, -im], axis=1)
 
         # candidate_roots: +-sqrt(x) for x = y - 2c/3 off the root at zero
@@ -1113,11 +1123,10 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     double root drowns its values in roundoff below ``t ~ 1e-8``; log-spaced
     fringe points just below the gap threshold catch a root that a
     virtual-level collision pushes to the edge.  On both axes ``D =
-    alpha^2 (1+kappa)^2 - alpha (1+kappa) x + y - alpha^2 kappa^2`` with
-    terms ``x, y`` of ``omega/m`` only (:func:`_axis_meshes`), folded
-    beyond ``|kappa| = 2^20`` (:data:`_ORACLE_FOLD_KAPPA`), so each point
-    forms ``D`` on both meshes in one pass and scans it once; Brent takes the
-    terms on plain floats, bit for bit.  Raises :class:`CubicOverflow` where
+    alpha^2 (1 + 2 kappa) - alpha (1+kappa) x + y`` with terms ``x, y`` of
+    ``omega/m`` only (:func:`_axis_meshes`), so each point forms ``D`` on
+    both meshes in one pass and scans it once; Brent takes the terms on
+    plain floats, bit for bit.  Raises :class:`CubicOverflow` where
     a term overflows float64.
     """
     m, unit = p.m, _unit(p)
@@ -1125,20 +1134,17 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     w, a, k, k1 = unit.omega, unit.alpha, unit.kappa, 1.0 + unit.kappa
     if not math.isfinite(a * a * (k1 * k1) + a * a * k * k):  # then no term of D overflows
         raise CubicOverflow(f"the axis scan's determinant overflows float64 at m = {p.m:g}, kappa = {p.kappa:g}")
-    if abs(k) > _ORACLE_FOLD_KAPPA:
-        big, small = a * a * (1.0 + 2.0 * k), 0.0
-    else:
-        big, small = a * a * k1 ** 2, a * a * k * k
+    # alpha^2 ((1+kappa)^2 - kappa^2), whose squares cancel as |kappa| grows
+    fold = a * a * (1.0 + 2.0 * k)
     d = np.multiply(x, a)
     d *= k1
-    np.subtract(big, d, out=d)
+    np.subtract(fold, d, out=d)
     d += y
-    d -= small
     sgn = np.sign(d, out=d)
 
     def value(t: float, terms) -> float:
         xt, yt = terms(w, t)
-        return big - xt * a * k1 + yt - small
+        return fold - xt * a * k1 + yt
 
     roots: tuple[list[float], list[float]] = ([], [])
     for i in np.flatnonzero(sgn[:-1] * sgn[1:] <= 0.0).tolist():

@@ -272,9 +272,6 @@ class DefectLattice:
 
     # -- basic numbers -----------------------------------------------------
 
-    def cfl_limit(self) -> float:
-        return self._cfl
-
     def default_dt(self) -> float:
         return 0.4 * self.grid.h
 

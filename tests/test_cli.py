@@ -29,14 +29,16 @@ from kgdelta.cli import (
     scan_rows,
     write_scan_csv,
 )
-from kgdelta.cli import _cell_rows, _scan_cell
+from kgdelta.cli import _cell_rows, _scan_cell, _spectrum_text
 from kgdelta.dispersion import (
     _REGIONS,
     ClassificationError,
     _classify_arrays,
     _distinct_bits,
     _region_cells,
+    classify_point_spectrum,
     virtual_level_exponent,
+    virtual_level_frequency,
 )
 
 
@@ -56,6 +58,25 @@ class TestSpectrumCommand:
         assert "geometric 2, algebraic 2" in out
         assert "embedded" in out
         assert "stable" in out
+
+    def test_verbose_text_lists_every_candidate(self, capsys):
+        assert main(["spectrum", "-m", "1", "-w", "0.5", "-k", "0.1", "--verbose"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        report = classify_point_spectrum(kgdelta.ModelParams(1.0, 0.5, 0.1))
+        lines = [f"  candidate {c.to_jsonable()}" for c in report.candidates]
+        assert len(lines) == 6
+        assert out == _spectrum_text(report).splitlines() + lines
+
+    def test_virtual_level_text(self, capsys):
+        omega = virtual_level_frequency(1.0, 0.2)
+        assert main(["spectrum", "-m", "1", "-w", repr(omega), "-k", "0.2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        report = classify_point_spectrum(kgdelta.ModelParams(1.0, omega, 0.2))
+        assert report.virtual_levels == (complex(0.0, 1.0 - omega), complex(0.0, omega - 1.0))
+        lines = [f"virtual level at {v:.9g}" for v in report.virtual_levels]
+        assert lines == ["virtual level at 0+0.484210526j", "virtual level at 0-0.484210526j"]
+        assert [line for line in out if line.startswith("virtual level at ")] == lines
+        assert "flags: virtual-level" in out
 
     def test_kappa_line_band_gives_embedded_pair(self, capsys):
         # |kappa| below the 1e-10 band is the decoupled line kappa = 0
@@ -985,12 +1006,12 @@ def test_closed_stdout_at_start_is_not_an_error():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-# The child runs the package as ``python -m kgdelta`` does, and reports at
-# exit whether the collector was frozen.
+# The child runs the module named by its first argument as ``python -m``
+# does, and reports at exit whether the collector was frozen.
 _RUN_AS_MAIN = """
 import atexit, gc, runpy, sys
 atexit.register(lambda: print(f"collector frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
-runpy.run_module("kgdelta", run_name="__main__")
+runpy.run_module(sys.argv.pop(1), run_name="__main__")
 """
 
 
@@ -1000,7 +1021,7 @@ def _untimed(out: str) -> str:
     return re.sub(r"; [0-9]+ cells/s$", "", "".join(lines), flags=re.M)
 
 
-@pytest.mark.parametrize("argv, code", [
+_EXITS = [
     (["spectrum", "-m", "1", "-w", "0.5", "-k", "0.1"], 0),
     (["validate", "--grid", "3", "--sweep", "10", "--perturb-q", "1e-3"], 1),
     (["spectrum", "-m", "-1", "-w", "0", "-k", "0.1"], 2),
@@ -1008,15 +1029,21 @@ def _untimed(out: str) -> str:
     (["no-such-command"], 2),
     (["scan", "--omega-min", "-0.4", "--omega-max", "0.4", "--omega-step", "0.2",
       "--kappa-min", "-0.5", "--kappa-max", "0.5", "--kappa-step", "0.25", "-o", "cells.csv"], 0),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_module_run_freezes_the_collector_on_every_exit(tmp_path, monkeypatch, capsys, argv, code):
+]
+
+
+@pytest.mark.parametrize("module, argv, code", [
+    *(pytest.param("kgdelta", argv, code, id=f"{' '.join(argv)}-{code}") for argv, code in _EXITS),
+    pytest.param("kgdelta.cli", *_EXITS[0], id="kgdelta.cli spectrum -m 1 -w 0.5 -k 0.1-0"),
+])
+def test_module_run_freezes_the_collector_on_every_exit(tmp_path, monkeypatch, capsys, module, argv, code):
     # the same exit code and output as main in-process, argparse's SystemExit
     # included, and the collector frozen before the interpreter's teardown
     package_root = Path(kgdelta.__file__).resolve().parents[1]
     (tmp_path / "child").mkdir()
     (tmp_path / "in-process").mkdir()
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AS_MAIN, *argv],
+        [sys.executable, "-c", _RUN_AS_MAIN, module, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path / "child",

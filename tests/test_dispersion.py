@@ -335,6 +335,62 @@ class TestCandidates:
         ]
 
 
+def _decision_points(n: int = 3000, seed: int = 27) -> list[ModelParams]:
+    """Seeded points, most of them within ``1e-1`` of ``kappa = 0``, of the
+    Kolokolov curve ``kappa = omega^2/m^2`` or of the virtual-level curve."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        u = rng.uniform(-0.999, 0.999)
+        off = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+        near = ("free", "zero", "zero", "kolokolov", "virtual")[i % 5]
+        if near == "free":
+            kappa = rng.uniform(-2.0, 3.0)
+        elif near == "zero":
+            kappa = off
+        else:
+            kappa = (u * u if near == "kolokolov" else virtual_level_exponent(1.0, u)) + off
+        m = 10.0 ** rng.uniform(-5.0, 5.0) if i % 7 == 0 else 1.0
+        points.append(ModelParams(m, m * u, kappa))
+    return points
+
+
+class TestAcceptanceDecisions:
+    """Which cubic candidates are eigenvalues, pinned to the bit.
+
+    Next to ``kappa = 0`` a spurious candidate can pass the residual test
+    on ``D`` and fail only the pre-squaring identity, so these pins fail
+    when either path's identity test is dropped.
+    """
+
+    P = ModelParams(1.0, 0.8426628448212408, 2.1532448969300407e-06)
+    PAIR = [1.6853249488145223j, complex(-0.0, -1.6853249488145223)]
+
+    def test_identity_rejects_the_pair_next_to_kappa_zero(self, monkeypatch):
+        small = [c for c in candidate_roots(self.P) if abs(c.lam) < 1e-6]
+        assert len(small) == 2 and all(abs(c.lam.imag) == pytest.approx(7.41e-7, rel=1e-3) for c in small)
+        assert not any(c.accepted for c in small)
+        assert classify_point_spectrum(self.P).flags == ("on-cut-resonance",)
+        want = _root_hex(self.PAIR)
+        assert _root_hex(accepted_roots(self.P)) == want
+        # the arrays decide the cell themselves, without the scalar fallback
+        monkeypatch.setattr(dispersion, "accepted_roots", lambda *args: pytest.fail("cell left open"))
+        assert [_root_hex(r) for r in accepted_cells(1.0, [self.P.omega], [self.P.kappa])] == [want]
+
+    # SHA-256 over each candidate's lambda (float.hex), acceptance and sheet
+    # label at the 3,000 _decision_points
+    CANDIDATES_SHA256 = "1ea31a62dae04604b304cd96c7862f959604e6399e1636a5255d4d840545f053"
+
+    def test_candidates_are_pinned(self):
+        h = hashlib.sha256()
+        for p in _decision_points():
+            for c in candidate_roots(p):
+                label = c.sheet.label() if c.sheet is not None else "none"
+                h.update(f"{c.lam.real.hex()} {c.lam.imag.hex()} {c.accepted} {label};".encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.CANDIDATES_SHA256
+
+
 class TestCriticalCurves:
     def test_special_values(self):
         assert virtual_level_frequency(1.0, 0.0) == pytest.approx(1.0 / 3.0)
@@ -930,20 +986,19 @@ class TestOracle:
         assert axis_scan_roots(ModelParams(1.0, 0.5, kappa)) == ([], [])
 
     @pytest.mark.parametrize("kappa", [2.0**20, -2.0**20, 2.0**21, -2.0**21, 1e8])
-    def test_folded_determinant_keeps_the_roots_at_the_gate(self, monkeypatch, kappa):
-        # on both sides of |kappa| = 2^20 the squared and the folded form of
-        # D agree; next to omega = m the pair lambda ~ alpha kappa enters the
-        # real-axis window when kappa > 0
+    def test_folded_determinant_keeps_the_roots_at_the_gate(self, kappa):
+        # the folded D finds the cubic pipeline's roots in the window at
+        # |kappa| from 2^20, where the squares of alpha^2 ((1+kappa)^2 -
+        # kappa^2) cancel in about 20 bits; next to omega = m the pair
+        # lambda ~ alpha kappa enters the real-axis window when kappa > 0
         found = 0
         for omega in [0.5, 1.0 - 1e-13, math.nextafter(1.0, 0.0)]:
             p = ModelParams(1.0, omega, kappa)
-            monkeypatch.setattr(dispersion, "_ORACLE_FOLD_KAPPA", math.inf)
-            squared = axis_scan_roots(p)
-            monkeypatch.setattr(dispersion, "_ORACLE_FOLD_KAPPA", 0.0)
-            folded = axis_scan_roots(p)
-            for want, got in zip(squared, folded):
-                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
-            found += len(squared[0]) + len(squared[1])
+            real, gap = axis_scan_roots(p)
+            want = [z.real for z in accepted_roots(p) if z.imag == 0.0 and 1e-3 < z.real < 3.0]
+            assert gap == []
+            assert real == pytest.approx(want, rel=1e-9, abs=0.0)
+            found += len(real)
         assert found == (1 if kappa > 0 else 0)
 
     def test_full_grid_equivalence(self):
@@ -979,9 +1034,8 @@ class TestOracleMeshCache:
     """
 
     # SHA-256 of every root's float.hex over the validate grid at m = 1 (143
-    # roots), as the oracle gave them when it rebuilt its meshes at every
-    # point and scanned in absolute units
-    VALIDATE_GRID_SHA256 = "c7c05fbddef185cbdacfb188f57256acfe50591696b826b8208e957c5a2a1753"
+    # roots), with D's constant term folded to alpha^2 (1 + 2 kappa)
+    VALIDATE_GRID_SHA256 = "587c160723ad9ef705a5f61ed95afb8a09e6446d57c9f511ec8d3564bdca0de4"
 
     def test_roots_are_pinned(self):
         h = hashlib.sha256()

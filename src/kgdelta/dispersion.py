@@ -32,7 +32,12 @@ discriminants, and :func:`accepted_cells` gives the accepted roots.  Each
 leaves a cell it cannot decide with margin to the scalar path.  Both paths
 call the same helpers, each formula written once for numbers or arrays; the
 array path keeps the scalar bits of ``c, p, q, delta``, the roots and
-``lambda``.  ``D`` is homogeneous in ``m``, so both decide at
+``lambda``.  So does the candidate test: the exponents (:func:`_nu`), ``|D|``
+and its scale (:func:`_measure`), and the pre-squaring identity
+(:func:`_identity`).  Only its threshold comparisons are written twice: numpy's
+complex square root may differ from ``cmath``'s in the last bits, so the
+array path keeps ``_GRID_MARGIN`` from each threshold where the scalar path
+keeps none.  ``D`` is homogeneous in ``m``, so both decide at
 ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
 """
 
@@ -156,21 +161,36 @@ ALL_SHEETS = (
 )
 
 
-def _nu_principal(m: float, w: complex, plus_branch: bool) -> complex:
-    """One exponent ``sqrt(m^2 - w^2)`` with the physical-branch convention.
+def _if(cond, a, b):
+    return a if cond else b
 
-    For ``w`` off the real axis this is the principal square root (positive
-    real part).  When ``m^2 - w^2`` lands on the negative real axis (cut:
-    ``lambda`` purely imaginary beyond a threshold) the value is the limit of
-    the principal branch from ``Re lambda > 0``; which side that is depends
-    on the sign of ``Re w`` and on which of the two exponents is being taken.
+
+def _complex_cells(re, im):
+    """``complex(re, im)`` on arrays; ``re + 1j*im`` would move a signed zero."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _nu(m, w, lr, li, plus, sqrt=math.sqrt, csqrt=cmath.sqrt, cx=complex, copysign=math.copysign, where=_if):
+    """One exponent ``sqrt(m^2 - (omega +- i*lambda)^2)`` at ``lambda = lr + i*li``; numbers or arrays.
+
+    ``z = m^2 - (omega +- i*lambda)^2`` is formed with the real operations of
+    Python's complex arithmetic, so on arrays too the cut test and the cut
+    values are exact; off the cut only ``csqrt`` may differ in the last bits.
+    Off the cut this is the principal square root (positive real part).  When
+    ``z`` lands on the negative real axis (cut: ``lambda`` purely imaginary
+    beyond a threshold) the value is the limit of the principal branch from
+    ``Re lambda > 0``; which side that is depends on the sign of ``Re(omega +-
+    i*lambda)`` and on which of the two exponents is being taken.  ``where``
+    forms both values, so the cut's is taken of ``|Re z|``.
     """
-    z = m * m - w * w
-    if z.imag == 0.0 and z.real < 0.0:
-        r = math.sqrt(-z.real)
-        sign = -w.real if plus_branch else w.real
-        return complex(0.0, math.copysign(r, sign))
-    return cmath.sqrt(z)
+    tr, ti = 0.0 * lr - li, 0.0 * li + lr  # 1j * lambda
+    wr, wi = (w + tr, 0.0 + ti) if plus else (w - tr, 0.0 - ti)
+    zr = m * m - (wr * wr - wi * wi)
+    zi = 0.0 - (wr * wi + wi * wr)
+    on_cut = cx(0.0, copysign(sqrt(abs(zr)), -wr if plus else wr))
+    return where((zi == 0.0) & (zr < 0.0), on_cut, csqrt(cx(zr, zi)))
 
 
 def nu_pm(
@@ -178,8 +198,8 @@ def nu_pm(
 ) -> tuple[complex, complex]:
     """Both decay exponents at spectral parameter ``lam`` on ``sheet``."""
     lam = complex(lam)
-    nup = _nu_principal(p.m, complex(p.omega) + 1j * lam, True)
-    num = _nu_principal(p.m, complex(p.omega) - 1j * lam, False)
+    nup = _nu(p.m, p.omega, lam.real, lam.imag, True)
+    num = _nu(p.m, p.omega, lam.real, lam.imag, False)
     return sheet.s_plus * nup, sheet.s_minus * num
 
 
@@ -196,6 +216,15 @@ def _scale_from_nus(a, k, nup, num):
         + 4.0 * (abs(nup) + abs(num)) * a * abs(1.0 + k)
         + 4.0 * abs(nup * num)
     )
+
+
+def _measure(a, k, w, lr, li, **ops):
+    """Both physical exponents at ``m = 1``, ``|D|`` and its scale at ``lambda = lr + i*li``.
+
+    Numbers or arrays, with ``ops`` the array operations of :func:`_nu`.
+    """
+    nup, num = _nu(1.0, w, lr, li, True, **ops), _nu(1.0, w, lr, li, False, **ops)
+    return nup, num, abs(_D_from_nus(a, k, nup, num)), _scale_from_nus(a, k, nup, num)
 
 
 def D_eval(p: ModelParams, lam: complex, sheet: SheetSelector = PHYSICAL) -> complex:
@@ -251,10 +280,6 @@ class CubicData:
     p: float
     q: float
     delta: float
-
-
-def _if(cond, a, b):
-    return a if cond else b
 
 
 def _axis_powers(a, k, pw=pow):
@@ -417,49 +442,37 @@ def _at_mass(cands: list[RootCandidate], m: float) -> list[RootCandidate]:
         _times(m * m, c.x), _times(m * m, c.y)) for c in cands]
 
 
-def _presquare_sign_ok(
-    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex
-) -> bool:
-    """Check the radical identity that was squared away, with its sign.
+def _identity(a, k, c, lam, sigma, csqrt=cmath.sqrt, where=_if):
+    """The radical identity that was squared away, with its sign; numbers or arrays.
 
-    The sum of exponents on a root sheet must equal one of the two quadratic
-    branches ``(alpha(1+kappa) +- sqrt(alpha^2(1-kappa)^2 + 8 x))/2``; the
-    branch fixes the sign of the pre-squaring identity in ``x``.  A candidate
-    whose physical exponent sum matches neither branch identity is spurious.
+    The sum of exponents ``sigma`` on a root sheet must equal one of the two
+    quadratic branches ``(alpha(1+kappa) +- disc)/2``, ``disc = sqrt(alpha^2
+    (1-kappa)^2 + 8 x)`` at ``x = lambda^2``; the nearer branch fixes the sign
+    ``s`` of the pre-squaring identity in ``x``.  A candidate whose physical
+    exponent sum matches neither branch identity is spurious.  Returns
+    ``disc``, the distances of ``sigma`` from both branches, and ``|lhs -
+    rhs|`` of the identity with its scale.  Only the product ``s*disc``
+    enters, and ``s`` follows the sign of ``disc``.
     """
-    a, k = p.alpha, p.kappa
     x = lam * lam
-    disc = cmath.sqrt(a * a * (1.0 - k) ** 2 + 8.0 * x)
-    d_plus, d_minus = _branch_distances(a, k, nup + num, disc)
-    gap, scale = _identity_gap(a, k, cd.c, x, 1.0 if d_plus <= d_minus else -1.0, disc)
-    return gap <= _NEAR_TOL * scale
-
-
-def _branch_distances(a, k, sigma, disc):
-    """Distances of the exponent sum ``sigma`` from the branches ``(a(1+k) +- disc)/2``."""
-    return abs(sigma - 0.5 * (a * (1.0 + k) + disc)), abs(sigma - 0.5 * (a * (1.0 + k) - disc))
-
-
-def _identity_gap(a, k, c, x, s, disc):
-    """``|lhs - rhs|`` of the pre-squaring identity on branch ``s``, and its scale.
-
-    Only the product ``s*disc`` enters, and ``s`` follows the sign of ``disc``.
-    """
-    rhs = s * a**3 * (1.0 + k) * k * k / 8.0 * disc
+    disc = csqrt(a * a * (1.0 - k) ** 2 + 8.0 * x)
+    d_plus, d_minus = abs(sigma - 0.5 * (a * (1.0 + k) + disc)), abs(sigma - 0.5 * (a * (1.0 + k) - disc))
+    rhs = where(d_plus <= d_minus, 1.0, -1.0) * a**3 * (1.0 + k) * k * k / 8.0 * disc
     gap = abs(x * x + c * x + a**4 * k * k * (1.0 - k * k) / 8.0 - rhs)
     scale = abs(x * x) + abs(c * x) + a**4 * k * k * (1.0 + k * k) / 8.0 + abs(rhs) + 1e-300
-    return gap, scale
+    return disc, d_plus, d_minus, gap, scale
 
 
 def _physical_fit(
     p: ModelParams, cd: CubicData, lam: complex
 ) -> tuple[complex, complex, float, float, bool]:
-    """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``."""
-    nup, num = nu_pm(p, lam, PHYSICAL)
+    """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``, at ``p = _unit(p)``."""
     a, k = p.alpha, p.kappa
-    scale = _scale_from_nus(a, k, nup, num)
-    res = abs(_D_from_nus(a, k, nup, num))
-    ok = res <= ACCEPT_TOL * scale and _presquare_sign_ok(p, cd, lam, nup, num)
+    nup, num, res, scale = _measure(a, k, p.omega, lam.real, lam.imag)
+    ok = res <= ACCEPT_TOL * scale
+    if ok:  # the identity costs as much again, so only where |D| passes
+        gap, id_scale = _identity(a, k, cd.c, lam, nup + num)[3:]
+        ok = gap <= _NEAR_TOL * id_scale
     return nup, num, scale, res, ok
 
 
@@ -886,22 +899,8 @@ def _each(fn, values: np.ndarray, *args) -> np.ndarray:
     return np.array(out, dtype=complex if values.dtype.kind == "c" else float).reshape(values.shape)
 
 
-def _nu_cells(w: np.ndarray, lr: np.ndarray, li: np.ndarray, plus: bool) -> np.ndarray:
-    """:func:`_nu_principal` of ``omega +- i*lam`` on arrays, at ``m = 1``.
-
-    ``z = 1 - (omega +- i*lam)^2`` is formed with the real operations of
-    Python's complex arithmetic, so the cut test and the cut values are
-    exact; elsewhere only the square root may differ in the last bits.
-    """
-    tr, ti = 0.0 * lr - li, 0.0 * li + lr  # 1j * lam
-    wr, wi = (w + tr, 0.0 + ti) if plus else (w - tr, 0.0 - ti)
-    zr = 1.0 - (wr * wr - wi * wi)
-    zi = 0.0 - (wr * wi + wi * wr)
-    cut = (zi == 0.0) & (zr < 0.0)
-    z = np.empty(zr.shape, dtype=complex)
-    z.real, z.imag = zr, zi
-    on_cut = 1j * np.copysign(np.sqrt(-zr), -wr if plus else wr)
-    return np.where(cut, on_cut, np.sqrt(z))
+#: :func:`_nu`'s operations on arrays.
+_ARRAY_OPS = {"sqrt": np.sqrt, "csqrt": np.sqrt, "cx": _complex_cells, "copysign": np.copysign, "where": np.where}
 
 
 def _distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -978,8 +977,7 @@ def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset:
         yi[card] = np.stack([np.zeros_like(im), im, -im], axis=1)
 
         # candidate_roots: +-sqrt(x) for x = y - 2c/3 off the root at zero
-        x = np.empty((n, 3), dtype=complex)
-        x.real, x.imag = yr - 2.0 * c[:, None] / 3.0, yi
+        x = _complex_cells(yr - 2.0 * c[:, None] / 3.0, yi)
         x_floor = _X_FLOOR * np.maximum(1.0, np.abs(c))[:, None]
         ax = np.abs(x)
         skip = np.repeat(ax <= x_floor, 2, axis=1)
@@ -989,19 +987,13 @@ def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset:
 
         # _physical_fit: |D| against its scale, and the pre-squaring identity
         a, c, k, w = a[:, None], c[:, None], k[:, None], w[:, None]
-        nup = _nu_cells(w, lam.real, lam.imag, True)
-        num = _nu_cells(w, lam.real, lam.imag, False)
-        res = abs(_D_from_nus(a, k, nup, num))
-        scale = _scale_from_nus(a, k, nup, num)
-        x2 = lam * lam
-        disc = np.sqrt(a * a * (1.0 - k) ** 2 + 8.0 * x2)
+        nup, num, res, scale = _measure(a, k, w, lam.real, lam.imag, **_ARRAY_OPS)
         sigma = nup + num
         # freed for the identity test's temporaries: they set the peak memory of every block
         del nup, num, x, principal, ax, yr, yi
-        d_plus, d_minus = _branch_distances(a, k, sigma, disc)
+        disc, d_plus, d_minus, gap_id, id_scale = _identity(a, k, c, lam, sigma, np.sqrt, np.where)
         span = np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
         unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * span
-        gap_id, id_scale = _identity_gap(a, k, c, x2, np.where(d_plus <= d_minus, 1.0, -1.0), disc)
         id_ok = gap_id <= (_NEAR_TOL - _GRID_MARGIN) * id_scale
         id_fails = gap_id > (_NEAR_TOL + _GRID_MARGIN) * id_scale
         small = res <= (ACCEPT_TOL - _GRID_MARGIN) * scale
@@ -1061,17 +1053,22 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
 # ---------------------------------------------------------------------------
 
 
-def _real_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # x = 4 Re nu_+, y = 4|nu_+|^2 at lambda = t (conjugate exponents, principal roots on the
-    # sheet).  numpy's loops fuse the square's and modulus' multiply-add, Python's complex does not
-    wplus = np.array([complex(omega, t)])
-    nup = np.array([cmath.sqrt(1.0 - (wplus * wplus)[0])])
-    return 4.0 * nup.real[0], 4.0 * (nup * nup.conj()).real[0]
+def _real_axis_terms(omega: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x = 4 Re nu_+`` and ``y = 4|nu_+|^2`` at ``lambda = t`` on the real axis, on an array ``t``.
+
+    The exponents are conjugate there, and principal on the physical sheet.
+    numpy's complex loops fuse the square's and the modulus' multiply-add
+    and Python's complex does not, so a single point goes in as an array too.
+    """
+    wplus = omega + 1j * t
+    nup = np.sqrt(1.0 - wplus * wplus)
+    return 4.0 * nup.real, 4.0 * (nup * np.conj(nup)).real
 
 
-def _gap_axis_terms(omega: float, t: float) -> tuple[float, float]:
-    # x = 2(nu_+ + nu_-), y = 4 nu_+ nu_- at lambda = i t in the gap; x*x is numpy's x**2, pow is not
-    nup, num = math.sqrt(1.0 - (omega - t) * (omega - t)), math.sqrt(1.0 - (omega + t) * (omega + t))
+def _gap_axis_terms(omega, t, sqrt=math.sqrt):
+    """``x = 2(nu_+ + nu_-)`` and ``y = 4 nu_+ nu_-`` at ``lambda = i t`` in the gap; numbers or arrays."""
+    # squares as products: numpy's ** 2 multiplies, Python's calls pow
+    nup, num = sqrt(1.0 - (omega - t) * (omega - t)), sqrt(1.0 - (omega + t) * (omega + t))
     return 2.0 * (nup + num), 4.0 * nup * num
 
 
@@ -1092,18 +1089,14 @@ def _axis_meshes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     """
     step, t_max = _ORACLE_STEP, _ORACLE_REAL_END
     real_mesh = _sorted_distinct(np.concatenate([np.arange(step, t_max, step), [t_max]]))
-    wplus = omega + 1j * real_mesh
-    nup = np.sqrt(1.0 - wplus * wplus)
-    real_x, real_y = 4.0 * nup.real, 4.0 * (nup * np.conj(nup)).real
 
     gap = 1.0 - abs(omega)
     gtop = gap * (1.0 - np.geomspace(1e-12, min(0.1, step / gap), 9))
     gap_mesh = _sorted_distinct(np.concatenate([np.arange(step, gap, step), gtop]))
     gap_mesh = gap_mesh[(gap_mesh >= step) & (gap_mesh < gap)]
-    nup, num = np.sqrt(1.0 - (omega - gap_mesh) ** 2), np.sqrt(1.0 - (omega + gap_mesh) ** 2)
 
-    arrays = (np.concatenate([real_mesh, gap_mesh]), np.concatenate([real_x, 2.0 * (nup + num)]),
-              np.concatenate([real_y, 4.0 * nup * num]))
+    terms = zip(_real_axis_terms(omega, real_mesh), _gap_axis_terms(omega, gap_mesh, np.sqrt))
+    arrays = (np.concatenate([real_mesh, gap_mesh]), *map(np.concatenate, terms))
     for arr in arrays:
         arr.flags.writeable = False
     return (*arrays, len(real_mesh))
@@ -1125,8 +1118,8 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     virtual-level collision pushes to the edge.  On both axes ``D =
     alpha^2 (1 + 2 kappa) - alpha (1+kappa) x + y`` with terms ``x, y`` of
     ``omega/m`` only (:func:`_axis_meshes`), so each point forms ``D`` on
-    both meshes in one pass and scans it once; Brent takes the terms on
-    plain floats, bit for bit.  Raises :class:`CubicOverflow` where
+    both meshes in one pass and scans it once; Brent takes the same terms
+    at single points, bit for bit.  Raises :class:`CubicOverflow` where
     a term overflows float64.
     """
     m, unit = p.m, _unit(p)
@@ -1142,8 +1135,11 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
     d += y
     sgn = np.sign(d, out=d)
 
-    def value(t: float, terms) -> float:
-        xt, yt = terms(w, t)
+    def value(t: float, real: bool) -> float:
+        if real:  # one element through numpy's loops, as on the mesh
+            xt, yt = (v[0] for v in _real_axis_terms(w, np.array([t])))
+        else:
+            xt, yt = _gap_axis_terms(w, t)
         return fold - xt * a * k1 + yt
 
     roots: tuple[list[float], list[float]] = ([], [])
@@ -1153,8 +1149,7 @@ def axis_scan_roots(p: ModelParams) -> tuple[list[float], list[float]]:
         elif sgn[i + 1] == 0.0 or i == n_real - 1:
             continue  # a root on the next point, or a pair across the junction
         else:
-            terms = _real_axis_terms if i < n_real else _gap_axis_terms
-            t = brentq(lambda t: value(t, terms), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)
+            t = brentq(lambda t: value(t, i < n_real), mesh[i], mesh[i + 1], xtol=1e-14, rtol=8.9e-16)
         roots[i >= n_real].append(m * t)
     if sgn[-1] == 0.0:
         roots[len(mesh) > n_real].append(m * float(mesh[-1]))

@@ -941,12 +941,13 @@ class TestValidateCommand:
         assert f": {named} cannot go with it" in captured.err
 
     # exit code and SHA-256 of stdout without its "suite times:" line, as the
-    # oracle suite printed them when it ran the cubic pipeline point by point
+    # oracle suite printed them when it ran the cubic pipeline point by point;
+    # under the fault both closed-form sweeps fail all 100 checks
     OUTPUT_SHA256 = {
         ("--grid", "21", "--sweep", "50"):
             (0, "7729934fa0f60d69d40ac0edb79f6fa3a9bd363b391ca5ba0ffa2488c9a71540"),
         ("--grid", "21", "--sweep", "50", "--perturb-q", "1e-3"):
-            (1, "a03bf1ee17c3b4e0fc75d61d570e77337d6603a15b919090b838fafc36dd47f3"),
+            (1, "ead06914935e2a247caf25f3caa696736e73611f0781ed43ab109f4803747b59"),
     }
 
     @pytest.mark.parametrize("args", list(OUTPUT_SHA256), ids=" ".join)
@@ -1065,6 +1066,26 @@ def test_module_run_freezes_the_collector_on_every_exit(tmp_path, monkeypatch, c
         assert err[0] == "error: mass must be positive and finite, got -1.0"
     if argv[0] == "scan":
         assert (tmp_path / "child" / "cells.csv").read_bytes() == (tmp_path / "in-process" / "cells.csv").read_bytes()
+
+
+def test_module_cli_executes_its_file_once():
+    # python -m kgdelta.cli runs cli.py as __main__; an import of kgdelta.cli
+    # on the way to the entry point would execute the file a second time
+    package_root = Path(kgdelta.__file__).resolve().parents[1]
+    child = """
+import atexit, runpy, sys
+atexit.register(lambda: print(f"kgdelta.cli imported: {'kgdelta.cli' in sys.modules}", file=sys.stderr))
+runpy.run_module("kgdelta.cli", run_name="__main__")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "spectrum", "-m", "1", "-w", "0.5", "-k", "0.1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "orbital stability: stable" in proc.stdout.splitlines()
+    assert proc.stderr.splitlines() == ["kgdelta.cli imported: False"]
 
 
 def test_console_script_is_the_module_entry():

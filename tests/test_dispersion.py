@@ -391,6 +391,85 @@ class TestAcceptanceDecisions:
         assert h.hexdigest() == self.CANDIDATES_SHA256
 
 
+def _decision_cells(n: int = 1500, seed: int = 28) -> tuple[list[float], list[float]]:
+    """``omega/m`` and ``kappa`` of seeded cells, four in five within ``1e-13``
+    to ``1e-1`` of ``kappa = 0`` or of either critical curve, some with signed
+    zeros and some at huge ``|kappa|``."""
+    rng = random.Random(seed)
+    us, ks = [], []
+    for i in range(n):
+        u = rng.choice([0.0, -0.0]) if i % 50 == 0 else rng.uniform(-0.999, 0.999)
+        off = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-13.0, -1.0)
+        near = ("free", "zero", "zero", "kolokolov", "virtual")[i % 5]
+        if near == "free":
+            kappa = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(3.0, 30.0) if i % 45 == 0 else rng.uniform(-2.0, 3.0)
+        elif near == "zero":
+            kappa = rng.choice([0.0, -0.0]) if i % 25 == 0 else off
+        else:
+            kappa = (u * u if near == "kolokolov" else virtual_level_exponent(1.0, u)) + off
+        us.append(u)
+        ks.append(kappa)
+    return us, ks
+
+
+def _nu_pairs(n: int = 2400, seed: int = 29) -> list[tuple[ModelParams, complex, SheetSelector]]:
+    """Seeded ``(params, lambda, sheet)``: generic, real and on-cut ``lambda``,
+    both thresholds of each exponent, signed zeros, one in three at ``m != 1``."""
+    rng = random.Random(seed)
+    sheets = [PHYSICAL, SheetSelector(1, -1), SheetSelector(-1, 1), SheetSelector(-1, -1)]
+    pairs = []
+    for i in range(n):
+        m = 10.0 ** rng.uniform(-3.0, 3.0) if i % 3 == 0 else 1.0
+        u = rng.uniform(-0.999, 0.999)
+        gap, top = m * (1.0 - abs(u)), m * (1.0 + abs(u))
+        sign = rng.choice([1.0, -1.0])
+        kind = i % 6
+        if kind == 0:
+            lam = complex(m * rng.uniform(-3.0, 3.0), m * rng.uniform(-3.0, 3.0))
+        elif kind == 1:
+            lam = complex(rng.choice([0.0, -0.0]), sign * rng.uniform(gap, 3.0 * m))  # on a cut
+        elif kind == 2:
+            lam = complex(rng.choice([0.0, -0.0]), sign * rng.choice([gap, top]))  # a threshold
+        elif kind == 3:
+            lam = complex(m * rng.uniform(-3.0, 3.0), rng.choice([0.0, -0.0]))
+        elif kind == 4:
+            lam = complex(sign * 10.0 ** rng.uniform(-14.0, -6.0), rng.uniform(-3.0, 3.0) * m)  # next to a cut
+        else:
+            lam = complex(rng.choice([0.0, -0.0]), sign * rng.uniform(0.0, gap))  # in the gap
+        pairs.append((ModelParams(m, m * u, 0.3), lam, sheets[i % 4] if i % 5 == 0 else PHYSICAL))
+    return pairs
+
+
+class TestCandidateTestPins:
+    """The candidate test's inputs and decisions on both paths, pinned to the bit."""
+
+    # SHA-256 over _cell_candidates' lam, accept, open_cells and delta (NaN
+    # written as one pattern) at the 1,500 _decision_cells, for m in (1, 3.7)
+    # and q_offset in (0, 1e-3)
+    CELLS_SHA256 = "18997de1e9b05f1535f982aa56bb42c9b02d2747f892e725c282dab2083e4eeb"
+    # SHA-256 over float.hex of both exponents at the 2,400 _nu_pairs
+    NU_SHA256 = "a0a75eb5caf5c61d34f3e5aa6215a4568d00e41d29eee895b321d0b0538901f4"
+
+    def test_cell_decisions_are_pinned(self):
+        us, ks = _decision_cells()
+        h = hashlib.sha256()
+        for m in (1.0, 3.7):
+            for q_offset in (0.0, 1e-3):
+                _, _, lam, accept, open_cells, delta = dispersion._cell_candidates(
+                    m, np.array([m * u for u in us]), np.array(ks), q_offset)
+                for arr in (lam.real, lam.imag, delta):
+                    h.update(np.where(np.isnan(arr), math.nan, arr).tobytes())
+                h.update(accept.tobytes() + open_cells.tobytes())
+        assert h.hexdigest() == self.CELLS_SHA256
+
+    def test_exponents_are_pinned(self):
+        h = hashlib.sha256()
+        for p, lam, sheet in _nu_pairs():
+            nup, num = nu_pm(p, lam, sheet)
+            h.update(f"{nup.real.hex()} {nup.imag.hex()} {num.real.hex()} {num.imag.hex()};".encode())
+        assert h.hexdigest() == self.NU_SHA256
+
+
 class TestCriticalCurves:
     def test_special_values(self):
         assert virtual_level_frequency(1.0, 0.0) == pytest.approx(1.0 / 3.0)
@@ -1105,15 +1184,16 @@ class TestOracleBrentSeesTheMesh:
         return np.array(pairs, dtype=float).view(np.int64)
 
     def test_terms_are_the_cached_terms_at_every_mesh_point(self):
-        # the real-axis evaluator costs a few numpy calls a point, so it is
-        # checked at the first 60 frequencies, the plain-float gap one at all
+        # the real-axis terms take a one-element array, as Brent passes them,
+        # and cost a few numpy calls a point, so they are checked at the first
+        # 60 frequencies; the plain-float gap terms at all
         for i, w in enumerate(self.OMEGAS):
             mesh, x, y, n_real = _axis_meshes(w)
             cached = self._bits(np.stack([x, y], axis=1))
             got = [_gap_axis_terms(w, t) for t in mesh[n_real:].tolist()]
             assert np.array_equal(self._bits(got).reshape(-1, 2), cached[n_real:]), w
             if i < 60:
-                got = [_real_axis_terms(w, t) for t in mesh[:n_real].tolist()]
+                got = [[v[0] for v in _real_axis_terms(w, np.array([t]))] for t in mesh[:n_real].tolist()]
                 assert np.array_equal(self._bits(got), cached[:n_real]), w
 
     def test_every_bracket_keeps_its_signs(self, monkeypatch):

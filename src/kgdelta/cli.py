@@ -290,25 +290,30 @@ def _suite_oracle(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
 
 def _suite_closed_forms(n: int, perturb_q: float) -> tuple[int, list[str]]:
     # in units of m, as the other suites (the pairs overflow near m ~ 1e308);
-    # both sweeps take their roots, and the fault, from one accepted_cells call
+    # both sweeps take their roots, and the fault, from accepted_cells in the
+    # oracle suite's blocks
     fails: list[str] = []
     tol = 1e-9
-    ks = (-0.49 + (3.0 + 0.49) * np.arange(1, n + 1) / n).tolist()
-    ws = [round(0.95 * i / (n + 1), 12) for i in range(1, n + 1)]
-    cells = accepted_cells(1.0, [0.0] * n + ws, ks + [0.0] * n, perturb_q)
+    cells = itertools.chain(
+        ((0.0, -0.49 + (3.0 + 0.49) * i / n) for i in range(1, n + 1)),
+        ((round(0.95 * i / (n + 1), 12), 0.0) for i in range(1, n + 1)),
+    )
 
     def is_pair(got: list[complex], want: complex) -> bool:
         return len(got) == 2 and len([z for z in got if abs(z - want) <= tol or abs(z + want) <= tol]) == 2
 
-    for k, got in zip(ks, cells):
-        want = 2.0 * (math.sqrt(k * (1.0 + k)) if k > 0 else 1j * math.sqrt(-k * (1.0 + k)))
-        if not is_pair(got, want):
-            fails.append(f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}")
-    for w, got in zip(ws, cells[n:]):
-        # the classifier marks the pair embedded where this region is EmbeddedPair
-        region = region_code(1.0, w, 0.0, BOUNDARY_TOL)
-        if not is_pair(got, 2j * w) or (region is RegionCode.EMBEDDED_PAIR) != (w >= 1.0 / 3.0):
-            fails.append(f"kappa=0, omega={w:g}: expected +-{2j * w:g}, pipeline gave {got} in {region.value}")
+    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
+        ws, ks = zip(*block)
+        for w, k, got in zip(ws, ks, accepted_cells(1.0, ws, ks, perturb_q)):
+            if w == 0.0:  # the kappa = 0 sweep has omega > 0
+                want = 2.0 * (math.sqrt(k * (1.0 + k)) if k > 0 else 1j * math.sqrt(-k * (1.0 + k)))
+                if not is_pair(got, want):
+                    fails.append(f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}")
+                continue
+            # the classifier marks the pair embedded where this region is EmbeddedPair
+            region = region_code(1.0, w, 0.0, BOUNDARY_TOL)
+            if not is_pair(got, 2j * w) or (region is RegionCode.EMBEDDED_PAIR) != (w >= 1.0 / 3.0):
+                fails.append(f"kappa=0, omega={w:g}: expected +-{2j * w:g}, pipeline gave {got} in {region.value}")
     return 2 * n, fails
 
 
@@ -377,6 +382,8 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
         raise ValueError(f"grid and sweep must be at least 1, got grid={grid}, sweep={sweep}")
     if grid * grid > MAX_SCAN_CELLS:
         raise ValueError(f"oracle grid exceeds MAX_SCAN_CELLS = {MAX_SCAN_CELLS} cells")
+    if 2 * sweep > MAX_SCAN_CELLS:
+        raise ValueError(f"the two closed-form sweeps exceed MAX_SCAN_CELLS = {MAX_SCAN_CELLS} cells")
     if not math.isfinite(perturb_q):
         raise ValueError(f"perturb_q must be finite, got {perturb_q}")
     ModelParams(m=m, omega=0.0)  # raises unless m is positive and finite

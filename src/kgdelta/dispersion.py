@@ -31,14 +31,15 @@ result: :func:`_classify_arrays` gives the scan its region codes, pairs and
 discriminants, and :func:`accepted_cells` gives the accepted roots.  Each
 leaves a cell it cannot decide with margin to the scalar path.  Both paths
 call the same helpers, each formula written once for numbers or arrays; the
-array path keeps the scalar bits of ``c, p, q, delta``, the roots and
-``lambda``.  So does the candidate test: the exponents (:func:`_nu`), ``|D|``
-and its scale (:func:`_measure`), and the pre-squaring identity
-(:func:`_identity`).  Only its threshold comparisons are written twice: numpy's
-complex square root may differ from ``cmath``'s in the last bits, so the
-array path keeps ``_GRID_MARGIN`` from each threshold where the scalar path
-keeps none.  ``D`` is homogeneous in ``m``, so both decide at
-``(1, omega/m, kappa)`` (:func:`_unit`) and scale by ``m``.
+array path keeps the scalar bits of ``c, p, q, delta``, the roots, the
+candidates (:func:`_candidates`) and ``lambda``.  The candidate test is shared
+too: the exponents (:func:`_nu`), ``|D|`` and its scale (:func:`_measure`),
+the pre-squaring identity (:func:`_identity`) and the threshold comparisons
+(:func:`_verdict`).  numpy's complex square root may differ from ``cmath``'s
+in the last bits, so the array path passes ``_GRID_MARGIN`` to the
+comparisons where the scalar path passes none.  ``D`` is homogeneous in
+``m``, so both decide at ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by
+``m``.
 """
 
 from __future__ import annotations
@@ -442,6 +443,20 @@ def _at_mass(cands: list[RootCandidate], m: float) -> list[RootCandidate]:
         _times(m * m, c.x), _times(m * m, c.y)) for c in cands]
 
 
+def _candidates(y, c, margin=0.0, sqrt=cmath.sqrt, maximum=max):
+    """``x = y - 2c/3`` at a root ``y`` of the depressed cubic, and its candidates ``+-sqrt(x)``; numbers or arrays.
+
+    Also whether ``x`` lies below ``_X_FLOOR max(1, |c|)``, where it is not
+    told from the root at ``x = 0``, and whether ``|x|`` lies within
+    ``margin`` of that floor (never at ``margin = 0``).
+    """
+    x = y - 2.0 * c / 3.0
+    floor = _X_FLOOR * maximum(1.0, abs(c))
+    ax = abs(x)
+    root = sqrt(x)
+    return x, ax <= floor, abs(ax - floor) < margin * floor, root, -root
+
+
 def _identity(a, k, c, lam, sigma, csqrt=cmath.sqrt, where=_if):
     """The radical identity that was squared away, with its sign; numbers or arrays.
 
@@ -449,10 +464,11 @@ def _identity(a, k, c, lam, sigma, csqrt=cmath.sqrt, where=_if):
     quadratic branches ``(alpha(1+kappa) +- disc)/2``, ``disc = sqrt(alpha^2
     (1-kappa)^2 + 8 x)`` at ``x = lambda^2``; the nearer branch fixes the sign
     ``s`` of the pre-squaring identity in ``x``.  A candidate whose physical
-    exponent sum matches neither branch identity is spurious.  Returns
-    ``disc``, the distances of ``sigma`` from both branches, and ``|lhs -
-    rhs|`` of the identity with its scale.  Only the product ``s*disc``
-    enters, and ``s`` follows the sign of ``disc``.
+    exponent sum matches neither branch identity is spurious.  Returns ``|lhs
+    - rhs|`` of the identity with its scale, and the sign's terms: how far
+    apart the distances of ``sigma`` from the two branches are, and the scale
+    of that difference.  Only the product ``s*disc`` enters, and ``s`` follows
+    the sign of ``disc``.
     """
     x = lam * lam
     disc = csqrt(a * a * (1.0 - k) ** 2 + 8.0 * x)
@@ -460,24 +476,37 @@ def _identity(a, k, c, lam, sigma, csqrt=cmath.sqrt, where=_if):
     rhs = where(d_plus <= d_minus, 1.0, -1.0) * a**3 * (1.0 + k) * k * k / 8.0 * disc
     gap = abs(x * x + c * x + a**4 * k * k * (1.0 - k * k) / 8.0 - rhs)
     scale = abs(x * x) + abs(c * x) + a**4 * k * k * (1.0 + k * k) / 8.0 + abs(rhs) + 1e-300
-    return disc, d_plus, d_minus, gap, scale
+    return gap, scale, abs(d_plus - d_minus), abs(sigma) + abs(a * (1.0 + k)) + abs(disc)
 
 
-def _physical_fit(
-    p: ModelParams, cd: CubicData, lam: complex
-) -> tuple[complex, complex, float, float, bool]:
-    """Exponents, residual scale, ``|D|`` and the acceptance test at ``lam``, at ``p = _unit(p)``."""
-    a, k = p.alpha, p.kappa
-    nup, num, res, scale = _measure(a, k, p.omega, lam.real, lam.imag)
-    ok = res <= ACCEPT_TOL * scale
-    if ok:  # the identity costs as much again, so only where |D| passes
-        gap, id_scale = _identity(a, k, cd.c, lam, nup + num)[3:]
-        ok = gap <= _NEAR_TOL * id_scale
-    return nup, num, scale, res, ok
+#: :func:`_identity`'s terms where it is not formed: every comparison with them is false.
+_NO_IDENTITY = (math.nan,) * 4
+
+
+def _verdict(res, scale, gap, id_scale, sign_gap, span, margin=0.0):
+    """Accept and reject from ``|D|``, its scale and the :func:`_identity` terms; numbers or arrays.
+
+    Each test must clear its threshold by ``margin`` of its scale, and the
+    identity's sign by ``margin`` of its span, which at ``margin = 0`` always
+    holds.  Neither accepted nor rejected is a near miss, or with a margin
+    undecided; NaN terms decide nothing.
+    """
+    small = res <= (ACCEPT_TOL - margin) * scale
+    sure = small & (sign_gap >= margin * span)
+    accept = sure & (gap <= (_NEAR_TOL - margin) * id_scale)
+    return accept, (res > (_NEAR_TOL + margin) * scale) | (sure & (gap > (_NEAR_TOL + margin) * id_scale))
+
+
+def _judge(a: float, k: float, w: float, c: float, lam: complex) -> tuple:
+    """Both physical exponents, ``|D|``, its scale and the :func:`_verdict` at ``lam``, at ``(1, w, k)``."""
+    nup, num, res, scale = _measure(a, k, w, lam.real, lam.imag)
+    # the identity costs as much again as |D|, so only where |D| passes
+    terms = _identity(a, k, c, lam, nup + num) if res <= ACCEPT_TOL * scale else _NO_IDENTITY
+    return nup, num, res, scale, *_verdict(res, scale, *terms)
 
 
 def _refine_near_miss(
-    p: ModelParams, cd: CubicData, lam: complex, nup: complex, num: complex
+    p: ModelParams, c: float, lam: complex, nup: complex, num: complex
 ) -> complex | None:
     """Up to two analytic Newton steps on the physical-sheet ``D`` from ``lam``.
 
@@ -505,8 +534,8 @@ def _refine_near_miss(
         cur = cur + step
         if not abs(cur - lam) < 1e-7 * abs(lam):
             return None
-        nup, num, _, _, ok = _physical_fit(p, cd, cur)
-        if ok:
+        nup, num, _, _, accept, _ = _judge(p.alpha, p.kappa, p.omega, c, cur)
+        if accept:
             return cur
     return None
 
@@ -535,22 +564,20 @@ def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCand
         raise _overflow(params) from None
     if q_offset != 0.0:
         cd = CubicData(cd.c, cd.p, *_q_fault(cd.p, cd.q, q_offset))
-    a, k = unit.alpha, unit.kappa
-    x_floor = _X_FLOOR * max(1.0, abs(cd.c))
+    a, k, w, c = unit.alpha, unit.kappa, unit.omega, cd.c
     out: list[RootCandidate] = []
     for idx, y in enumerate(cubic_roots(cd)):
-        x = y - 2.0 * cd.c / 3.0
-        if abs(x) <= x_floor:
+        x, skip, _, plus, minus = _candidates(y, c)
+        if skip:
             continue
-        principal = cmath.sqrt(x)
-        for lam in (principal, -principal):
-            nup, num, scale, res_phys, ok = _physical_fit(unit, cd, lam)
-            if not ok and ACCEPT_TOL * scale < res_phys <= _NEAR_TOL * scale:
-                refined = _refine_near_miss(unit, cd, lam, nup, num)
+        for lam in (plus, minus):
+            nup, num, res_phys, scale, accept, reject = _judge(a, k, w, c, lam)
+            if not (accept or reject):  # a near miss
+                refined = _refine_near_miss(unit, c, lam, nup, num)
                 if refined is not None:
                     lam = refined
-                    nup, num, scale, res_phys, ok = _physical_fit(unit, cd, lam)
-            if ok:
+                    nup, num, res_phys, scale, accept, _ = _judge(a, k, w, c, lam)
+            if accept:
                 out.append(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
                 )
@@ -965,41 +992,29 @@ def _cell_candidates(m: float, omegas: np.ndarray, kappas: np.ndarray, q_offset:
         finite = np.isfinite(delta)  # elsewhere the scalar classifier raises CubicOverflow
         in_band = band & (cubic_scale != 0.0) & finite
         split = ~band & finite
-        yr = np.full((n, 3), math.nan)
-        yi = np.zeros((n, 3))
-        yr[in_band] = np.stack(_band_roots(p[in_band], q[in_band]), axis=1)
+        y = np.full((n, 3), complex(math.nan, 0.0))
+        y.real[in_band] = np.stack(_band_roots(p[in_band], q[in_band]), axis=1)
         trig = split & (delta > 0.0)
         acos, cos = functools.partial(_each, _acos), functools.partial(_each, math.cos)
-        yr[trig] = np.stack(_trig_roots(p[trig], q[trig], np.sqrt, acos, cos), axis=1)
+        y.real[trig] = np.stack(_trig_roots(p[trig], q[trig], np.sqrt, acos, cos), axis=1)
         card = split & (delta < 0.0)
         y1, re, im = _cardano_roots(p[card], q[card], delta[card], np.sqrt, each_pow, np.copysign, np.where)
-        yr[card] = np.stack([y1, re, re], axis=1)
-        yi[card] = np.stack([np.zeros_like(im), im, -im], axis=1)
+        y.real[card] = np.stack([y1, re, re], axis=1)
+        y.imag[card] = np.stack([np.zeros_like(im), im, -im], axis=1)
 
-        # candidate_roots: +-sqrt(x) for x = y - 2c/3 off the root at zero
-        x = _complex_cells(yr - 2.0 * c[:, None] / 3.0, yi)
-        x_floor = _X_FLOOR * np.maximum(1.0, np.abs(c))[:, None]
-        ax = np.abs(x)
-        skip = np.repeat(ax <= x_floor, 2, axis=1)
-        unsure_floor = np.abs(ax - x_floor) <= _GRID_MARGIN * x_floor
-        principal = _each(cmath.sqrt, x)
-        lam = np.stack([principal, -principal], axis=2).reshape(n, 6)
-
-        # _physical_fit: |D| against its scale, and the pre-squaring identity
+        # candidate_roots' candidates and test, with the margin
         a, c, k, w = a[:, None], c[:, None], k[:, None], w[:, None]
+        csqrt = functools.partial(_each, cmath.sqrt)
+        x, skip, unsure_floor, root, neg = _candidates(y, c, _GRID_MARGIN, csqrt, np.maximum)
+        lam = np.stack([root, neg], axis=2).reshape(n, 6)
         nup, num, res, scale = _measure(a, k, w, lam.real, lam.imag, **_ARRAY_OPS)
         sigma = nup + num
         # freed for the identity test's temporaries: they set the peak memory of every block
-        del nup, num, x, principal, ax, yr, yi
-        disc, d_plus, d_minus, gap_id, id_scale = _identity(a, k, c, lam, sigma, np.sqrt, np.where)
-        span = np.abs(sigma) + np.abs(a * (1.0 + k)) + np.abs(disc)
-        unsure_sign = np.abs(d_plus - d_minus) <= _GRID_MARGIN * span
-        id_ok = gap_id <= (_NEAR_TOL - _GRID_MARGIN) * id_scale
-        id_fails = gap_id > (_NEAR_TOL + _GRID_MARGIN) * id_scale
-        small = res <= (ACCEPT_TOL - _GRID_MARGIN) * scale
-        accept = ~skip & small & ~unsure_sign & id_ok
-        far = res > (_NEAR_TOL + _GRID_MARGIN) * scale
-        reject = skip | far | (small & ~unsure_sign & id_fails)
+        del nup, num, x, root, neg, y
+        accept, reject = _verdict(res, scale, *_identity(a, k, c, lam, sigma, np.sqrt, np.where), _GRID_MARGIN)
+        skip = np.repeat(skip, 2, axis=1)
+        accept &= ~skip
+        reject |= skip
         open_cells = ~(split | in_band) | ~(accept | reject).all(axis=1) | unsure_floor.any(axis=1)
     return (wu, wi), (ku, ki), lam, accept, open_cells, delta
 

@@ -57,6 +57,12 @@ __all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODE
 #: complex field array takes 16 MB.
 MAX_LATTICE_NODES = 1_000_000
 
+#: Most Verlet steps one run may take: 160 times the larger benchmark run
+#: (6,250).  Every step may be a record, and at the cap the four series take
+#: about 0.13 GB as Python floats; the benchmark lattice steps through them
+#: in about a minute.
+MAX_LATTICE_STEPS = 1_000_000
+
 
 def _seed(seed) -> int:
     """``seed`` as a Python int, refused unless it is an integer ``>= 0``.
@@ -518,9 +524,11 @@ class DefectLattice:
         reference state is read-only, so its gradient is formed once.
 
         ``epsilon`` must be finite and ``>= 0``, ``horizon`` and ``dt`` finite
-        and ``> 0``, ``record_every >= 1`` and ``seed`` an integer ``>= 0``;
-        anything else raises ``ValueError`` (``TypeError`` for a seed that is
-        not an integer) before the stationary solve.
+        and ``> 0`` with ``horizon/dt`` at most ``MAX_LATTICE_STEPS``,
+        ``record_every >= 1`` and ``seed`` an integer ``>= 0``; anything else
+        raises ``ValueError`` (``TypeError`` for a seed that is not an
+        integer) before the stationary solve.  An initial state that overflows
+        float64, or whose first record is not finite, raises ``ValueError``.
         """
         if not (epsilon >= 0.0 and math.isfinite(epsilon)):
             raise ValueError(f"perturbation size must be finite and >= 0, got {epsilon}")
@@ -530,6 +538,8 @@ class DefectLattice:
             dt = self.default_dt()
         if not (dt > 0.0 and math.isfinite(dt)):
             raise ValueError(f"time step must be finite and > 0, got {dt}")
+        if not horizon / dt <= MAX_LATTICE_STEPS:
+            raise ValueError(f"horizon/dt = {horizon / dt:.3g} exceeds MAX_LATTICE_STEPS = {MAX_LATTICE_STEPS} steps")
         if record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {record_every}")
         seed = _seed(seed)
@@ -541,25 +551,31 @@ class DefectLattice:
         amp = float(np.max(np.abs(reference.psi)))
 
         state = reference.copy()
-        if epsilon > 0.0:
-            pert = self.perturbation(seed, epsilon)
-            state.psi = state.psi + pert.psi
-            state.pi = state.pi + pert.pi
-        if initial_phase != 0.0:
-            # phase equivariance: rotating the whole initial state must leave
-            # every recorded series unchanged (distance is phase minimized)
-            rot = complex(math.cos(initial_phase), math.sin(initial_phase))
-            state.psi = rot * state.psi
-            state.pi = rot * state.pi
+        clock = time.perf_counter
+        try:
+            # under the loop's errstate, so an initial state past float64 is refused
+            with np.errstate(over="raise", invalid="raise"):
+                if epsilon > 0.0:
+                    pert = self.perturbation(seed, epsilon)
+                    state.psi = state.psi + pert.psi
+                    state.pi = state.pi + pert.pi
+                if initial_phase != 0.0:
+                    # phase equivariance: rotating the whole initial state must leave
+                    # every recorded series unchanged (distance is phase minimized)
+                    rot = complex(math.cos(initial_phase), math.sin(initial_phase))
+                    state.psi = rot * state.psi
+                    state.pi = rot * state.pi
+                start = clock()
+                first = self.energy(state), self.charge(state), self.orbital_distance(state, reference)
+        except (FloatingPointError, OverflowError):
+            first = (math.nan,)
+        if not all(map(math.isfinite, first)):
+            raise ValueError(f"the initial state overflows float64 at perturbation size {epsilon:g}")
 
         n_steps = max(int(round(horizon / dt)), 1)
         limit = 1e3 * amp
-        clock = time.perf_counter
-        start = clock()
         times = [0.0]
-        energies = [self.energy(state)]
-        charges = [self.charge(state)]
-        dists = [self.orbital_distance(state, reference)]
+        energies, charges, dists = ([v] for v in first)
         step_s, diagnostics_s = 0.0, clock() - start
         aborted = False
         try:

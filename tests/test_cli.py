@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -29,7 +30,7 @@ from kgdelta.cli import (
     scan_rows,
     write_scan_csv,
 )
-from kgdelta.cli import _cell_rows, _scan_cell, _spectrum_text
+from kgdelta.cli import _cell_rows, _scan_cell, _spectrum_text, _suite_closed_forms
 from kgdelta.dispersion import (
     _REGIONS,
     ClassificationError,
@@ -201,6 +202,9 @@ class TestRegionPredicate:
             (0.0, 0.0, RegionCode.KOLOKOLOV_CRITICAL),
             (0.0, -0.5, RegionCode.VIRTUAL_LEVEL_BOUNDARY),
             (0.8, 0.5, RegionCode.VIRTUAL_LEVEL_BOUNDARY),
+            # (1 + 2 kappa)^2 overflows, so the virtual-level curve is NaN
+            (0.5, 1e200, RegionCode.REAL_PAIR),
+            (0.5, -1e200, RegionCode.ZERO_ONLY),
         ],
     )
     def test_cases(self, omega, kappa, want):
@@ -339,6 +343,7 @@ class TestScan:
             ("--omega-min", "0.6", "omega_min must not exceed omega_max"),
             ("--kappa-max", "-0.6", "kappa_min must not exceed kappa_max"),
             ("--kappa-max", "1e300", "scan grid exceeds MAX_SCAN_CELLS = 2000000 cells"),
+            ("--omega-max", "1", "omega range must stay inside (-m, m)"),
             # refused before any cell is classified
             ("--mass", "inf", "mass must be positive and finite, got inf"),
             ("--mass", "nan", "mass must be positive and finite, got nan"),
@@ -394,6 +399,15 @@ class TestScan:
         assert captured.err.startswith("error: the cubic's coefficients overflow float64 at m = 1e+308")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # the target is a directory, so the rename onto it fails after the write
+        target = tmp_path / "map.csv"
+        (target / "kept").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            write_scan_csv(small_config(), str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["map.csv"]
+        assert [p.name for p in target.iterdir()] == ["kept"]
 
     def test_cell_cap_fails_before_building_the_grid(self):
         start = time.perf_counter()
@@ -707,6 +721,10 @@ class TestSimulateCommand:
             (["-T", "1", "--grid-h", "0"], "grid spacing must be finite and > 0"),
             (["-T", "1", "--grid-h", "nan"], "grid spacing must be finite and > 0"),
             (["-T", "1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["-T", "1", "--dt", "1e-300"], "horizon/dt = 1e+300 exceeds MAX_LATTICE_STEPS = 1000000 steps"),
+            # an initial state past float64, and one whose energy's |psi(0)|^2 overflows
+            (["-T", "1", "--eps", "1e300"], "the initial state overflows float64 at perturbation size 1e+300"),
+            (["-T", "1", "--eps", "1e150"], "the initial state overflows float64 at perturbation size 1e+150"),
         ],
     )
     def test_run_inputs_outside_domain_exit_2(self, tmp_path, capsys, flags, message):
@@ -813,7 +831,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "args",
         [["--grid", "0"], ["--sweep", "0"], ["--grid", "0", "--sweep", "-3"], ["--grid", "1415"],
-         ["-m", "inf"], ["-m", "0"], ["--perturb-q", "nan"], ["--at", "1,0.5,0.2", "--perturb-q", "nan"]],
+         ["-m", "inf"], ["-m", "0"], ["--perturb-q", "nan"], ["--at", "1,0.5,0.2", "--perturb-q", "nan"],
+         ["--sweep", "1000001"]],
     )
     def test_bad_arguments_exit_2_before_any_suite(self, capsys, args):
         with warnings.catch_warnings(record=True) as caught:
@@ -825,6 +844,18 @@ class TestValidateCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in captured.err
+
+    def test_closed_form_sweeps_run_in_blocks(self):
+        def peak(sweep: int) -> int:
+            tracemalloc.start()
+            try:
+                assert _suite_closed_forms(sweep, 0.0) == (2 * sweep, [])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 800 cells fill one block; 6,000 cells at once took 7 times that
+        assert peak(3000) < 1.5 * peak(400)
 
     @pytest.mark.parametrize("m", ["5e-324", "1e-320"])
     def test_subnormal_mass_exits_2_before_any_suite(self, capsys, m):

@@ -8,14 +8,14 @@ Four subcommands:
 * ``validate``  cross-oracle checks between the closed forms, the cubic
   pipeline, and the dense axis scans.
 
-Exit codes: 0 success, 1 validation failure, 2 invalid parameters,
-3 simulation aborted by the blow-up guard, 141 (128 + SIGPIPE) standard
-output closed by its reader.  Scans run serially: blocks of cells go
-through the array classifier, and the few cells it leaves open through the
-scalar one, so output files are byte-identical to a cell-by-cell scan.  What
-is left per cell is that scalar fallback and the three ``%.12g`` value
-columns; the axis columns are formatted once per value.  ``--threads`` is
-accepted and ignored.
+Exit codes: 0 success, 1 validation failure, 2 invalid parameters or an
+output file that cannot be written, 3 simulation aborted by the blow-up
+guard, 141 (128 + SIGPIPE) standard output closed by its reader.  Scans
+run serially: blocks of cells go through the array classifier, and the few
+cells it leaves open through the scalar one, so output files are
+byte-identical to a cell-by-cell scan.  What is left per cell is that
+scalar fallback and the three ``%.12g`` value columns; the axis columns are
+formatted once per value.  ``--threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -200,6 +200,13 @@ def _axis_fields(cache: dict, fields, m: float, values: np.ndarray) -> tuple[lis
 _BLOCK_CELLS = 648
 
 
+def _blocks(cells: Iterable[tuple[float, float]]) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
+    """Consecutive blocks of at most ``_BLOCK_CELLS`` cells, each as ``(omegas, kappas)``."""
+    cells = iter(cells)
+    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
+        yield tuple(zip(*block))
+
+
 def _cell_rows(
     m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter | None = None
 ) -> list[str]:
@@ -213,16 +220,15 @@ def _cell_rows(
     omega_cols: dict = {}
     kappa_cols: dict = {}
     names = [code.value for code in _REGIONS]
-    cells = iter(cells)
-    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
-        ws, ks = (np.array(axis, dtype=float) for axis in zip(*block))
+    for omegas, kappas in _blocks(cells):
+        ws, ks = np.array(omegas, dtype=float), np.array(kappas, dtype=float)
         codes, pairs, deltas = _classify_arrays(m, ws, ks, band)
         # _representative of +-pair: right half plane or upper imaginary axis; 0 in ZeroOnly
         up = (pairs.real > 0.0) | ((pairs.real == 0.0) & (pairs.imag >= 0.0))
         lams = np.where(up, pairs, -pairs)
         scalar = np.flatnonzero(codes < 0).tolist()
         for i in scalar:
-            code, lams[i], deltas[i] = _classify_scalar(m, *block[i], band)
+            code, lams[i], deltas[i] = _classify_scalar(m, omegas[i], kappas[i], band)
             codes[i] = _REGIONS.index(code)
         if tally is not None:
             tally["scalar"] += len(scalar)
@@ -273,26 +279,22 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-def _suite_oracle(m: float, n: int, perturb_q: float) -> tuple[int, list[str]]:
+def _suite_oracle(m: float, n: int, perturb_q: float) -> Iterator[str]:
     # the pipeline roots of a block of points come from one array call, the
     # scan's block size bounding its memory
-    fails: list[str] = []
     cells = ((m * round(float(w), 12), round(float(k), 12))
              for w in np.linspace(-0.9, 0.9, n) for k in np.linspace(-1.9, 1.9, n))
-    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
-        ws, ks = zip(*block)
+    for ws, ks in _blocks(cells):
         for w, k, roots in zip(ws, ks, accepted_cells(m, ws, ks, perturb_q)):
             p = ModelParams(m=m, omega=w, kappa=k)
             for msg in oracle_mismatches(p, roots):
-                fails.append(f"(omega={p.omega:g}, kappa={p.kappa:g}) {msg}")
-    return n * n, fails
+                yield f"(omega={p.omega:g}, kappa={p.kappa:g}) {msg}"
 
 
-def _suite_closed_forms(n: int, perturb_q: float) -> tuple[int, list[str]]:
+def _suite_closed_forms(n: int, perturb_q: float) -> Iterator[str]:
     # in units of m, as the other suites (the pairs overflow near m ~ 1e308);
     # both sweeps take their roots, and the fault, from accepted_cells in the
     # oracle suite's blocks
-    fails: list[str] = []
     tol = 1e-9
     cells = itertools.chain(
         ((0.0, -0.49 + (3.0 + 0.49) * i / n) for i in range(1, n + 1)),
@@ -302,53 +304,46 @@ def _suite_closed_forms(n: int, perturb_q: float) -> tuple[int, list[str]]:
     def is_pair(got: list[complex], want: complex) -> bool:
         return len(got) == 2 and len([z for z in got if abs(z - want) <= tol or abs(z + want) <= tol]) == 2
 
-    while block := list(itertools.islice(cells, _BLOCK_CELLS)):
-        ws, ks = zip(*block)
+    for ws, ks in _blocks(cells):
         for w, k, got in zip(ws, ks, accepted_cells(1.0, ws, ks, perturb_q)):
             if w == 0.0:  # the kappa = 0 sweep has omega > 0
                 want = 2.0 * (math.sqrt(k * (1.0 + k)) if k > 0 else 1j * math.sqrt(-k * (1.0 + k)))
                 if not is_pair(got, want):
-                    fails.append(f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}")
+                    yield f"omega=0, kappa={k:g}: expected +-{want:g}, pipeline gave {got}"
                 continue
             # the classifier marks the pair embedded where this region is EmbeddedPair
             region = region_code(1.0, w, 0.0, BOUNDARY_TOL)
             if not is_pair(got, 2j * w) or (region is RegionCode.EMBEDDED_PAIR) != (w >= 1.0 / 3.0):
-                fails.append(f"kappa=0, omega={w:g}: expected +-{2j * w:g}, pipeline gave {got} in {region.value}")
-    return 2 * n, fails
+                yield f"kappa=0, omega={w:g}: expected +-{2j * w:g}, pipeline gave {got} in {region.value}"
 
 
-def _suite_identities(n: int) -> tuple[int, list[str]]:
+def _suite_identities(n: int) -> Iterator[str]:
     # in units of m, as the other suites (the level relation overflows from m ~ 1e77)
-    fails: list[str] = []
-    checks = 0
     for w in np.linspace(-0.9, 0.9, n):
         for k in np.linspace(-0.45, 2.0, n):
             p = ModelParams(m=1.0, omega=float(w), kappa=float(k))
             lam = lambda_pm(p)
             s = scalar_eigenvalue(p)
-            checks += 1
             if lam is None or s is None:
                 continue
             lo, hi = lam
             vieta_prod = abs(lo * hi - s) / (1.0 + abs(s))
             vieta_sum = abs(lo + hi - (s + w * w + 1.0)) / (1.0 + abs(s))
             if vieta_prod > 1e-12 or vieta_sum > 1e-12:
-                fails.append(f"Vieta violated at omega/m={w:g}, kappa={k:g}")
+                yield f"Vieta violated at omega/m={w:g}, kappa={k:g}"
             for z in (lo, hi):
                 if abs(z - 1.0) > 1e-6:
                     term = z * w * w / (1.0 - z)
                     # 8 ulps of z, magnified by d(term)/dz = w^2 / (1 - z)^2
                     slack = 8.0 * sys.float_info.epsilon * abs(term * z / (1.0 - z))
                     if abs(z + term - s) > 1e-10 * (1.0 + abs(s)) + slack:
-                        fails.append(f"level relation violated at omega/m={w:g}, kappa={k:g}")
+                        yield f"level relation violated at omega/m={w:g}, kappa={k:g}"
     for i in range(n):
         k = -0.5 + (1.0 / math.sqrt(2.0) + 0.5) * i / n
         t = virtual_level_frequency(1.0, k)
         back = virtual_level_exponent(1.0, t)
-        checks += 1
         if abs(back - k) > 1e-10:
-            fails.append(f"curve inverse violated at kappa={k:g}: K(T)={back:.12g}")
-    return checks, fails
+            yield f"curve inverse violated at kappa={k:g}: K(T)={back:.12g}"
 
 
 def _threshold_residual(p: ModelParams) -> tuple[float, float]:
@@ -357,17 +352,19 @@ def _threshold_residual(p: ModelParams) -> tuple[float, float]:
     return abs(D_eval(p, lam, PHYSICAL)), residual_scale(p, lam)
 
 
-def _suite_virtual_levels(n: int) -> tuple[int, list[str]]:
+def _suite_virtual_levels(n: int) -> Iterator[str]:
     # D(m l; m, m w, kappa) = m^2 D(l; 1, w, kappa): the relative residual is
     # taken in units of m, at m = 1
-    fails: list[str] = []
     for i in range(1, n + 1):
         k = -0.49 + (0.70 + 0.49) * i / n
         p = ModelParams(m=1.0, omega=virtual_level_frequency(1.0, k), kappa=k)
         resid, scale = _threshold_residual(p)
         if resid > 1e-10 * scale:
-            fails.append(f"kappa={k:g}: |D| = {resid:.3e} > 1e-10 * {scale:.3e}")
-    return n, fails
+            yield f"kappa={k:g}: |D| = {resid:.3e} > 1e-10 * {scale:.3e}"
+
+
+#: Failure messages a suite prints; the rest are only counted.
+_SHOWN_FAILURES = 10
 
 
 def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: float = 0.0) -> int:
@@ -375,8 +372,10 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
 
     Arguments are checked before any suite runs: a bad one raises
     ``ValueError`` and prints nothing.  ``m`` must be a normal float64,
-    finite and at least ``sys.float_info.min``.  The last lines are the
-    wall time of each suite and the overall verdict.
+    finite and at least ``sys.float_info.min``.  Each suite yields its
+    failure messages as it finds them; the first ten are printed and the
+    rest only counted.  The last lines are the wall time of each suite and
+    the overall verdict.
     """
     if not (grid >= 1 and sweep >= 1):
         raise ValueError(f"grid and sweep must be at least 1, got grid={grid}, sweep={sweep}")
@@ -391,25 +390,27 @@ def run_validation(m: float = 1.0, grid: int = 9, sweep: int = 50, perturb_q: fl
         # the suites place their frequencies at fractions of m, which a
         # subnormal m rounds away (0.9 * 5e-324 is 5e-324)
         raise ValueError(f"validate needs a normal mass, at least {sys.float_info.min!r}: got m = {m!r}")
+    g = max(grid, 10)
+    # name, checks, failure messages; a suite runs as its messages are drawn
     suites = [
-        ("oracle-root-agreement", lambda: _suite_oracle(m, grid, perturb_q)),
-        ("closed-form-special-cases", lambda: _suite_closed_forms(sweep, perturb_q)),
-        ("algebraic-identities", lambda: _suite_identities(max(grid, 10))),
-        ("virtual-level-residuals", lambda: _suite_virtual_levels(20)),
+        ("oracle-root-agreement", grid * grid, _suite_oracle(m, grid, perturb_q)),
+        ("closed-form-special-cases", 2 * sweep, _suite_closed_forms(sweep, perturb_q)),
+        ("algebraic-identities", g * g + g, _suite_identities(g)),
+        ("virtual-level-residuals", 20, _suite_virtual_levels(20)),
     ]
     total_fail = 0
     times: list[str] = []
-    for name, fn in suites:
+    for name, checks, fails in suites:
         start = time.perf_counter()
-        checks, fails = fn()
+        shown = list(itertools.islice(fails, _SHOWN_FAILURES))
+        failed = len(shown) + sum(1 for _ in fails)
         times.append(f"{name} {time.perf_counter() - start:.3g} s")
-        total_fail += len(fails)
-        status = "PASS" if not fails else "FAIL"
-        print(f"{name}: {status} ({checks} checks, {len(fails)} failed)")
-        for msg in fails[:10]:
+        total_fail += failed
+        print(f"{name}: {'FAIL' if failed else 'PASS'} ({checks} checks, {failed} failed)")
+        for msg in shown:
             print(f"  {msg}")
-        if len(fails) > 10:
-            print(f"  ... and {len(fails) - 10} more")
+        if failed > _SHOWN_FAILURES:
+            print(f"  ... and {failed - _SHOWN_FAILURES} more")
     print(f"suite times: {', '.join(times)}")
     print(f"validation {'passed' if total_fail == 0 else 'FAILED'}")
     return 0 if total_fail == 0 else 1
@@ -648,7 +649,8 @@ def main(argv: list[str] | None = None) -> int:
         # goes to devnull so the interpreter's last flush is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -849,12 +849,25 @@ class TestValidateCommand:
         def peak(sweep: int) -> int:
             tracemalloc.start()
             try:
-                assert _suite_closed_forms(sweep, 0.0) == (2 * sweep, [])
+                assert list(_suite_closed_forms(sweep, 0.0)) == []
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         # 800 cells fill one block; 6,000 cells at once took 7 times that
+        assert peak(3000) < 1.5 * peak(400)
+
+    def test_failures_are_streamed_not_kept(self):
+        # under the fault every closed-form check fails; a suite that kept its
+        # messages took twice the memory at 6,000 of them as at 800
+        def peak(sweep: int) -> int:
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in _suite_closed_forms(sweep, 1e-3)) == 2 * sweep
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         assert peak(3000) < 1.5 * peak(400)
 
     @pytest.mark.parametrize("m", ["5e-324", "1e-320"])
@@ -1036,6 +1049,24 @@ def test_closed_stdout_at_start_is_not_an_error():
         preexec_fn=lambda: os.close(1),
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--omega-min", "0", "--omega-max", "0.1", "--omega-step", "0.05",
+      "--kappa-min", "0", "--kappa-max", "0.1", "--kappa-step", "0.05", "-o", "{}/map.csv"],
+     ["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", "{}/run"]],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, argv):
+    # exit 1 means a failed validation, so a path that cannot be written is
+    # reported like any other bad argument
+    missing = tmp_path / "missing"
+    assert main([a.format(missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 # The child runs the module named by its first argument as ``python -m``

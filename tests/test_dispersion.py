@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -859,6 +860,55 @@ class TestAccuracyNextToKappaZero:
     def test_in_gap_eigenvalue(self, omega, kappa, want):
         values = classify_point_spectrum(ModelParams(1.0, omega, kappa)).nonzero_values()
         assert abs(max(values, key=lambda z: z.imag) - 1j * want) <= 1e-9 * want
+
+
+class TestAccuracyOnKappaZero:
+    """The pair on ``kappa = 0`` against its closed form ``+-2i omega``, to
+    1e-12 relative.
+
+    The cubic's coefficients cancel on the line, so at ``omega/m = 1e-4`` the
+    pair is off by 8.1e-9 at any mass, and at ``1e-6`` by 4.4e-5
+    (``spectrum -m 1 -w 1e-6 -k 0`` prints ``0+2.0000889e-06j``).  ``validate
+    --at 1,1e-6,0`` still passes, because the root lies below the oracle's
+    window of ``1e-3 m``.  Strict xfails: a fix has to flip them.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP \"Fix first\" item 4: the cubic's coefficients cancel on kappa = 0")
+    @pytest.mark.parametrize("m, omega", [(1.0, 1e-4), (1000.0, 0.1), (1.0, 1e-6)])
+    def test_pair_is_the_closed_form(self, m, omega):
+        values = classify_point_spectrum(ModelParams(m, omega, 0.0)).nonzero_values()
+        assert sorted(z.imag for z in values) == pytest.approx([-2 * omega, 2 * omega], rel=1e-12, abs=0)
+        assert all(z.real == 0 for z in values)
+
+
+class TestLargeKappaEnds:
+    """The two ends of the ``kappa`` axis, where nothing else looks.
+
+    As ``kappa -> +inf`` the real pair follows ``alpha kappa + alpha/2 +
+    O(1/kappa)``; in float64 the pair's own rounding, ``4 eps`` of it,
+    takes over from ``kappa ~ 1e8``.  As ``kappa -> -inf`` no eigenvalue
+    but zero is left.
+    """
+
+    @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12, 1e16, 1e20, 1e24])
+    @pytest.mark.parametrize("omega", [0.1, 0.5])
+    def test_real_pair_follows_its_limit(self, omega, kappa):
+        p = ModelParams(1.0, omega, kappa)
+        report = classify_point_spectrum(p)
+        assert report.region is RegionCode.REAL_PAIR
+        values = report.nonzero_values()
+        limit = p.alpha * kappa + p.alpha / 2
+        bound = p.alpha * kappa * max(kappa ** -2, 4 * sys.float_info.epsilon)
+        assert sorted(z.real for z in values) == pytest.approx([-limit, limit], rel=0, abs=bound)
+        assert all(z.imag == 0 for z in values)
+
+    @pytest.mark.parametrize("kappa", [-1e2, -1e4, -1e8, -1e12])
+    @pytest.mark.parametrize("omega", [0.0, 0.5, 0.9])
+    def test_no_eigenvalue_but_zero(self, omega, kappa):
+        report = classify_point_spectrum(ModelParams(1.0, omega, kappa))
+        assert report.region is RegionCode.ZERO_ONLY
+        assert report.nonzero_values() == ()
 
 
 def _mp_small_root(omega: float, kappa: float) -> float:

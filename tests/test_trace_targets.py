@@ -54,6 +54,22 @@ def test_one_candidate_roots_span_per_classification(traced):
     assert len(tracer.spans("dispersion.candidate_roots", "")) == 2
 
 
+def test_scan_reaches_the_scalar_path_through_module_attributes(traced, tmp_path):
+    # the trace divides by the spans of the scan's scalar fallback, so the
+    # scan must reach it through cli's and dispersion's attributes; the cell
+    # (0, 0) of this 3 x 3 grid is KolokolovCritical and takes that path
+    tracer = traced.Tracer()
+    argv = ["scan", "--omega-min", "0", "--omega-max", "0.1", "--omega-step", "0.05",
+            "--kappa-min", "0", "--kappa-max", "0.1", "--kappa-step", "0.05", "-o", str(tmp_path / "map.csv")]
+    with tracer.installed(traced.targets(cli, dispersion, lattice)):
+        assert cli.main(argv) == 0
+    for name in ("cli.write_scan_csv", "cli.scan_rows"):
+        assert len(tracer.spans(name, "")) == 1, name
+    for name in ("dispersion.classify_point_spectrum", "cli.region_code_from_report", "dispersion.cubic_data",
+                 "dispersion.cubic_roots", "dispersion.candidate_roots"):
+        assert tracer.spans(name, ""), name
+
+
 def test_one_oracle_span_per_oracle_point(traced, capsys):
     # the trace divides by the oracle_mismatches and axis_scan_roots spans, so
     # the oracle suite must still make one of each per point, 3 x 3 here; its

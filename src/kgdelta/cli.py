@@ -9,11 +9,12 @@ Four subcommands:
   pipeline, and the dense axis scans.
 
 Exit codes: 0 success, 1 validation failure, 2 invalid parameters or an
-output file that cannot be written, 3 simulation aborted by the blow-up
-guard, 141 (128 + SIGPIPE) standard output closed by its reader.  Scans
-run serially: blocks of cells go through the array classifier, and the few
-cells it leaves open through the scalar one, so output files are
-byte-identical to a cell-by-cell scan.  What is left per cell is that
+output file that cannot be written (found before any work), 3 simulation
+aborted by the blow-up guard, 141 (128 + SIGPIPE) standard output closed by
+its reader.  Scans run serially: blocks of cells go through the array
+classifier, and the few cells it leaves open through the scalar one, so
+output files are byte-identical to a cell-by-cell scan; each block's rows
+are written as they are formed.  What is left per cell is that
 scalar fallback and the three ``%.12g`` value columns; the axis columns are
 formatted once per value.  ``--threads`` is accepted and ignored.
 """
@@ -32,6 +33,7 @@ import time
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -76,7 +78,7 @@ def region_code_from_report(report: SpectrumReport) -> RegionCode:
 
 
 #: Most cells one scan may have: twice the 1e6-cell zooms onto a critical
-#: curve, 250 times the README grid.  Its CSV lines take about 0.35 GB.
+#: curve, 250 times the README grid.  Its rows are written block by block.
 MAX_SCAN_CELLS = 2_000_000
 
 
@@ -207,16 +209,15 @@ def _blocks(cells: Iterable[tuple[float, float]]) -> Iterator[tuple[tuple[float,
         yield tuple(zip(*block))
 
 
-def _cell_rows(
+def _row_blocks(
     m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter | None = None
-) -> list[str]:
-    """The CSV data lines of ``(omega, kappa)`` cells, in order.
+) -> Iterator[list[str]]:
+    """The CSV data lines of ``(omega, kappa)`` cells, one list per block, in order.
 
     Blocks of cells go through the array classifier, the cells it leaves open
     through the scalar one; ``tally`` counts those (``"scalar"``) and the cells
     of each :class:`RegionCode`.  The axis columns are formatted once per value.
     """
-    lines: list[str] = []
     omega_cols: dict = {}
     kappa_cols: dict = {}
     names = [code.value for code in _REGIONS]
@@ -237,35 +238,50 @@ def _cell_rows(
         k_cols, ki = _axis_fields(kappa_cols, _kappa_fields, m, ks)
         values = lams.real.tolist(), lams.imag.tolist(), deltas.tolist()
         rows = zip(wi.tolist(), ki.tolist(), codes.tolist(), *values)
-        lines += [_row(w_cols[a], k_cols[b], names[c], re, im, d) for a, b, c, re, im, d in rows]
-    return lines
+        yield [_row(w_cols[a], k_cols[b], names[c], re, im, d) for a, b, c, re, im, d in rows]
 
 
-def scan_rows(cfg: ScanConfig, tally: Counter | None = None) -> list[str]:
-    """All CSV data lines of the scan, row-major in omega then kappa."""
+def _cell_rows(
+    m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter | None = None
+) -> list[str]:
+    """The CSV data lines of ``(omega, kappa)`` cells, in order (see :func:`_row_blocks`)."""
+    return list(itertools.chain.from_iterable(_row_blocks(m, cells, band, tally)))
+
+
+def scan_rows(cfg: ScanConfig, tally: Counter | None = None, *, out: TextIO | None = None) -> list[str] | None:
+    """All CSV data lines of the scan, row-major in omega then kappa; with
+    ``out``, written to it newline-terminated block by block instead."""
     kappas = cfg.kappas()
     cells = ((w, k) for w in cfg.omegas() for k in kappas)
-    return _cell_rows(cfg.m, cells, cfg.band, tally)
+    if out is None:
+        return _cell_rows(cfg.m, cells, cfg.band, tally)
+    for lines in _row_blocks(cfg.m, cells, cfg.band, tally):
+        out.write("\n".join(lines) + "\n")
+    return None
+
+
+def _temp_file_beside(path: str, prefix: str) -> tuple[int, str]:
+    """``tempfile.mkstemp`` in ``path``'s directory; its error names ``path``."""
+    try:
+        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
     """Write the region map, via a temp file renamed on completion.
 
-    Returns the tally of :func:`scan_rows`: ``"scalar"``, the number of cells
-    that took the scalar classifier, and the number of cells of each
-    :class:`RegionCode`.
+    The temp file is made before the first cell is classified.  Returns the
+    tally of :func:`scan_rows`: ``"scalar"``, the number of cells that took
+    the scalar classifier, and the number of cells of each :class:`RegionCode`.
     """
     tally: Counter = Counter()
-    lines = scan_rows(cfg, tally)
     header = "# kgdelta-scan schema=1 config=" + json.dumps(asdict(cfg), sort_keys=True)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".scan-", suffix=".tmp")
+    fd, tmp = _temp_file_beside(path, ".scan-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(header + "\n")
-            fh.write(SCAN_COLUMNS + "\n")
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write(header + "\n" + SCAN_COLUMNS + "\n")
+            scan_rows(cfg, tally, out=fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -508,6 +524,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     else:
         nl = PowerLaw(g=args.coupling, kappa=args.kappa)
+    csv_path = args.output + ".csv"
+    json_path = args.output + ".json"
+    fd, tmp = _temp_file_beside(csv_path, ".simulate-")  # fails before any work
+    os.close(fd)
+    os.unlink(tmp)
     # classified first: a point the classifier cannot certify writes no files
     spec = classify_point_spectrum(p)
     predicted = spec.verdict
@@ -521,8 +542,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         record_every=args.record_every,
     )
-    csv_path = args.output + ".csv"
-    json_path = args.output + ".json"
     report.write_csv(csv_path)
 
     d = report.orbital_distance

@@ -41,6 +41,7 @@ from kgdelta.dispersion import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
+from kgdelta.lattice import DefectLattice
 
 
 class TestSpectrumCommand:
@@ -409,6 +410,58 @@ class TestScan:
         assert [p.name for p in tmp_path.iterdir()] == ["map.csv"]
         assert [p.name for p in target.iterdir()] == ["kept"]
 
+    def test_unwritable_output_names_its_path_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # the temp file is made first, so no block is classified; the error
+        # names the path given, not the temp file beside it
+        calls = []
+        classify = kgdelta.cli._classify_arrays
+        monkeypatch.setattr(kgdelta.cli, "_classify_arrays", lambda *a: calls.append(1) or classify(*a))
+        monkeypatch.chdir(tmp_path)
+        argv = ["scan", "--omega-min", "0", "--omega-max", "0.1", "--omega-step", "0.05",
+                "--kappa-min", "0", "--kappa-max", "0.1", "--kappa-step", "0.05", "-o", "missing/map.csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing/map.csv" in err and ".scan-" not in err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_raising_mid_grid_leaves_no_file(self, tmp_path, monkeypatch):
+        # the temp file exists from the first block on, so a later raise unlinks it
+        calls = []
+        classify = kgdelta.cli._classify_arrays
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("second block")
+            return classify(*args)
+
+        monkeypatch.setattr(kgdelta.cli, "_classify_arrays", failing)
+        cfg = ScanConfig(m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+                         kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05)
+        with pytest.raises(RuntimeError, match="second block"):
+            write_scan_csv(cfg, str(tmp_path / "map.csv"))
+        assert len(calls) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_is_one_block_at_any_grid_size(self, tmp_path):
+        # the rows go to the file block by block: a scan that kept every line
+        # peaked 2.7 times higher at 31,137 cells than at 7,857
+        def peak(kappa_step: float) -> int:
+            cfg = ScanConfig(m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
+                             kappa_min=-2.0, kappa_max=2.0, kappa_step=kappa_step)
+            tracemalloc.start()
+            try:
+                write_scan_csv(cfg, str(tmp_path / f"{kappa_step}.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(0.05), peak(0.0125)
+        for kappa_step, cells in ((0.05, 7_857), (0.0125, 31_137)):
+            assert len((tmp_path / f"{kappa_step}.csv").read_text().splitlines()) == 2 + cells
+        assert large < 1.25 * small
+
     def test_cell_cap_fails_before_building_the_grid(self):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MAX_SCAN_CELLS"):
@@ -643,6 +696,22 @@ class TestArrayPathProperty:
 
 
 class TestSimulateCommand:
+    def test_unwritable_output_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # the lattice_stable arguments took half a second to find out
+        calls = Counter()
+        classify, step = kgdelta.cli.classify_point_spectrum, DefectLattice.step
+        monkeypatch.setattr(kgdelta.cli, "classify_point_spectrum",
+                            lambda *a, **k: calls.update(["classify"]) or classify(*a, **k))
+        monkeypatch.setattr(DefectLattice, "step", lambda *a: calls.update(["step"]) or step(*a))
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "-m", "1", "-w", "0.6", "-k", "0.1", "-g", "1", "--eps", "1e-3", "-T", "50",
+                "--record-every", "25", "-o", "missing/run"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing/run.csv" in err and ".simulate-" not in err
+        assert calls == Counter()
+        assert list(tmp_path.iterdir()) == []
+
     def test_stationary_run(self, tmp_path, capsys):
         prefix = str(tmp_path / "run")
         rc = main(

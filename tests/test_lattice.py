@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,24 @@ def test_overflow_is_never_recorded():
         assert np.all(np.isfinite(series))
     summary = rep.summary()
     assert all(math.isfinite(summary[k]) for k in ("energy_drift", "charge_drift", "max_orbital_distance"))
+
+
+def test_records_take_one_float64_column_each():
+    # the four series fill one array allocated up front, handed on without a
+    # copy: Python lists took 163 B a record, a copy at the end 64 B
+    sim = DefectLattice(PowerLaw(1.0, 0.1), ModelParams(1.0, 0.9, 0.1), Grid(half_length=4.0, n_points=401))
+    dt = sim.default_dt()
+
+    def peak(records: int) -> int:
+        tracemalloc.start()
+        try:
+            rep = sim.run_experiment(epsilon=1e-3, horizon=(records - 1) * dt, dt=dt)
+            assert len(rep.times) == records
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(10_001) - peak(5_001)) / 5_000 <= 40.0
 
 
 class TestBlowupGuard:

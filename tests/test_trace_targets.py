@@ -69,6 +69,19 @@ def test_scan_reaches_the_scalar_path_through_module_attributes(traced, tmp_path
                  "dispersion.cubic_roots", "dispersion.candidate_roots"):
         assert tracer.spans(name, ""), name
 
+    def ancestors(i):
+        while (i := tracer.parents[i]) >= 0:
+            yield i
+
+    # traced.py takes the serial cells/s from the scan_rows span and csv_write_ms
+    # from write_scan_csv minus it: the classification must run inside scan_rows,
+    # and scan_rows inside write_scan_csv
+    [rows], [write] = tracer.spans("cli.scan_rows", ""), tracer.spans("cli.write_scan_csv", "")
+    for i in tracer.spans("dispersion.classify_point_spectrum", ""):
+        assert rows in ancestors(i)
+    assert write in ancestors(rows)
+    assert tracer.starts[write] <= tracer.starts[rows] < tracer.ends[rows] <= tracer.ends[write]
+
 
 def test_one_oracle_span_per_oracle_point(traced, capsys):
     # the trace divides by the oracle_mismatches and axis_scan_roots spans, so

@@ -22,6 +22,8 @@ formatted once per value.  ``--threads`` is accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import gc
 import itertools
 import json
@@ -54,7 +56,7 @@ from .dispersion import (
     virtual_level_exponent,
     virtual_level_frequency,
 )
-from .dispersion import _REGIONS, _classify_arrays, _delta_at_mass, _distinct_bits, _unit
+from .dispersion import _REGIONS, _classify_arrays, _delta_at_mass, _distinct_bits, _if, _unit
 from .lattice import DefectLattice, Grid
 from .model import ModelParams, PowerLaw, effective_kappa, nonlinearity_from_config, solve_amplitude
 from .spectra import Verdict, lambda_pm, scalar_eigenvalue
@@ -144,15 +146,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _representative(values: tuple[complex, ...], virtual: tuple[complex, ...]) -> complex:
-    # the eigenvalue in the right half plane (or on the upper imaginary axis)
-    # of largest modulus, else the upper virtual level, else zero
-    nonzero = [z for z in values if z.real > 0 or (z.real == 0 and z.imag > 0)]
-    if nonzero:
-        return max(nonzero, key=abs)
-    if virtual:
-        return max(virtual, key=lambda z: z.imag)
-    return 0j
+def _upper(z, where=_if):
+    """``z`` or ``-z``, whichever lies in the right half plane or on the upper imaginary axis; numbers or arrays."""
+    return where((z.real > 0.0) | ((z.real == 0.0) & (z.imag >= 0.0)), z, -z)
 
 
 def _omega_fields(m: float, omega: float) -> tuple[str, str]:
@@ -178,7 +174,8 @@ def _classify_scalar(
     p = ModelParams(m=m, omega=omega, kappa=kappa)
     report = classify_point_spectrum(p, boundary_tol=band)
     code = region_code_from_report(report)
-    lam = _representative(report.nonzero_values(), report.virtual_levels)
+    # the pair's upper member, else the upper virtual level, else zero
+    lam = _upper((report.nonzero_values() or report.virtual_levels or (0j,))[0])
     delta = _delta_at_mass(m, cubic_data(_unit(p)).delta)
     return code, lam, delta if math.isfinite(delta) else cubic_data(p).delta  # CubicOverflow past float64
 
@@ -224,9 +221,7 @@ def _row_blocks(
     for omegas, kappas in _blocks(cells):
         ws, ks = np.array(omegas, dtype=float), np.array(kappas, dtype=float)
         codes, pairs, deltas = _classify_arrays(m, ws, ks, band)
-        # _representative of +-pair: right half plane or upper imaginary axis; 0 in ZeroOnly
-        up = (pairs.real > 0.0) | ((pairs.real == 0.0) & (pairs.imag >= 0.0))
-        lams = np.where(up, pairs, -pairs)
+        lams = _upper(pairs, np.where)
         scalar = np.flatnonzero(codes < 0).tolist()
         for i in scalar:
             code, lams[i], deltas[i] = _classify_scalar(m, omegas[i], kappas[i], band)
@@ -260,12 +255,44 @@ def scan_rows(cfg: ScanConfig, tally: Counter | None = None, *, out: TextIO | No
     return None
 
 
-def _temp_file_beside(path: str, prefix: str) -> tuple[int, str]:
-    """``tempfile.mkstemp`` in ``path``'s directory; its error names ``path``."""
+def _temp_file_beside(path: str, prefix: str) -> str:
+    """An empty temporary file in ``path``'s directory, with the mode a new file there gets.
+
+    Its error names ``path``, as does the one for a ``path`` that is a
+    directory, which the rename onto it would only find after the work.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
-        return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix, suffix=".tmp")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    os.close(fd)
+    umask = os.umask(0o022)
+    os.umask(umask)
+    os.chmod(tmp, 0o666 & ~umask)  # mkstemp's is 0o600
+    return tmp
+
+
+@contextlib.contextmanager
+def _replacing(prefix: str, *paths: str) -> Iterator[list[str]]:
+    """Temporary files beside ``paths``, made before the block and renamed onto them once it completes.
+
+    A path that cannot be written fails before the block does any work
+    (:func:`_temp_file_beside`); where the block raises, the temporary files
+    are removed and no path is touched.
+    """
+    temps: list[str] = []
+    try:
+        for path in paths:
+            temps.append(_temp_file_beside(path, prefix))
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
@@ -277,16 +304,9 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
     """
     tally: Counter = Counter()
     header = "# kgdelta-scan schema=1 config=" + json.dumps(asdict(cfg), sort_keys=True)
-    fd, tmp = _temp_file_beside(path, ".scan-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(header + "\n" + SCAN_COLUMNS + "\n")
-            scan_rows(cfg, tally, out=fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _replacing(".scan-", path) as (tmp,), open(tmp, "w", newline="") as fh:
+        fh.write(header + "\n" + SCAN_COLUMNS + "\n")
+        scan_rows(cfg, tally, out=fh)
     return tally
 
 
@@ -524,50 +544,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     else:
         nl = PowerLaw(g=args.coupling, kappa=args.kappa)
-    csv_path = args.output + ".csv"
-    json_path = args.output + ".json"
-    fd, tmp = _temp_file_beside(csv_path, ".simulate-")  # fails before any work
-    os.close(fd)
-    os.unlink(tmp)
-    # classified first: a point the classifier cannot certify writes no files
-    spec = classify_point_spectrum(p)
-    predicted = spec.verdict
-    predicted_rate = max((z.real for z in spec.nonzero_values() if z.real > 0), default=None)
-    grid = Grid.for_run(p, horizon=args.horizon, target_h=args.grid_h, half_length=args.half_length)
-    sim = DefectLattice(nl, p, grid)
-    report = sim.run_experiment(
-        epsilon=args.eps,
-        horizon=args.horizon,
-        dt=args.dt,
-        seed=args.seed,
-        record_every=args.record_every,
-    )
-    report.write_csv(csv_path)
+    csv_path, json_path = args.output + ".csv", args.output + ".json"
+    # both files are made before any work, and neither appears unless both are written
+    with _replacing(".simulate-", csv_path, json_path) as (csv_tmp, json_tmp):
+        # classified first: a point the classifier cannot certify writes no files
+        spec = classify_point_spectrum(p)
+        predicted = spec.verdict
+        predicted_rate = max((z.real for z in spec.nonzero_values() if z.real > 0), default=None)
+        grid = Grid.for_run(p, horizon=args.horizon, target_h=args.grid_h, half_length=args.half_length)
+        sim = DefectLattice(nl, p, grid)
+        report = sim.run_experiment(
+            epsilon=args.eps,
+            horizon=args.horizon,
+            dt=args.dt,
+            seed=args.seed,
+            record_every=args.record_every,
+        )
+        report.write_csv(csv_tmp)
 
-    d = report.orbital_distance
-    initial, peak = float(d[0]), float(np.max(d))
-    if report.aborted:
-        # the blow-up guard stopped the run
-        observed = "growing"
-    elif initial > 0.0:
-        observed = "growing" if peak > 100.0 * initial else "bounded"
-    else:
-        observed = "stationary" if peak <= 1e-9 else "drifting"
-    agreement = (predicted is Verdict.STABLE) == (observed in ("bounded", "stationary"))
+        d = report.orbital_distance
+        initial, peak = float(d[0]), float(np.max(d))
+        if report.aborted:
+            # the blow-up guard stopped the run
+            observed = "growing"
+        elif initial > 0.0:
+            observed = "growing" if peak > 100.0 * initial else "bounded"
+        else:
+            observed = "stationary" if peak <= 1e-9 else "drifting"
+        agreement = (predicted is Verdict.STABLE) == (observed in ("bounded", "stationary"))
 
-    summary = report.summary()
-    summary.update(
-        {
-            "verdict_predicted": predicted.value,
-            "observed": observed,
-            "verdict_agreement": agreement,
-            "predicted_rate": predicted_rate,
-            "series_csv": os.path.basename(csv_path),
-        }
-    )
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        summary = report.summary()
+        summary.update(
+            {
+                "verdict_predicted": predicted.value,
+                "observed": observed,
+                "verdict_agreement": agreement,
+                "predicted_rate": predicted_rate,
+                "series_csv": os.path.basename(csv_path),
+            }
+        )
+        with open(json_tmp, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     print(f"predicted: {predicted.value}; observed: {observed}; agreement: {agreement}")
     if report.fitted_rate is not None:

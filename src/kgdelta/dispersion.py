@@ -35,7 +35,9 @@ array path keeps the scalar bits of ``c, p, q, delta``, the roots, the
 candidates (:func:`_candidates`) and ``lambda``.  The candidate test is shared
 too: the exponents (:func:`_nu`), ``|D|`` and its scale (:func:`_measure`),
 the pre-squaring identity (:func:`_identity`) and the threshold comparisons
-(:func:`_verdict`).  numpy's complex square root may differ from ``cmath``'s
+(:func:`_verdict`).  So are the dedupe of the accepted roots (:func:`_kept`)
+and the region's pick of the eigenvalue pair (:func:`_region_pairs`), which
+the scalar path runs on a row of one cell.  numpy's complex square root may differ from ``cmath``'s
 in the last bits, so the array path passes ``_GRID_MARGIN`` to the
 comparisons where the scalar path passes none.  ``D`` is homogeneous in
 ``m``, so both decide at ``(1, omega/m, kappa)`` (:func:`_unit`) and scale by
@@ -600,17 +602,23 @@ def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCand
     return _at_mass(out, params.m)
 
 
-def _same_point(z: complex, r: complex) -> bool:
-    """Whether ``z`` is the spectral point ``r``, to ``1e-8`` in units of ``m``."""
-    return abs(z - r) <= 1e-8 * (1.0 + abs(r))
+def _candidate_row(cands: list[RootCandidate]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lambda`` of ``cands`` and which are accepted, as one row of :func:`_cell_candidates`' six."""
+    pad = 6 - len(cands)
+    return np.array([[c.lam for c in cands] + [0j] * pad]), np.array([[c.accepted for c in cands] + [False] * pad])
 
 
-def _distinct(values: list[complex]) -> list[complex]:
-    roots: list[complex] = []
-    for z in values:
-        if not any(_same_point(z, r) for r in roots):
-            roots.append(z)
-    return roots
+def _kept(lam: np.ndarray, accept: np.ndarray) -> np.ndarray:
+    """Of each row's accepted ``lambda``, those that are distinct spectral points, to ``1e-8`` in units of ``m``.
+
+    A candidate is dropped where it lies within ``1e-8 (1 + |r|)`` of a root
+    ``r`` kept before it in its row.
+    """
+    kept = accept.copy()
+    tol = 1e-8 * (1.0 + abs(lam))
+    for j in range(1, lam.shape[1]):
+        kept[:, j] &= ~(kept[:, :j] & (abs(lam[:, j, None] - lam[:, :j]) <= tol[:, :j])).any(axis=1)
+    return kept
 
 
 def _unit_candidates(p: ModelParams, q_offset: float = 0.0) -> list[RootCandidate]:
@@ -623,8 +631,8 @@ def _unit_candidates(p: ModelParams, q_offset: float = 0.0) -> list[RootCandidat
 
 def accepted_roots(params: ModelParams, q_offset: float = 0.0) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline, told apart at ``m = 1``."""
-    cands = _unit_candidates(params, q_offset)
-    return [_times(params.m, z) for z in _distinct([c.lam for c in cands if c.accepted])]
+    lam, accept = _candidate_row(_unit_candidates(params, q_offset))
+    return [_times(params.m, z) for z in lam[_kept(lam, accept)].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -762,78 +770,54 @@ class SpectrumReport:
         return json.dumps(self.to_dict(verbose=verbose), indent=2, allow_nan=False)
 
 
-def _check_symmetry(values: list[complex]) -> None:
-    # point spectrum must be invariant under lam -> -lam and lam -> conj(lam)
-    for v in values:
-        for image in (-v, v.conjugate(), -v.conjugate()):
-            if not any(_same_point(u, image) for u in values):
-                raise ClassificationError(
-                    f"accepted spectrum breaks +-/conjugation symmetry at {v}"
-                )
+#: Why the kept roots do not fit a region (:func:`_region_pairs`): they do
+#: (``0``), its axis holds none, its pick breaks the +-/conjugation symmetry,
+#: or a root in ZeroOnly is none of its grazing kinds.
+_FITS, _NO_ROOT, _ASYMMETRIC, _STRAY = range(4)
+
+#: ZeroOnly's grazing flags, in :func:`_region_pairs`' order.
+_GRAZING = ("near-threshold", "zero-cluster", "on-cut-resonance")
 
 
-def _region_pair(
-    region: RegionCode, accepted: list[complex], w: float, k: float
-) -> tuple[complex | None, list[str]]:
-    """The upper value at ``(1, w, k)`` of the nonzero pair ``region`` calls for, and its flags.
+def _region_pairs(codes: np.ndarray, lam: np.ndarray, kept: np.ndarray, gap: np.ndarray) -> tuple:
+    """The nonzero pair each cell's region calls for, from its kept roots at ``m = 1``.
 
-    The value is ``None`` in ZeroOnly and on the boundary codes; the flags are
-    ZeroOnly's grazing flags.  Raises :class:`ClassificationError` where the
-    accepted roots do not fit the region.
+    ``codes`` index ``_REGIONS``, each row of ``lam`` holds a cell's
+    candidates with ``kept`` its distinct accepted ones (:func:`_kept`), and
+    ``gap = 1 - |omega/m|``.  RealPair picks the kept root of largest
+    modulus on the positive real axis, ImaginaryPair and EmbeddedPair on the
+    upper imaginary axis, each axis to ``1e-8`` relative; an exactly real or
+    imaginary pick is symmetric as it stands, any other must pass
+    ``lam -> -lam, conj(lam)`` to ``1e-8 (1 + |z|)``.  ZeroOnly (``kappa <=
+    K(omega)`` off the line ``kappa = 0``, the pair gone onto an unphysical
+    sheet) picks nothing but tolerates grazing roots, which it flags: within
+    float resolution of the gap threshold (virtual-level remnants), within
+    the resolution of the double root at zero (only in a ~1e-7 shell around
+    ``kappa = -1``, where a resonance crosses zero), and on the cut beyond
+    the threshold (for small ``|kappa|`` the resonance left by the embedded
+    pair ``+-2i*omega`` of ``kappa = 0`` is closer to it than the residual
+    resolves).  Returns the picked value (``0`` where the region calls for
+    none), why the roots do not fit the region (``_FITS`` where they do),
+    and which kept roots are of each ``_GRAZING`` kind, in ZeroOnly cells.
     """
-    gap = 1.0 - abs(w)
+    re, im, size = lam.real, lam.imag, abs(lam)
+    real = (codes == _REAL)[:, None]
+    on_axis = kept & (abs(np.where(real, im, re)) <= 1e-8 * size) & (np.where(real, re, im) > 0.0)
+    z = lam[np.arange(len(lam)), np.argmax(np.where(on_axis, size, -1.0), axis=1)]
+    # [0, z, -z] is symmetric where conj(z) is one of them: |z|, 2|Re z| and 2|Im z| away
+    tol = 1e-8 * (1.0 + abs(z))
+    skew = (z.real != 0.0) & (z.imag != 0.0) & (abs(z) > tol) & (2.0 * abs(z.real) > tol) & (2.0 * abs(z.imag) > tol)
 
-    def _pick(predicate, what: str) -> complex:
-        sel = [z for z in accepted if predicate(z)]
-        if not sel:
-            raise ClassificationError(
-                f"no accepted {what} root at (omega/m={w}, kappa={k}); "
-                f"accepted={accepted} in units of m"
-            )
-        z = max(sel, key=abs)
-        if z.real and z.imag:  # an exactly real or imaginary pair is symmetric as it stands
-            _check_symmetry([0j, z, -z])
-        return z
+    gap = gap[:, None]
+    zero_only = kept & (codes == _ZERO)[:, None]
+    near = zero_only & (abs(abs(im) - gap) <= 1e-6 * (1.0 + gap))
+    cluster = zero_only & ~near & (size <= 1e-4)
+    others = zero_only & ~near & ~cluster
+    on_cut = others & (abs(re) <= 1e-8 * size) & (abs(im) > gap)
 
-    if region is RegionCode.REAL_PAIR:
-        return _pick(lambda z: abs(z.imag) <= 1e-8 * abs(z) and z.real > 0, "real"), []
-    if region is RegionCode.ZERO_ONLY:
-        # kappa <= K(omega) off the line kappa = 0: the nonzero pair has
-        # crossed onto an unphysical sheet.  Grazing acceptance is tolerated
-        # and flagged: roots within float resolution of the gap threshold
-        # (virtual-level remnants), roots within the resolution of the
-        # ever-present double root at zero (only in a ~1e-7 shell around
-        # kappa = -1, where a resonance crosses zero), and roots on the cut
-        # beyond the threshold (for small |kappa| the resonance left by the
-        # embedded pair +-2i*omega of kappa = 0 is closer to it than the
-        # residual resolves).
-        flags: list[str] = []
-        near_threshold = [
-            z for z in accepted if abs(abs(z.imag) - gap) <= 1e-6 * (1.0 + gap)
-        ]
-        zero_cluster = [
-            z for z in accepted if abs(z) <= 1e-4 and z not in near_threshold
-        ]
-        others = [z for z in accepted if z not in near_threshold and z not in zero_cluster]
-        on_cut = [z for z in others if abs(z.real) <= 1e-8 * abs(z) and abs(z.imag) > gap]
-        if near_threshold:
-            flags.append("near-threshold")
-        if zero_cluster:
-            flags.append("zero-cluster")
-        if on_cut:
-            flags.append("on-cut-resonance")
-        stray = [z for z in others if z not in on_cut]
-        if stray:
-            raise ClassificationError(
-                f"unexpected accepted roots {stray} in units of m at (omega/m={w}, kappa={k})"
-            )
-        return None, flags
-    if region in (RegionCode.IMAGINARY_PAIR, RegionCode.EMBEDDED_PAIR):
-        # an imaginary pair: inside the gap, or on the line kappa = 0 the
-        # decoupled pair +-2i*omega, embedded once it reaches the threshold
-        what = "embedded imaginary" if region is RegionCode.EMBEDDED_PAIR else "in-gap imaginary"
-        return _pick(lambda z: abs(z.real) <= 1e-8 * abs(z) and 0.0 < z.imag, what), []
-    return None, []
+    paired, found = (_REAL <= codes) & (codes <= _EMB), on_axis.any(axis=1)
+    why = np.where(paired, np.where(found, _ASYMMETRIC * skew, _NO_ROOT), _STRAY * (others & ~on_cut).any(axis=1))
+    return np.where(paired & found, z, 0.0), why, (near, cluster, on_cut)
 
 
 def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) -> SpectrumReport:
@@ -853,14 +837,27 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     jordan = zero_jordan_structure(p)
     verdict = stability_verdict(p)
     cands = _unit_candidates(p)
-    accepted = _distinct([c.lam for c in cands if c.accepted])
     region = region_code(1.0, w, k, boundary_tol)
+    code = _REGIONS.index(region)
+    row, accept = _candidate_row(cands)
+    kept = _kept(row, accept)
+    pairs, why, grazing = _region_pairs(np.array([code]), row, kept, np.array([1.0 - abs(w)]))
+    lam = pairs.item()
+    if why[0] == _NO_ROOT:
+        what = {_REAL: "real", _EMB: "embedded imaginary"}.get(code, "in-gap imaginary")
+        raise ClassificationError(f"no accepted {what} root at (omega/m={w}, kappa={k}); "
+                                  f"accepted={row[kept].tolist()} in units of m")
+    if why[0] == _ASYMMETRIC:
+        raise ClassificationError(f"accepted spectrum breaks +-/conjugation symmetry at {lam}")
+    if why[0] == _STRAY:
+        stray = row[kept & ~(grazing[0] | grazing[1] | grazing[2])].tolist()
+        raise ClassificationError(f"unexpected accepted roots {stray} in units of m at (omega/m={w}, kappa={k})")
 
     entries: list[SpectralPoint] = [
         SpectralPoint(0j, geometric_mult=jordan.geometric, algebraic_mult=jordan.algebraic)
     ]
     virtual: tuple[complex, ...] = ()
-    lam, flags = _region_pair(region, accepted, w, k)
+    flags = [flag for flag, roots in zip(_GRAZING, grazing) if roots.any()]
 
     if region is RegionCode.KOLOKOLOV_CRITICAL:
         flags.append("kolokolov-critical")
@@ -870,7 +867,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
         if abs(w) <= boundary_tol and abs(k + 0.5) <= boundary_tol:
             # omega = 0, kappa = -1/2: both gap thresholds coincide at +-i*m
             flags.append("threshold-overlap")
-    elif lam is not None:
+    elif lam:
         # a real pair, an in-gap imaginary pair, or the embedded pair of the
         # line kappa = 0 (a real pair has |kappa| > boundary_tol)
         lam = _times(m, lam)
@@ -956,12 +953,14 @@ def accepted_cells(m: float, omegas: list[float], kappas: list[float], q_offset:
     if not (0.0 < m < math.inf and (np.abs(ws) < m).all() and np.isfinite(ks).all()):
         raise ValueError(f"cells must have |omega| < m and a finite kappa at a positive, finite m = {m}")
     _, _, lam, accept, open_cells, _ = _cell_candidates(m, ws, ks, q_offset)
+    with np.errstate(all="ignore"):  # the candidates of a cubic that overflows are NaN
+        kept = _kept(lam, accept)
     out = []
-    for w, k, zs, oks, shut in zip(omegas, kappas, lam.tolist(), accept.tolist(), open_cells.tolist()):
+    for w, k, zs, oks, shut in zip(omegas, kappas, lam.tolist(), kept.tolist(), open_cells.tolist()):
         if shut:
             out.append(accepted_roots(ModelParams(m, w, k), q_offset))
         else:
-            out.append([_times(m, z) for z in _distinct(list(itertools.compress(zs, oks)))])
+            out.append([_times(m, z) for z in itertools.compress(zs, oks)])
     return out
 
 
@@ -1033,31 +1032,15 @@ def _classify_arrays(m: float, omegas: np.ndarray, kappas: np.ndarray, band: flo
     its threshold by ``_GRID_MARGIN`` of its scale.  Open are the boundary
     codes, a cubic with ``p = q = 0`` or that overflows, near misses,
     decisions inside the margin, roots that do not fit the region and a
-    ``delta`` that overflows at ``m``.  :func:`_region_pair` runs cell by
-    cell only where its pick is not plain.
+    ``delta`` that overflows at ``m``.  The dedupe (:func:`_kept`) and the
+    pick (:func:`_region_pairs`) are the scalar classifier's own, on a block.
     """
-    n = len(omegas)
     (wu, wi), (ku, ki), lam, accept, open_cells, delta = _cell_candidates(m, omegas, kappas)
     with np.errstate(all="ignore"):
         codes = _region_cells(np.abs(wu), wi, ku, ki, band)
         delta = _delta_at_mass(m, delta)
-    open_cells |= ~np.isfinite(delta) | (codes >= _KOL)
-
-    # _region_pair's pick where it is plain: no accepted root in ZeroOnly, else
-    # only +-z of one cubic root, z on the axis the region names
-    z = lam[np.arange(n), np.argmax(accept, axis=1)]
-    along, across = np.where(codes == _REAL, z.real, z.imag), np.where(codes == _REAL, z.imag, z.real)
-    one_root = (accept.sum(axis=1) == 2) & accept.reshape(n, 3, 2).all(axis=2).any(axis=1)
-    plain = np.where(codes == _ZERO, ~accept.any(axis=1), one_root & (across == 0.0) & (abs(z) > 1e-6))
-    pairs = np.where(plain & (codes != _ZERO), np.where(along > 0.0, z, -z), 0.0)
-    codes = np.where(open_cells, -1, codes)
-    for i in np.flatnonzero(~plain & ~open_cells).tolist():
-        roots = _distinct([z for z, ok in zip(lam[i].tolist(), accept[i].tolist()) if ok])
-        try:
-            got, _ = _region_pair(_REGIONS[codes[i]], roots, float(wu[wi[i]]), float(kappas[i]))
-            pairs[i] = 0.0 if got is None else got
-        except ClassificationError:
-            codes[i] = -1
+        pairs, why, _ = _region_pairs(codes, lam, _kept(lam, accept), 1.0 - np.abs(wu[wi]))
+    codes = np.where(open_cells | ~np.isfinite(delta) | (codes >= _KOL) | (why != _FITS), -1, codes)
     with np.errstate(over="ignore"):  # _times; it overflows only where delta does, at open cells
         pairs.real, pairs.imag = m * pairs.real, m * pairs.imag
     return codes, pairs, delta

@@ -220,12 +220,23 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
     interpolant through the samples, with the derivative taken from the
     interpolant.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"the nonlinearity config must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
+
+    def field(key: str, convert=float):
+        """``convert(cfg[key])``, with an error that names ``key``."""
+        if key not in cfg:
+            raise ValueError(f"the {kind!r} nonlinearity config has no {key!r}")
+        try:
+            return convert(cfg[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"the nonlinearity config's {key!r} must be numeric, got {cfg[key]!r}") from None
+
     if kind == "power":
-        return PowerLaw(g=float(cfg["g"]), kappa=float(cfg["kappa"]))
+        return PowerLaw(g=field("g"), kappa=field("kappa"))
     if kind == "table":
-        tau = np.asarray(cfg["tau"], dtype=float)
-        vals = np.asarray(cfg["a"], dtype=float)
+        tau, vals = (field(key, lambda v: np.asarray(v, dtype=float)) for key in ("tau", "a"))
         if tau.ndim != 1 or tau.shape != vals.shape or tau.size < 2:
             raise ValueError("table coupling needs matching 1-d 'tau' and 'a' arrays")
         from scipy.interpolate import PchipInterpolator

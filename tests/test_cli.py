@@ -1138,6 +1138,41 @@ def test_unwritable_output_exits_2_without_traceback(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config",
+    ['{"type":"power"}', '{"type":"power","g":1,"kappa":null}', '{"type":"table","tau":[0,1]}',
+     '"power"', "null", "[1]"],
+)
+def test_malformed_nonlinearity_config_exits_2_without_traceback(tmp_path, capsys, config):
+    argv = ["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", str(tmp_path / "run"),
+            "--nonlinearity", config]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_writes_neither_file_when_one_cannot_be_written(tmp_path, capsys):
+    # run.json is a directory: the run.csv of a finished run was left behind
+    (tmp_path / "run.json").mkdir()
+    argv = ["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path / 'run.json'}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+    assert list((tmp_path / "run.json").iterdir()) == []
+
+
+def test_output_files_get_the_mode_of_a_new_file(tmp_path):
+    # the temporary files they are renamed from are made private
+    (tmp_path / "plain").write_text("")
+    assert main(["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", str(tmp_path / "run")]) == 0
+    assert main(["scan", "--omega-min", "0", "--omega-max", "0.1", "--omega-step", "0.05", "--kappa-min", "0",
+                 "--kappa-max", "0.1", "--kappa-step", "0.05", "-o", str(tmp_path / "map.csv")]) == 0
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain", "run.csv", "run.json", "map.csv"], modes["plain"])
+
+
 # The child runs the module named by its first argument as ``python -m``
 # does, and reports at exit whether the collector was frozen.
 _RUN_AS_MAIN = """
@@ -1234,6 +1269,26 @@ def test_console_script_is_the_module_entry():
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     assert [ast.unparse(node) for node in guard.body] == ["sys.exit(run())"]
     assert script_entry is entry.run
+
+
+def test_every_third_party_import_is_declared():
+    # `pip install -e .[test]` must bring every module that src/ and tests/ import
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + [r for extra in project["optional-dependencies"].values() for r in extra]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in requirements}
+    imported = set()
+    for path in [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    local = {"kgdelta"} | {path.stem for path in (root / "tests").glob("*.py")}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "scipy", "pytest", "hypothesis", "mpmath"} <= third_party
+    assert third_party <= declared
 
 
 def test_power_coupling_commands_load_no_scipy(tmp_path):

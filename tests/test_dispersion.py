@@ -17,6 +17,7 @@ from kgdelta import (
     D_eval,
     ModelParams,
     Q_eval,
+    RootCandidate,
     SheetSelector,
     accepted_roots,
     axis_scan_roots,
@@ -43,7 +44,6 @@ from kgdelta.dispersion import (
     _distinct_bits,
     _gap_axis_terms,
     _real_axis_terms,
-    _region_pair,
     accepted_cells,
 )
 from kgdelta.model import brentq
@@ -511,13 +511,22 @@ class TestClassification:
         assert rep.flags == ("virtual-level-curve-at-kappa-zero",)
         assert sorted(rep.nonzero_values(), key=lambda z: z.imag) == pytest.approx([-2j / 3, 2j / 3])
 
-    def test_region_pair_rejects_an_asymmetric_pick(self):
-        with pytest.raises(ClassificationError, match=re.escape("breaks +-/conjugation symmetry")):
-            _region_pair(RegionCode.REAL_PAIR, [4 + 3.5e-8j], 0.0, 1.0)
+    @staticmethod
+    def _classify_accepting(monkeypatch, p, roots):
+        # the pick sees only the accepted candidates, so hand it these as the cubic's
+        cands = [RootCandidate(z, PHYSICAL, 0.0, 1.0, True, 0, z * z, z * z) for z in roots]
+        monkeypatch.setattr(dispersion, "_unit_candidates", lambda *_: cands)
+        return classify_point_spectrum(p)
 
-    def test_region_pair_rejects_stray_roots_in_zero_only(self):
-        with pytest.raises(ClassificationError, match="unexpected accepted roots"):
-            _region_pair(RegionCode.ZERO_ONLY, [0.5 + 0j], 0.5, -0.2)
+    def test_region_pair_rejects_an_asymmetric_pick(self, monkeypatch):
+        # (1, 0, 1) is RealPair, and the pick's 2|Im z| = 7e-8 exceeds 1e-8 (1 + |z|)
+        with pytest.raises(ClassificationError, match=re.escape("breaks +-/conjugation symmetry at (4+3.5e-08j)")):
+            self._classify_accepting(monkeypatch, ModelParams(1.0, 0.0, 1.0), [4 + 3.5e-8j])
+
+    def test_region_pair_rejects_stray_roots_in_zero_only(self, monkeypatch):
+        # (1, 0.5, -0.2) is ZeroOnly, and 0.5 is neither at the threshold, at zero nor on the cut
+        with pytest.raises(ClassificationError, match=re.escape("unexpected accepted roots [(0.5+0j)] in units of m")):
+            self._classify_accepting(monkeypatch, ModelParams(1.0, 0.5, -0.2), [0.5 + 0j])
 
     def test_embedded_pair(self):
         rep = classify_point_spectrum(ModelParams(1.0, 0.5, 0.0))

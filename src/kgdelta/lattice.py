@@ -32,8 +32,10 @@ point of the semidiscrete flow to machine precision; perturbation growth
 measured on top of it is then dynamical, not an O(h^2) transient.  No
 global-existence claim is made: runs are finite-horizon, guarded against
 blow-up, and sized so that no radiation reflected off the far ends returns
-to the defect within the horizon (half-length >= 30/kap plus the horizon
-allowance).
+to the defect within the horizon: the half-length is at least 30/kap and
+at least horizon/2 + 10/kap, so radiation moving at most at unit speed
+from the perturbation's support |x| < 10/kap gets back to it only after
+2(L - 10/kap) >= horizon (see ``Grid.for_run``).
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ from .spectra import Verdict, stability_verdict
 
 __all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODES"]
 
-#: Most nodes a default grid may have: 160 times the larger benchmark
-#: lattice, 89 times the largest test lattice (11,251).  At the cap each
-#: complex field array takes 16 MB.
+#: Most nodes a default grid may have: 267 times the larger benchmark
+#: lattice (3,751), 104 times the largest test lattice (9,609).  At the cap
+#: each complex field array takes 16 MB.
 MAX_LATTICE_NODES = 1_000_000
 
 #: Most Verlet steps one run may take: 160 times the larger benchmark run
 #: (6,250).  Every step may be a record, and at the cap the four series take
-#: 32 MB, one float64 array allocated up front; the benchmark lattice steps
-#: through them in about a minute.
+#: 32 MB, one float64 array allocated up front; the larger benchmark lattice
+#: steps through them in about 30 s.
 MAX_LATTICE_STEPS = 1_000_000
 
 
@@ -137,8 +139,13 @@ class Grid:
         """Default grid: ``h = 0.02/max(kap, m)``, ends out of causal reach.
 
         ``half_length >= 30/kap`` keeps the Dirichlet walls irrelevant for the
-        profile; adding the horizon plus ``10/kap`` keeps reflected radiation
-        away from the defect for the whole run.
+        profile.  ``half_length >= horizon/2 + 10/kap`` keeps reflected
+        radiation away from the defect for the whole run: the perturbation
+        lies in ``|x| < 10/kap`` once ``L >= 30/kap``, and under the CFL bound
+        the Verlet lattice's group velocity is at most 1 (at ``m = 0`` it is
+        ``cos(kh/2)/sqrt(1 - (dt/h)^2 sin^2(kh/2))``).  So what leaves that
+        support comes back to it only after ``2(L - 10/kap) >= horizon``, and
+        what the defect emits later only after ``2L``.
         """
         if not (horizon >= 0.0 and math.isfinite(horizon)):
             raise ValueError(f"horizon must be finite and >= 0, got {horizon}")
@@ -148,7 +155,7 @@ class Grid:
         elif not (target_h > 0.0 and math.isfinite(target_h)):
             raise ValueError(f"grid spacing must be finite and > 0, got {target_h}")
         if half_length is None:
-            half_length = max(30.0 / kap, horizon + 10.0 / kap)
+            half_length = max(30.0 / kap, 0.5 * horizon + 10.0 / kap)
         span = 2.0 * half_length / target_h
         if not span < MAX_LATTICE_NODES:
             raise ValueError(
@@ -223,6 +230,8 @@ class RunReport:
     fitted_rate: float | None
     aborted: bool
     meta: dict = field(default_factory=dict)
+    #: records up to the last one in the fit window, when a rate is fitted
+    fit_end: int | None = None
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -231,8 +240,16 @@ class RunReport:
 
     @property
     def energy_drift(self) -> float:
-        e0 = self.energy[0]
-        return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-300))
+        return self._energy_drift(len(self.energy))
+
+    @property
+    def energy_drift_fit(self) -> float | None:
+        """The energy drift up to the fit window's last record; None if no rate is fitted."""
+        return None if self.fit_end is None else self._energy_drift(self.fit_end)
+
+    def _energy_drift(self, n: int) -> float:
+        e = self.energy[:n]
+        return float(np.max(np.abs(e - e[0])) / max(abs(e[0]), 1e-300))
 
     @property
     def charge_drift(self) -> float:
@@ -253,6 +270,7 @@ class RunReport:
                 "schema": 1,
                 "fitted_rate": self.fitted_rate,
                 "energy_drift": self.energy_drift,
+                "energy_drift_fit": self.energy_drift_fit,
                 "charge_drift": self.charge_drift,
                 "max_orbital_distance": float(np.max(self.orbital_distance)),
                 "final_time": float(self.times[-1]),
@@ -612,11 +630,13 @@ class DefectLattice:
         times_a, energies, charges, dists_a = series[:, :n]
         verdict = stability_verdict(self.params)
         rate: float | None = None
+        fit_end = None
         if verdict is Verdict.UNSTABLE and epsilon > 0.0:
             lo, hi = 10.0 * epsilon, 0.1 * ref_norm
             mask = (dists_a >= lo) & (dists_a <= hi)
             if np.count_nonzero(mask) >= 8:
                 rate = _slope(times_a[mask], np.log(dists_a[mask]))
+                fit_end = int(np.flatnonzero(mask)[-1]) + 1
 
         meta = {
             "m": self.params.m,
@@ -645,4 +665,5 @@ class DefectLattice:
             fitted_rate=rate,
             aborted=aborted,
             meta=meta,
+            fit_end=fit_end,
         )

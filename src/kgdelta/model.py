@@ -218,25 +218,37 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
     ``{"type": "power", "g": 2.0, "kappa": 1.0}`` gives a :class:`PowerLaw`;
     ``{"type": "table", "tau": [...], "a": [...]}`` gives a monotone cubic
     interpolant through the samples, with the derivative taken from the
-    interpolant.
+    interpolant.  Every value, and every entry of a table, must be a finite
+    number: a bool, a string or a ``null`` raises ``ValueError`` naming the
+    key.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"the nonlinearity config must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
 
-    def field(key: str, convert=float):
-        """``convert(cfg[key])``, with an error that names ``key``."""
+    def number(v) -> bool:
+        # a bool is an int to Python, and float() would read a string
+        try:
+            return type(v) is not bool and isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+        except OverflowError:
+            return False
+
+    def field(key: str, table: bool = False):
+        """``cfg[key]`` as a float, or for a table as a float array, with an error that names ``key``."""
         if key not in cfg:
             raise ValueError(f"the {kind!r} nonlinearity config has no {key!r}")
-        try:
-            return convert(cfg[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"the nonlinearity config's {key!r} must be numeric, got {cfg[key]!r}") from None
+        v = cfg[key]
+        if not table and number(v):
+            return float(v)
+        if table and isinstance(v, (list, tuple, np.ndarray)) and all(map(number, v)):
+            return np.asarray(v, dtype=float)
+        want = "a list of finite numbers" if table else "a finite number"
+        raise ValueError(f"the nonlinearity config's {key!r} must be {want}, got {v!r}")
 
     if kind == "power":
         return PowerLaw(g=field("g"), kappa=field("kappa"))
     if kind == "table":
-        tau, vals = (field(key, lambda v: np.asarray(v, dtype=float)) for key in ("tau", "a"))
+        tau, vals = (field(key, table=True) for key in ("tau", "a"))
         if tau.ndim != 1 or tau.shape != vals.shape or tau.size < 2:
             raise ValueError("table coupling needs matching 1-d 'tau' and 'a' arrays")
         from scipy.interpolate import PchipInterpolator

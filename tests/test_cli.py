@@ -730,6 +730,17 @@ class TestSimulateCommand:
         assert summary["max_orbital_distance"] <= 1e-9
         csv_lines = (tmp_path / "run.csv").read_text().splitlines()
         assert csv_lines[0] == "t,energy,charge,orbital_distance"
+        assert summary["fitted_rate"] is None and summary["energy_drift_fit"] is None
+
+    def test_energy_drift_fit_is_the_drift_up_to_the_fit_window_end(self, tmp_path):
+        # the lattice_unstable arguments: the tail past the window drifts 3 times more at seed 0
+        argv = ["simulate", "-m", "1", "-w", "0", "-k", "0.25", "-g", "1", "--eps", "1e-6", "-T", "15",
+                "--record-every", "1", "-o", str(tmp_path / "run")]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["fitted_rate"] is not None
+        assert 0.0 < summary["energy_drift_fit"] <= 1e-6
+        assert summary["energy_drift_fit"] < summary["energy_drift"]
 
     def test_blowup_exit_code(self, tmp_path):
         # seed 2 puts the perturbation on the blow-up side of the unstable
@@ -1150,6 +1161,28 @@ def test_malformed_nonlinearity_config_exits_2_without_traceback(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"type":"power","g":"2","kappa":"0.1"}', "'g' must be a finite number, got '2'"),
+        ('{"type":"power","g":true,"kappa":0.1}', "'g' must be a finite number, got True"),
+        ('{"type":"power","g":1,"kappa":"0.1"}', "'kappa' must be a finite number, got '0.1'"),
+        ('{"type":"power","g":1,"kappa":false}', "'kappa' must be a finite number, got False"),
+        ('{"type":"table","tau":[null,1,2],"a":[1,2,3]}', "'tau' must be a list of finite numbers, got [None, 1, 2]"),
+        ('{"type":"table","tau":[0,1,2],"a":[1,"2",3]}', "'a' must be a list of finite numbers, got [1, '2', 3]"),
+        ('{"type":"table","tau":[0,1,2],"a":[1,NaN,3]}', "'a' must be a list of finite numbers, got [1, nan, 3]"),
+        ('{"type":"table","tau":[0,Infinity,2],"a":[1,2,3]}', "'tau' must be a list of finite numbers, got [0, inf, 2]"),
+    ],
+    ids=["str-g", "bool-g", "str-kappa", "bool-kappa", "null-entry", "str-entry", "nan-entry", "inf-entry"],
+)
+def test_nonlinearity_config_takes_only_finite_json_numbers(tmp_path, capsys, config, message):
+    argv = ["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", str(tmp_path / "run"),
+            "--nonlinearity", config]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: the nonlinearity config's {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -38,6 +38,25 @@ class TestGrid:
         assert g.h <= 0.02 / max(p.decay_rate, p.m) + 1e-15
         assert g.half_length >= 30.0 / p.decay_rate
 
+    @pytest.mark.parametrize("horizon", [0.0, 15.0, 40.0, 50.0, 137.5, 400.0])
+    @pytest.mark.parametrize("omega", [0.0, 0.6, -0.9, 0.999])
+    def test_default_half_length_keeps_reflections_off_the_perturbation(self, omega, horizon):
+        p = ModelParams(1.0, omega, 0.1)
+        kap = p.decay_rate
+        g = Grid.for_run(p, horizon=horizon)
+        assert g.half_length >= 30.0 / kap
+        # radiation leaving the perturbation's support |x| < 10/kap at unit
+        # speed comes back to it after 2(L - 10/kap), up to the rounding of L
+        assert 2.0 * (g.half_length - 10.0 / kap) >= horizon - 4.0 * math.ulp(g.half_length)
+
+    def test_benchmark_lattices_node_counts(self):
+        # lattice_stable: L = max(30/kap, T/2 + 10/kap) = 37.5 at kap = 0.8
+        stable = Grid.for_run(ModelParams(1.0, 0.6, 0.1), horizon=50.0)
+        assert (stable.half_length, stable.n_points, stable.h) == (37.5, 3751, 0.02)
+        # lattice_unstable: 30/kap sets the length, as it did with L = T + 10/kap
+        unstable = Grid.for_run(ModelParams(1.0, 0.0, 0.25), horizon=15.0)
+        assert (unstable.half_length, unstable.n_points, unstable.h) == (30.0, 3001, 0.02)
+
     @pytest.mark.parametrize("target_h", [None, 1e-320])
     def test_node_cap_raises_before_allocating(self, target_h):
         p = ModelParams(1.0, 0.999999, 0.1)
@@ -288,6 +307,38 @@ class TestExperiments:
         rep = sim.run_experiment(epsilon=1e-3, horizon=30.0, seed=0, record_every=10)
         assert float(np.max(rep.orbital_distance)) <= 3.0 * rep.orbital_distance[0]
         assert rep.fitted_rate is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stable_benchmark_run_matches_the_longer_grid(self, seed):
+        # the lattice_stable run on the default grid and on one with the same
+        # h and the half-length horizon + 10/kap that earlier versions took
+        p, nl = ModelParams(1.0, 0.6, 0.1), PowerLaw(1.0, 0.1)
+        short = Grid.for_run(p, horizon=50.0)
+        long = Grid.for_run(p, horizon=50.0, half_length=50.0 + 10.0 / p.decay_rate)
+        assert (short.n_points, long.n_points, short.h) == (3751, 6251, long.h)
+        a, b = (DefectLattice(nl, p, g).run_experiment(1e-3, 50.0, seed=seed, record_every=25) for g in (short, long))
+        assert np.array_equal(a.times, b.times)
+        # measured worst over these seeds: 1.4e-5 and 2.2e-13
+        np.testing.assert_allclose(a.orbital_distance, b.orbital_distance, rtol=1e-4, atol=0.0)
+        assert np.max(np.abs(a.energy - b.energy)) <= 1e-11 * abs(b.energy[0])
+        assert a.fitted_rate is None and b.fitted_rate is None
+        assert a.meta["verdict"] == b.meta["verdict"] == "stable"
+        # so simulate observes "bounded" on both: the distance stays below 100 times its start
+        assert all(max(r.orbital_distance) <= 100.0 * r.orbital_distance[0] for r in (a, b))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_energy_drift_up_to_the_fit_window_end(self, seed):
+        # the benchmark's lattice_unstable run, on the CLI's grid: the whole
+        # run's drift reaches 2.4e-3 over seeds 0-19, up to the window's end 3.2e-7
+        sim = make_sim(omega=0.0, kappa=0.25, g=1.0, horizon=15.0)
+        rep = sim.run_experiment(epsilon=1e-6, horizon=15.0, seed=seed, record_every=1)
+        d = rep.orbital_distance
+        mask = (d >= 1e-5) & (d <= 0.1 * rep.meta["reference_e_norm"])
+        e = rep.energy[: np.flatnonzero(mask)[-1] + 1]
+        assert rep.fitted_rate is not None
+        assert rep.energy_drift_fit == np.max(np.abs(e - e[0])) / abs(e[0])
+        assert rep.energy_drift_fit <= 1e-6
+        assert rep.summary()["energy_drift_fit"] == rep.energy_drift_fit
 
     def test_drift_is_second_order_in_dt(self):
         sim = make_sim(omega=0.6, kappa=0.1, g=1.0, horizon=10.0)

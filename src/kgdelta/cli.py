@@ -13,10 +13,13 @@ output file that cannot be written (found before any work), 3 simulation
 aborted by the blow-up guard, 141 (128 + SIGPIPE) standard output closed by
 its reader.  Scans run serially: blocks of cells go through the array
 classifier, and the few cells it leaves open through the scalar one, so
-output files are byte-identical to a cell-by-cell scan; each block's rows
-are written as they are formed.  What is left per cell is that
-scalar fallback and the three ``%.12g`` value columns; the axis columns are
-formatted once per value.  ``--threads`` is accepted and ignored.
+output files are byte-identical to a cell-by-cell scan.  :func:`scan_rows`
+writes each block's rows to its stream as they are formed and returns the
+tally ``scan`` prints; :func:`write_scan_csv` gives it the file.  What is
+left per cell is that scalar fallback and the three ``%.12g`` value
+columns; the axis columns are formatted once per value.  A grid finer than
+the 12 digits its values are written with is refused before any cell is
+classified.  ``--threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -123,6 +126,13 @@ class ScanConfig:
             raise ValueError(f"scan grid exceeds MAX_SCAN_CELLS = {MAX_SCAN_CELLS} cells")
         if max(abs(self.omega_min), abs(self.omega_max)) >= self.m:
             raise ValueError("omega range must stay inside (-m, m)")
+        # the values are snapped to 12 decimals and written to 12 digits: a
+        # finer grid would write cells of one value under several, or several
+        # under one, so each written value must lie within step/1000 of its own
+        for axis, (lo, hi, step) in (("omega", grid[:3]), ("kappa", grid[3:])):
+            values = _grid_values(lo, hi, step)
+            if any(abs(float(_fmt(v)) - (lo + i * step)) > step / 1000 for i, v in enumerate(values)):
+                raise ValueError(f"the {axis} grid is finer than the 12 digits its values are written with")
 
     def omegas(self) -> list[float]:
         return _grid_values(self.omega_min, self.omega_max, self.omega_step)
@@ -206,9 +216,7 @@ def _blocks(cells: Iterable[tuple[float, float]]) -> Iterator[tuple[tuple[float,
         yield tuple(zip(*block))
 
 
-def _row_blocks(
-    m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter | None = None
-) -> Iterator[list[str]]:
+def _row_blocks(m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter) -> Iterator[list[str]]:
     """The CSV data lines of ``(omega, kappa)`` cells, one list per block, in order.
 
     Blocks of cells go through the array classifier, the cells it leaves open
@@ -226,9 +234,8 @@ def _row_blocks(
         for i in scalar:
             code, lams[i], deltas[i] = _classify_scalar(m, omegas[i], kappas[i], band)
             codes[i] = _REGIONS.index(code)
-        if tally is not None:
-            tally["scalar"] += len(scalar)
-            tally.update(dict(zip(_REGIONS, np.bincount(codes, minlength=len(_REGIONS)).tolist())))
+        tally["scalar"] += len(scalar)
+        tally.update(dict(zip(_REGIONS, np.bincount(codes, minlength=len(_REGIONS)).tolist())))
         w_cols, wi = _axis_fields(omega_cols, _omega_fields, m, ws)
         k_cols, ki = _axis_fields(kappa_cols, _kappa_fields, m, ks)
         values = lams.real.tolist(), lams.imag.tolist(), deltas.tolist()
@@ -236,23 +243,16 @@ def _row_blocks(
         yield [_row(w_cols[a], k_cols[b], names[c], re, im, d) for a, b, c, re, im, d in rows]
 
 
-def _cell_rows(
-    m: float, cells: Iterable[tuple[float, float]], band: float, tally: Counter | None = None
-) -> list[str]:
-    """The CSV data lines of ``(omega, kappa)`` cells, in order (see :func:`_row_blocks`)."""
-    return list(itertools.chain.from_iterable(_row_blocks(m, cells, band, tally)))
-
-
-def scan_rows(cfg: ScanConfig, tally: Counter | None = None, *, out: TextIO | None = None) -> list[str] | None:
-    """All CSV data lines of the scan, row-major in omega then kappa; with
-    ``out``, written to it newline-terminated block by block instead."""
+def scan_rows(cfg: ScanConfig, out: TextIO) -> Counter:
+    """Write the scan's CSV data lines to ``out``, row-major in omega then
+    kappa and newline-terminated, block by block; returns their tally (see
+    :func:`_row_blocks`)."""
+    tally: Counter = Counter()
     kappas = cfg.kappas()
     cells = ((w, k) for w in cfg.omegas() for k in kappas)
-    if out is None:
-        return _cell_rows(cfg.m, cells, cfg.band, tally)
     for lines in _row_blocks(cfg.m, cells, cfg.band, tally):
         out.write("\n".join(lines) + "\n")
-    return None
+    return tally
 
 
 def _temp_file_beside(path: str, prefix: str) -> str:
@@ -302,12 +302,10 @@ def write_scan_csv(cfg: ScanConfig, path: str) -> Counter:
     tally of :func:`scan_rows`: ``"scalar"``, the number of cells that took
     the scalar classifier, and the number of cells of each :class:`RegionCode`.
     """
-    tally: Counter = Counter()
     header = "# kgdelta-scan schema=1 config=" + json.dumps(asdict(cfg), sort_keys=True)
     with _replacing(".scan-", path) as (tmp,), open(tmp, "w", newline="") as fh:
         fh.write(header + "\n" + SCAN_COLUMNS + "\n")
-        scan_rows(cfg, tally, out=fh)
-    return tally
+        return scan_rows(cfg, fh)
 
 
 # ---------------------------------------------------------------------------

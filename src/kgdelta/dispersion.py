@@ -435,13 +435,14 @@ class RootCandidate:
 
 
 def _times(m: float, z: complex) -> complex:
-    return z if m == 1.0 else complex(m * z.real, m * z.imag)  # m * z would lose a -0.0 part
+    # part by part, z real too: m * z would lose a -0.0 part, and an infinite m turn a zero into NaN
+    return z if m == 1.0 else complex(m * z.real if z.real else z.real, m * z.imag if z.imag else z.imag)
 
 
 def _at_mass(cands: list[RootCandidate], m: float) -> list[RootCandidate]:
-    """Candidates found at ``m = 1``, at mass ``m``: ``lam`` times ``m``, the rest times ``m^2``."""
+    """Candidates found at ``m = 1``, at mass ``m``: ``lam`` times ``m``, the rest times ``m^2`` (:func:`_times`)."""
     return cands if m == 1.0 else [RootCandidate(
-        _times(m, c.lam), c.sheet, m * m * c.residual, m * m * c.scale, c.accepted, c.source,
+        _times(m, c.lam), c.sheet, _times(m * m, c.residual).real, m * m * c.scale, c.accepted, c.source,
         _times(m * m, c.x), _times(m * m, c.y)) for c in cands]
 
 
@@ -509,15 +510,15 @@ def _judge(a: float, k: float, w: float, c: float, lam: complex) -> tuple:
 
 def _refine_near_miss(
     p: ModelParams, c: float, lam: complex, nup: complex, num: complex
-) -> complex | None:
+) -> tuple[complex, tuple] | None:
     """Up to two analytic Newton steps on the physical-sheet ``D`` from ``lam``.
 
     Real candidates step in R and imaginary ones in iR, where ``D`` is analytic
     under the cut-limit convention.  Returns the first iterate that passes the
-    acceptance test, or ``None``.  No iterate may leave ``1e-7 |lam|`` of the
-    cubic's root, which a double root of the cubic only has to about
-    ``sqrt(eps)``: a spurious candidate must not be dragged onto some other
-    root of ``D``.  A root next to a threshold, where ``dD/dlambda`` blows up,
+    acceptance test with its :func:`_judge` tuple, or ``None``.  No iterate
+    may leave ``1e-7 |lam|`` of the cubic's root, which a double root of the
+    cubic only has to about ``sqrt(eps)``: a spurious candidate must not be
+    dragged onto some other root of ``D``.  A root next to a threshold, where ``dD/dlambda`` blows up,
     needs the second step.
     """
     cur = lam
@@ -536,9 +537,9 @@ def _refine_near_miss(
         cur = cur + step
         if not abs(cur - lam) < 1e-7 * abs(lam):
             return None
-        nup, num, _, _, accept, _ = _judge(p.alpha, p.kappa, p.omega, c, cur)
+        judged = nup, num, _, _, accept, _ = _judge(p.alpha, p.kappa, p.omega, c, cur)
         if accept:
-            return cur
+            return cur, judged
     return None
 
 
@@ -577,8 +578,7 @@ def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCand
             if not (accept or reject):  # a near miss
                 refined = _refine_near_miss(unit, c, lam, nup, num)
                 if refined is not None:
-                    lam = refined
-                    nup, num, res_phys, scale, accept, _ = _judge(a, k, w, c, lam)
+                    lam, (nup, num, res_phys, scale, accept, _) = refined
             if accept:
                 out.append(
                     RootCandidate(lam, PHYSICAL, res_phys, scale, True, idx, x, y)
@@ -603,9 +603,10 @@ def candidate_roots(params: ModelParams, q_offset: float = 0.0) -> list[RootCand
 
 
 def _candidate_row(cands: list[RootCandidate]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``lambda`` of ``cands`` and which are accepted, as one row of :func:`_cell_candidates`' six."""
+    """The ``lambda`` of ``cands``, as one row of :func:`_cell_candidates`' six, and which :func:`_kept` keeps."""
     pad = 6 - len(cands)
-    return np.array([[c.lam for c in cands] + [0j] * pad]), np.array([[c.accepted for c in cands] + [False] * pad])
+    lam = np.array([[c.lam for c in cands] + [0j] * pad])
+    return lam, _kept(lam, np.array([[c.accepted for c in cands] + [False] * pad]))
 
 
 def _kept(lam: np.ndarray, accept: np.ndarray) -> np.ndarray:
@@ -631,8 +632,8 @@ def _unit_candidates(p: ModelParams, q_offset: float = 0.0) -> list[RootCandidat
 
 def accepted_roots(params: ModelParams, q_offset: float = 0.0) -> list[complex]:
     """Deduplicated physical-sheet roots from the cubic pipeline, told apart at ``m = 1``."""
-    lam, accept = _candidate_row(_unit_candidates(params, q_offset))
-    return [_times(params.m, z) for z in lam[_kept(lam, accept)].tolist()]
+    lam, kept = _candidate_row(_unit_candidates(params, q_offset))
+    return [_times(params.m, z) for z in lam[kept].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +840,7 @@ def classify_point_spectrum(p: ModelParams, boundary_tol: float = BOUNDARY_TOL) 
     cands = _unit_candidates(p)
     region = region_code(1.0, w, k, boundary_tol)
     code = _REGIONS.index(region)
-    row, accept = _candidate_row(cands)
-    kept = _kept(row, accept)
+    row, kept = _candidate_row(cands)
     pairs, why, grazing = _region_pairs(np.array([code]), row, kept, np.array([1.0 - abs(w)]))
     lam = pairs.item()
     if why[0] == _NO_ROOT:

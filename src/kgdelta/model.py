@@ -220,7 +220,7 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
     interpolant through the samples, with the derivative taken from the
     interpolant.  Every value, and every entry of a table, must be a finite
     number: a bool, a string or a ``null`` raises ``ValueError`` naming the
-    key.
+    key, as does a ``tau`` that is not strictly increasing.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"the nonlinearity config must be a JSON object, got {cfg!r}")
@@ -251,6 +251,8 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
         tau, vals = (field(key, table=True) for key in ("tau", "a"))
         if tau.ndim != 1 or tau.shape != vals.shape or tau.size < 2:
             raise ValueError("table coupling needs matching 1-d 'tau' and 'a' arrays")
+        if not (np.diff(tau) > 0.0).all():
+            raise ValueError(f"the nonlinearity config's 'tau' must be strictly increasing, got {cfg['tau']!r}")
         from scipy.interpolate import PchipInterpolator
 
         interp = PchipInterpolator(tau, vals)

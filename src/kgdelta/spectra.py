@@ -243,11 +243,13 @@ def sigma_ess_A(p: ModelParams) -> RealIntervalSet:
     The spectrum is ``i * (R \\ (-gap, gap))`` with ``gap = m - |omega|``.  The
     four thresholds ``+-(m - |omega|)`` and ``+-(m + |omega|)`` are reported as
     distinguished points: the multiplicity of the continuous spectrum changes
-    there, and they are where virtual levels can sit.
+    there, and they are where virtual levels can sit.  They coincide, and two
+    are reported, where ``omega = 0`` within ``EQUALITY_TOL`` (over ``m``), as
+    :func:`zero_jordan_structure` decides it.
     """
     gap = p.m - abs(p.omega)
     outer = p.m + abs(p.omega)
-    if gap == outer:
+    if abs(p.omega) <= EQUALITY_TOL * p.m:
         thresholds: tuple[float, ...] = (-outer, outer)
     else:
         thresholds = (-outer, -gap, gap, outer)

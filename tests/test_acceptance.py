@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Every tolerance is fixed here, not configurable.
 """
 
+import io
 import math
 import time
 from fractions import Fraction
@@ -118,7 +119,9 @@ def test_criterion_4_region_map():
         kappa_step=0.05,
         band=1e-6,
     )
-    rows = scan_rows(cfg)
+    out = io.StringIO()
+    scan_rows(cfg, out)
+    rows = out.getvalue().splitlines()
     assert len(rows) == 97 * 81
     boundary = {"KolokolovCritical", "VirtualLevelBoundary"}
     mismatches = 0

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from kgdelta.cli import (
     scan_rows,
     write_scan_csv,
 )
-from kgdelta.cli import _cell_rows, _scan_cell, _spectrum_text, _suite_closed_forms
+from kgdelta.cli import _row_blocks, _scan_cell, _spectrum_text, _suite_closed_forms
 from kgdelta.dispersion import (
     _REGIONS,
     ClassificationError,
@@ -178,6 +179,13 @@ class TestSpectrumCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: Out of range float values are not JSON compliant")
 
+    def test_text_with_overflowing_audit_values_holds_no_nan(self, capsys):
+        # m^2 is infinite here: a zero part of x and y stays zero, not inf * 0
+        assert main(["spectrum", "-m", "1e200", "-w", "0", "-k", "0.1", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert "'x': [inf, 0.0]" in out
+        assert "nan" not in out
+
     def test_verbose_audit_trail(self, capsys):
         assert main(
             ["spectrum", "-m", "1", "-w", "0", "-k", "1", "--format", "json", "--verbose"]
@@ -212,6 +220,18 @@ class TestRegionPredicate:
         assert region_code(1.0, omega, kappa) is want
 
 
+def _scan_lines(cfg):
+    """The data lines ``scan_rows`` writes for ``cfg``."""
+    out = io.StringIO()
+    scan_rows(cfg, out)
+    return out.getvalue().splitlines()
+
+
+def _cell_rows(m, cells, band):
+    """The data lines ``_row_blocks`` forms for ``cells``, in order."""
+    return [row for rows in _row_blocks(m, cells, band, Counter()) for row in rows]
+
+
 def small_config():
     return ScanConfig(
         m=1.0,
@@ -227,7 +247,7 @@ def small_config():
 class TestScan:
     def test_rows_match_predicate(self):
         cfg = small_config()
-        for line in scan_rows(cfg):
+        for line in _scan_lines(cfg):
             parts = line.split(",")
             w, k, code = float(parts[0]), float(parts[1]), parts[2]
             assert code == region_code(cfg.m, w, k, cfg.band).value
@@ -251,7 +271,7 @@ class TestScan:
     def test_frequency_reflection_symmetry(self):
         cfg = small_config()
         rows = {}
-        for line in scan_rows(cfg):
+        for line in _scan_lines(cfg):
             parts = line.split(",")
             lam = complex(float(parts[3]), float(parts[4]))
             rows[(parts[0], parts[1])] = (parts[2], abs(lam))
@@ -274,7 +294,7 @@ class TestScan:
         )
         omegas, kappas = cfg.omegas(), cfg.kappas()
         grid = {}
-        for line in scan_rows(cfg):
+        for line in _scan_lines(cfg):
             parts = line.split(",")
             grid[(float(parts[0]), float(parts[1]))] = parts[2]
         boundary = {RegionCode.KOLOKOLOV_CRITICAL.value, RegionCode.VIRTUAL_LEVEL_BOUNDARY.value}
@@ -444,6 +464,25 @@ class TestScan:
         assert len(calls) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [
+            # 6 cells written as 0 at kappa 0.5, and 6 under the 2 strings 1.5 and 1.50000000001
+            ("omega", ["--omega-min", "0", "--omega-max", "1e-13", "--omega-step", "2e-14",
+                       "--kappa-min", "0.5", "--kappa-max", "0.5", "--kappa-step", "0.1"]),
+            ("kappa", ["--omega-min", "0", "--omega-max", "0", "--omega-step", "0.1",
+                       "--kappa-min", "1.5", "--kappa-max", "1.500000000005", "--kappa-step", "1e-12"]),
+        ],
+    )
+    def test_grid_finer_than_its_written_values_is_refused(self, tmp_path, monkeypatch, capsys, axis, grid):
+        calls = []
+        monkeypatch.setattr(kgdelta.cli, "_classify_arrays", lambda *a: calls.append(1))
+        assert main(["scan", *grid, "-o", str(tmp_path / "map.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the {axis} grid is finer than the 12 digits its values are written with\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_memory_is_one_block_at_any_grid_size(self, tmp_path):
         # the rows go to the file block by block: a scan that kept every line
         # peaked 2.7 times higher at 31,137 cells than at 7,857
@@ -550,8 +589,9 @@ class TestArrayScan:
             m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
             kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
         )
-        tally = Counter()
-        rows = scan_rows(cfg, tally)
+        out = io.StringIO()
+        tally = scan_rows(cfg, out)
+        rows = out.getvalue().splitlines()
         want = [_scan_cell(cfg.m, w, k, cfg.band) for w in cfg.omegas() for k in cfg.kappas()]
         assert rows == want
         # the array path decides all but a few percent of the cells
@@ -641,8 +681,7 @@ class TestArrayScan:
             m=1.0, omega_min=-0.96, omega_max=0.96, omega_step=0.02,
             kappa_min=-2.0, kappa_max=2.0, kappa_step=0.05,
         )
-        tally = Counter()
-        scan_rows(cfg, tally)
+        tally = scan_rows(cfg, io.StringIO())
         assert tally["scalar"] == 6
 
 
@@ -1175,8 +1214,11 @@ def test_malformed_nonlinearity_config_exits_2_without_traceback(tmp_path, capsy
         ('{"type":"table","tau":[0,1,2],"a":[1,"2",3]}', "'a' must be a list of finite numbers, got [1, '2', 3]"),
         ('{"type":"table","tau":[0,1,2],"a":[1,NaN,3]}', "'a' must be a list of finite numbers, got [1, nan, 3]"),
         ('{"type":"table","tau":[0,Infinity,2],"a":[1,2,3]}', "'tau' must be a list of finite numbers, got [0, inf, 2]"),
+        ('{"type":"table","tau":[2,1,0.5],"a":[4,2,1]}', "'tau' must be strictly increasing, got [2, 1, 0.5]"),
+        ('{"type":"table","tau":[0.5,1,1],"a":[4,2,1]}', "'tau' must be strictly increasing, got [0.5, 1, 1]"),
     ],
-    ids=["str-g", "bool-g", "str-kappa", "bool-kappa", "null-entry", "str-entry", "nan-entry", "inf-entry"],
+    ids=["str-g", "bool-g", "str-kappa", "bool-kappa", "null-entry", "str-entry", "nan-entry", "inf-entry",
+         "decreasing-tau", "repeated-tau"],
 )
 def test_nonlinearity_config_takes_only_finite_json_numbers(tmp_path, capsys, config, message):
     argv = ["simulate", "-m", "1", "-w", "0.5", "-k", "0.1", "-T", "0.5", "-o", str(tmp_path / "run"),

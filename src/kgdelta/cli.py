@@ -522,7 +522,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     tally = write_scan_csv(cfg, args.output)
     elapsed = time.perf_counter() - start
-    n = len(cfg.omegas()) * len(cfg.kappas())
+    n = sum(tally[code] for code in RegionCode)
     print(f"wrote {n} cells to {args.output}")
     print(f"{tally['scalar']} of {n} cells took the scalar classifier; {n / elapsed:.0f} cells/s")
     print("regions: " + ", ".join(f"{code.value} {tally[code]}" for code in RegionCode))

@@ -7,16 +7,23 @@ weight ``1/h``, and time stepping by the kick-drift-kick Verlet scheme for
     psi_t = pi,
     pi_t  = Lap_h psi - m^2 psi + (delta_{j,j0}/h) a(|psi_j0|^2) psi_j0.
 
-The scheme is symplectic, time reversible, exactly phase equivariant, and
-commutes with the reflection x -> -x, so energy/charge drift and parity are
-honest diagnostics of the dynamics rather than artifacts.  Each step
-evaluates the force once and kicks once: the force at the end of a step is
-the one the next step starts with, and the closing half kick of a step and
-the opening one of the next add that same force.  So the force and the
-half-step momentum travel on the returned state, and its ``pi`` is formed
-only when it is read; its ``psi``, and ``pi`` once formed, are read-only for
-that reason.  The diagnostics take their sums as dot products, and form a
-gradient once per read-only ``psi``.
+The scheme is symplectic, time reversible and exactly phase equivariant, so
+energy and charge drift are honest diagnostics of the dynamics rather than
+artifacts.  It also commutes with the reflection x -> -x, and every run
+starts from even data, so a run evolves only the fold: the nodes
+``center..n-1``, with ``x >= 0``, whose defect node takes its missing left
+neighbour from the mirror.  Runs take their parity from the fold; their
+sums count the defect node once and every other node, and every gradient
+link, twice.  ``step`` on a whole-lattice state, the path for data that is
+not even, still commutes with x -> -x.
+
+Each step evaluates the force once and kicks once: the force at the end of
+a step is the one the next step starts with, and the closing half kick of a
+step and the opening one of the next add that same force.  So the force and
+the half-step momentum travel on the returned state, and its ``pi`` is
+formed only when it is read; its ``psi``, and ``pi`` once formed, are
+read-only for that reason.  The diagnostics take their sums as dot
+products, and form a gradient once per read-only ``psi``.
 No complex array is divided by a real scalar, numpy's slowest elementwise
 loop here: the energy and the inner product divide the dot product of
 undivided differences by ``h^2``, and the force and the energy norm multiply
@@ -55,14 +62,16 @@ from .spectra import Verdict, stability_verdict
 __all__ = ["Grid", "FieldState", "RunReport", "DefectLattice", "MAX_LATTICE_NODES"]
 
 #: Most nodes a default grid may have: 267 times the larger benchmark
-#: lattice (3,751), 104 times the largest test lattice (9,609).  At the cap
-#: each complex field array takes 16 MB.
+#: lattice (3,751, whose fold a run steps is 1,876), 104 times the largest
+#: test lattice (9,609).  At the cap each complex field array of the whole
+#: grid takes 16 MB, and each of the fold 8 MB.
 MAX_LATTICE_NODES = 1_000_000
 
 #: Most Verlet steps one run may take: 160 times the larger benchmark run
 #: (6,250).  Every step may be a record, and at the cap the four series take
-#: 32 MB, one float64 array allocated up front; the larger benchmark lattice
-#: steps through them in about 30 s.
+#: 32 MB, one float64 array allocated up front; the larger benchmark run
+#: steps its fold through them in about 25 s (25 us a step with its guard,
+#: measured on a 2-core Xeon with numpy 2.4).
 MAX_LATTICE_STEPS = 1_000_000
 
 
@@ -171,6 +180,10 @@ class Grid:
 class FieldState:
     """Lattice samples of the field and its velocity at one time.
 
+    It holds either every node of the grid or the fold of an even state, the
+    ``center + 1`` nodes with ``x >= 0``; its length tells which, and the
+    lattice steps and measures either.
+
     A state returned by ``DefectLattice.step`` holds the half-step momentum
     instead of ``pi``: ``pi`` is formed from it the first time it is read,
     and is read-only from then on, as the stepped ``psi`` is.  Rebinding
@@ -188,9 +201,8 @@ class FieldState:
         # left by DefectLattice.step; (psi, psi[1:] - psi[:-1]) for a
         # read-only psi
         self._carried = self._half = self._grad = None
-        n = grid.n_points
-        if self.psi.shape != (n,) or self._pi.shape != (n,):
-            raise ValueError("field arrays must match the grid size")
+        if self._pi.shape != self.psi.shape or self.psi.shape not in ((grid.n_points,), (grid.center + 1,)):
+            raise ValueError("field arrays must match the grid size, or its x >= 0 half")
 
     @classmethod
     def _stepped(cls, psi: np.ndarray, t: float, grid: Grid, carried: tuple, half: tuple) -> "FieldState":
@@ -344,23 +356,30 @@ class DefectLattice:
     def _force(self, psi: np.ndarray) -> np.ndarray:
         p, g = self.params, self.grid
         h = g.h
+        # a fold holds the nodes center..n-1 of an even state: its node 0 is
+        # the defect, whose left neighbour is the mirror of psi[1]
+        fold = psi.size != g.n_points
+        lo = 0 if fold else 1
         f = np.empty_like(psi)
         f[0] = f[-1] = 0.0
         # (psi[2:] - 2 psi[1:-1] + psi[:-2]) / h^2 - m^2 psi[1:-1], one ufunc
         # at a time in that order, so every node rounds as the plain
-        # expression does
-        lap = f[1:-1]
-        np.multiply(2.0, psi[1:-1], out=lap)
-        np.subtract(psi[2:], lap, out=lap)
-        np.add(lap, psi[:-2], out=lap)
+        # expression does, the defect node of a fold as in the whole lattice
+        lap = f[lo:-1]
+        np.multiply(2.0, psi[lo:-1], out=lap)
+        np.subtract(psi[lo + 1 :], lap, out=lap)
+        np.add(lap[1 - lo :], psi[:-2], out=lap[1 - lo :])
+        if fold:
+            lap[0] += psi[1]
         # numpy divides a complex by a real as (a + b*0) * (1/h^2) and
         # (b - a*0) * (1/h^2), so the float64 view times the reciprocal gives
         # the same bits (up to the sign of a zero) at a fifth of the cost
         lv = lap.view(np.float64)
         np.multiply(lv, 1.0 / (h * h), out=lv)
-        np.subtract(lap, p.m**2 * psi[1:-1], out=lap)
-        c = psi[g.center]
-        f[g.center] += self.nl.a(abs(c) ** 2) * c / h
+        np.subtract(lap, p.m**2 * psi[lo:-1], out=lap)
+        j0 = 0 if fold else g.center
+        c = psi[j0]
+        f[j0] += self.nl.a(abs(c) ** 2) * c / h
         return f
 
     def step(self, state: FieldState, dt: float) -> FieldState:
@@ -420,23 +439,38 @@ class DefectLattice:
             state._grad = (psi, d)
         return d
 
+    # On a fold (see _force) each sum of the whole lattice is twice the
+    # fold's less the defect node's term, which has no mirror; every
+    # gradient link has one.
+
     def energy(self, state: FieldState) -> float:
-        h = self.grid.h
+        g = self.grid
+        h, m2 = g.h, self.params.m**2
         psi, pi = state.psi, state.pi
         d = self._gradient(state)
         quad = np.vdot(pi, pi).real + np.vdot(d, d).real / (h * h)
-        quad += self.params.m**2 * np.vdot(psi, psi).real
-        c = psi[self.grid.center]
+        quad += m2 * np.vdot(psi, psi).real
+        if psi.size == g.n_points:
+            c = psi[g.center]
+        else:
+            c = psi[0]
+            quad = 2.0 * quad - (abs(pi[0]) ** 2 + m2 * abs(c) ** 2)
         return 0.5 * h * float(quad) + self.nl.potential(abs(c) ** 2)
 
     def charge(self, state: FieldState) -> float:
-        return -self.grid.h * float(np.vdot(state.psi, state.pi).imag)
+        psi, pi = state.psi, state.pi
+        q = np.vdot(psi, pi).imag
+        if psi.size != self.grid.n_points:
+            q = 2.0 * q - (psi[0].conjugate() * pi[0]).imag
+        return -self.grid.h * float(q)
 
     def e_inner(self, a: FieldState, b: FieldState) -> complex:
         """Lattice H1 (+) L2 inner product, conjugate-linear in ``a``."""
         h = self.grid.h
         da, db = self._gradient(a), self._gradient(b)
         val = np.vdot(da, db) / (h * h) + np.vdot(a.psi, b.psi) + np.vdot(a.pi, b.pi)
+        if a.psi.size != self.grid.n_points:
+            val = 2.0 * val - (a.psi[0].conjugate() * b.psi[0] + a.pi[0].conjugate() * b.pi[0])
         return h * complex(val)
 
     def e_norm(self, state: FieldState) -> float:
@@ -451,6 +485,8 @@ class DefectLattice:
         dv = d.view(np.float64)
         np.multiply(dv, 1.0 / h, out=dv)
         sq = np.vdot(d, d).real + np.vdot(psi, psi).real + np.vdot(pi, pi).real
+        if psi.size != self.grid.n_points:
+            sq = 2.0 * sq - (abs(psi[0]) ** 2 + abs(pi[0]) ** 2)
         return math.sqrt(max(h * float(sq), 0.0))
 
     def orbital_distance(self, state: FieldState, reference: FieldState) -> float:
@@ -536,6 +572,8 @@ class DefectLattice:
         amplitude or is not finite, when the energy to be recorded is not
         finite, or when a step or a record overflows float64; that record is
         dropped, so every recorded value is finite.
+        The even initial state is folded to its ``x >= 0`` half, which is
+        what the run steps and records; ``meta["n_points"]`` stays the grid's.
         ``meta`` gives the wall time of the steps with their guard
         (``step_s``), of the records (``diagnostics_s``, which includes
         forming each recorded state's ``pi``), and ``steps_per_s``.  The
@@ -583,6 +621,10 @@ class DefectLattice:
                     rot = complex(math.cos(initial_phase), math.sin(initial_phase))
                     state.psi = rot * state.psi
                     state.pi = rot * state.pi
+                # the data is even and the step commutes with x -> -x: the
+                # run steps and records the fold, nodes center..n-1
+                c = self.grid.center
+                reference, state = (FieldState(s.psi[c:], s.pi[c:], 0.0, self.grid) for s in (reference, state))
                 start = clock()
                 first = self.energy(state), self.charge(state), self.orbital_distance(state, reference)
         except (FloatingPointError, OverflowError):

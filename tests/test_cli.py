@@ -569,6 +569,25 @@ class TestScan:
         column = Counter(line.split(",")[2] for line in path.read_text().splitlines()[2:])
         assert counts == {code.value: column[code.value] for code in RegionCode}
 
+    def test_scan_builds_each_axis_list_twice(self, tmp_path, capsys, monkeypatch):
+        # once for the grid check and once for the cells: the printed count
+        # is the sum of the tally's region counts, not a third pair of lists
+        calls = []
+        grid_values = kgdelta.cli._grid_values
+        monkeypatch.setattr(kgdelta.cli, "_grid_values", lambda *a: calls.append(a) or grid_values(*a))
+        path = tmp_path / "cells.csv"
+        argv = [
+            "scan",
+            "--omega-min", "-0.4", "--omega-max", "0.4", "--omega-step", "0.2",
+            "--kappa-min", "-0.5", "--kappa-max", "0.5", "--kappa-step", "0.25",
+            "-o", str(path),
+        ]
+        assert main(argv) == 0
+        assert Counter(calls) == {(-0.4, 0.4, 0.2): 2, (-0.5, 0.5, 0.25): 2}
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and out[0] == f"wrote 25 cells to {path}"
+        assert " of 25 cells took the scalar classifier; " in out[1]
+
 
 def _scalar_row(m, omega, kappa, band):
     try:

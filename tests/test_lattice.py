@@ -13,6 +13,7 @@ from kgdelta import (
     solve_amplitude,
 )
 from kgdelta.lattice import DefectLattice, FieldState, Grid, _past_guard, _slope
+from kgdelta.spectra import Verdict, stability_verdict
 
 
 def make_sim(m=1.0, omega=0.0, kappa=1.0, g=2.0, half_length=None, target_h=None, horizon=0.0):
@@ -666,6 +667,41 @@ def perturbed_stationary(sim, seed, size):
     return FieldState(st.psi + pert.psi, st.pi + pert.pi, 0.0, sim.grid)
 
 
+def folded(sim, s):
+    """The nodes ``center..n-1`` of ``s``, as a run steps them."""
+    c = sim.grid.center
+    return FieldState(s.psi[c:], s.pi[c:], s.t, sim.grid)
+
+
+def unfolded(sim, s):
+    """The whole even lattice's state whose fold is ``s``."""
+    psi, pi = (np.concatenate([x[:0:-1], x]) for x in (s.psi, s.pi))
+    return FieldState(psi, pi, s.t, sim.grid)
+
+
+def whole_lattice_run(sim, epsilon, horizon, seed, record_every):
+    """``run_experiment``'s loop on every node: times, distances, fitted rate, aborted."""
+    ref = sim.discrete_stationary()
+    state = perturbed_stationary(sim, seed, epsilon)
+    limit = 1e3 * float(np.max(np.abs(ref.psi)))
+    dt = sim.default_dt()
+    n_steps = int(round(horizon / dt))
+    times, dists = [0.0], [sim.orbital_distance(state, ref)]
+    aborted = False
+    for i in range(1, n_steps + 1):
+        state = sim.step(state, dt)
+        aborted = _past_guard(state.psi, limit)
+        if i % record_every == 0 or i == n_steps or aborted:
+            times.append(state.t)
+            dists.append(sim.orbital_distance(state, ref))
+        if aborted:
+            break
+    t, d = np.array(times), np.array(dists)
+    mask = (d >= 10.0 * epsilon) & (d <= 0.1 * sim.e_norm(ref))
+    rate = _slope(t[mask], np.log(d[mask])) if stability_verdict(sim.params) is Verdict.UNSTABLE else None
+    return t, d, rate, aborted
+
+
 class TestCarriedForce:
     @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
     def test_trajectory_matches_the_merged_kick_scheme_bit_for_bit(self, omega, kappa, horizon, eps):
@@ -824,6 +860,22 @@ class TestDiagnosticsAgainstPlainSums:
         assert sim.orbital_distance(s, ref) == pytest.approx(self.plain_distance(sim, s, ref), rel=1e-13)
 
     @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_agree_to_roundoff_on_folded_states(self, omega, kappa, horizon, eps, seed):
+        # the fold's sums against the plain sums over the state it is the fold of
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        ref = sim.discrete_stationary()
+        s = folded(sim, perturbed_stationary(sim, seed=seed, size=1e-2))
+        for _ in range(50):
+            s = sim.step(s, sim.default_dt())
+        whole = unfolded(sim, s)
+        assert s.psi.size == sim.grid.center + 1
+        assert sim.energy(s) == pytest.approx(self.plain_energy(sim, whole), rel=1e-13)
+        assert sim.charge(s) == pytest.approx(self.plain_charge(sim, whole), rel=1e-13)
+        got = sim.orbital_distance(s, folded(sim, ref))
+        assert got == pytest.approx(self.plain_distance(sim, whole, ref), rel=1e-13)
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
     def test_agree_at_every_seventh_step_of_the_benchmark_runs(self, omega, kappa, horizon, eps):
         sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
         ref = sim.discrete_stationary()
@@ -883,3 +935,76 @@ class TestDiagnosticsAgainstPlainSums:
         records = 1 + len([i for i in range(1, n_steps + 1) if i % 7 == 0 or i == n_steps])
         assert n_steps % 7 != 0 and len(rep.times) == records
         assert calls == {"step": n_steps, "energy": records, "charge": records, "orbital_distance": records}
+
+
+class TestFold:
+    """A run steps and records the nodes ``center..n-1`` of its even state."""
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_first_step_is_the_right_half_of_the_whole_step(self, omega, kappa, horizon, eps):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        c, dt = sim.grid.center, sim.default_dt()
+        start = perturbed_stationary(sim, seed=0, size=eps)
+        assert start.psi.tobytes() == start.psi[::-1].tobytes() and start.pi.tobytes() == start.pi[::-1].tobytes()
+        whole, half = sim.step(start, dt), sim.step(folded(sim, start), dt)
+        assert half.psi.tobytes() == whole.psi[c:].tobytes()
+        assert half.pi.tobytes() == whole.pi[c:].tobytes()
+
+    @pytest.mark.parametrize("omega, kappa, horizon, eps", BENCHMARK_LATTICES)
+    def test_diagnostics_match_the_whole_lattice(self, omega, kappa, horizon, eps):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        ref = sim.discrete_stationary()
+        s = folded(sim, perturbed_stationary(sim, seed=3, size=eps))
+        for _ in range(100):
+            s = sim.step(s, sim.default_dt())
+        whole = unfolded(sim, s)
+        for name in ("energy", "charge", "e_norm"):
+            got, want = getattr(sim, name)(s), getattr(sim, name)(whole)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), name
+        # the distance cancels terms of the reference's size, so its rounding
+        # floor is relative to that: measured at most 1.1e-16 of it
+        gap = sim.orbital_distance(s, folded(sim, ref)) - sim.orbital_distance(whole, ref)
+        assert abs(gap) <= 1e-14 * sim.e_norm(ref)
+
+    @staticmethod
+    def stepped_sizes(monkeypatch):
+        """The node counts of the states ``DefectLattice.step`` is given from now on."""
+        sizes = []
+        step = DefectLattice.step
+        monkeypatch.setattr(DefectLattice, "step", lambda self, s, dt: sizes.append(s.psi.size) or step(self, s, dt))
+        return sizes
+
+    def test_run_steps_the_fold(self, monkeypatch):
+        sizes = self.stepped_sizes(monkeypatch)
+        sim = make_sim(omega=0.6, kappa=0.1, g=1.0, horizon=50.0)
+        rep = sim.run_experiment(epsilon=1e-3, horizon=1.0, seed=0, record_every=5)
+        assert len(sizes) == int(round(1.0 / sim.default_dt())) and set(sizes) == {sim.grid.center + 1}
+        assert sim.grid.center + 1 == 1876 and rep.meta["n_points"] == sim.grid.n_points == 3751
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "omega, kappa, horizon, eps, every",
+        [(0.6, 0.1, 50.0, 1e-3, 25), (0.0, 0.25, 15.0, 1e-6, 1)],
+        ids=["lattice_stable", "lattice_unstable"],
+    )
+    def test_benchmark_runs_match_the_whole_lattice(self, omega, kappa, horizon, eps, every, seed, monkeypatch):
+        sim = make_sim(omega=omega, kappa=kappa, g=1.0, horizon=horizon)
+        sizes = self.stepped_sizes(monkeypatch)
+        rep = sim.run_experiment(epsilon=eps, horizon=horizon, seed=seed, record_every=every)
+        monkeypatch.undo()
+        # the run stepped the fold, so what follows compares it with the whole lattice
+        assert set(sizes) == {sim.grid.center + 1}
+        t, d, rate, aborted = whole_lattice_run(sim, eps, horizon, seed, every)
+        assert rep.aborted == aborted and rep.times.tobytes() == t.tobytes()
+        # simulate's observed verdict: growing past 100 times the initial distance
+        assert (max(rep.orbital_distance) > 100.0 * rep.orbital_distance[0]) == (max(d) > 100.0 * d[0])
+        if rate is None:
+            assert rep.fitted_rate is None
+        else:
+            assert rep.fitted_rate == pytest.approx(rate, rel=1e-9, abs=0.0)
+        # worst measured over seeds 0-9: 6.5e-11 on the stable run, 3.1e-8 on the
+        # unstable one, where rounding differences grow with the perturbation
+        np.testing.assert_allclose(rep.orbital_distance, d, rtol=1e-7, atol=0.0)
+        # the fold's charge drift stays at rounding level: worst over seeds 0-9
+        # 5.7e-15 stable and 4.1e-13 unstable (the whole lattice: 2.8e-15, 5.0e-13)
+        assert rep.charge_drift <= 1e-12
